@@ -174,7 +174,7 @@ int main() {
         if (instrumented < 0 || t2 < instrumented) instrumented = t2;
         ratios.push_back(t2 / t);
       }
-#if PRAIRIE_EXEC_STATS
+#if PRAIRIE_TRACING
       // Exactness: stats count every call, only timing is sampled.
       if (stats->root() == nullptr || stats->root()->rows != rows.size()) {
         std::fprintf(

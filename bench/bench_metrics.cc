@@ -10,7 +10,7 @@
 // across queries to a small budget.
 //
 // Self-checks (exit non-zero on failure):
-//   - median metered/plain overhead <= PRAIRIE_METRICS_OVERHEAD_TOL percent
+//   - median metered/plain overhead <= PRAIRIE_METERED_OVERHEAD_TOL percent
 //     (default 2%; micro-benchmark noise makes per-query maxima useless,
 //     the median is stable),
 //   - the bundle's counters must agree with the engine's own stats
@@ -18,9 +18,9 @@
 //     metered runs — the flush path must not lose or double-count.
 //
 // Environment knobs:
-//   PRAIRIE_METRICS_JOINS         join count per query  (def 3)
-//   PRAIRIE_METRICS_REPEATS       timing repeats, best-of  (def 3)
-//   PRAIRIE_METRICS_OVERHEAD_TOL  overhead gate, percent  (def 2)
+//   PRAIRIE_METERED_JOINS         join count per query  (def 3)
+//   PRAIRIE_METERED_REPEATS       timing repeats, best-of  (def 3)
+//   PRAIRIE_METERED_OVERHEAD_TOL  overhead gate, percent  (def 2)
 
 #include <algorithm>
 #include <cstdio>
@@ -45,9 +45,9 @@ using prairie::volcano::VolcanoMetrics;
 }  // namespace
 
 int main() {
-  const int joins = EnvInt("PRAIRIE_METRICS_JOINS", 3);
-  const int repeats = EnvInt("PRAIRIE_METRICS_REPEATS", 3);
-  const int tol_pct = EnvInt("PRAIRIE_METRICS_OVERHEAD_TOL", 2);
+  const int joins = EnvInt("PRAIRIE_METERED_JOINS", 3);
+  const int repeats = EnvInt("PRAIRIE_METERED_REPEATS", 3);
+  const int tol_pct = EnvInt("PRAIRIE_METERED_OVERHEAD_TOL", 2);
 
   auto pair = BuildOodbPair();
   if (!pair.ok()) {
@@ -143,7 +143,7 @@ int main() {
               registry.NumSeries());
 
   bool ok = true;
-#if PRAIRIE_METRICS
+#if PRAIRIE_TRACING
   // Counter / stats agreement over all metered runs.
   struct Check {
     const char* name;

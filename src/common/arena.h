@@ -3,39 +3,34 @@
 // group and multi-expression storage).
 //
 // Two pieces:
-//   - Arena: a thread-safe bump allocator handing out raw blocks. All
-//     memory is released at once when the arena dies; nothing is freed
-//     individually, so allocation is a pointer bump and the allocator
-//     never fragments under the memo's insert-only workload.
+//   - Arena: a bump allocator handing out raw blocks. All memory is
+//     released at once when the arena dies; nothing is freed individually,
+//     so allocation is a pointer bump and the allocator never fragments
+//     under the memo's insert-only workload.
 //   - StableVector<T>: an append-only vector whose elements NEVER move.
 //     Storage is a ladder of geometrically growing chunks (capacity
-//     kBase << c) allocated from the arena, published through atomic
-//     pointers. Readers index concurrently with one appender without
-//     locks: the element is fully constructed before the size is
-//     published with release ordering. Appends themselves must be
-//     serialized by the caller (the memo holds the owning lock).
+//     kBase << c) allocated from the arena.
 //
-// This is what lets the concurrent memo hand out references into groups
-// and expression lists that stay valid across concurrent inserts and
-// merges — the 1995 paper's virtual-memory wall at 8-way joins was as
-// much allocator churn as search-space size.
+// Stable addresses are what let the memo hand out references into groups
+// and expression lists that stay valid while rule firings insert and
+// merge — the 1995 paper's virtual-memory wall at 8-way joins was as much
+// allocator churn as search-space size. Neither piece is thread-safe: an
+// arena belongs to one memo, and a memo to one optimizer.
 
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <utility>
 #include <vector>
 
 namespace prairie::common {
 
-/// \brief Thread-safe bump allocator. Allocations live until the arena is
-/// destroyed; there is no per-object free.
+/// \brief Bump allocator. Allocations live until the arena is destroyed;
+/// there is no per-object free.
 class Arena {
  public:
   explicit Arena(size_t block_bytes = 1 << 16) : block_bytes_(block_bytes) {}
@@ -46,45 +41,33 @@ class Arena {
   /// Returns `bytes` of storage aligned to `align` (a power of two).
   /// Oversized requests get a dedicated block.
   void* Allocate(size_t bytes, size_t align = alignof(std::max_align_t)) {
-    std::lock_guard<std::mutex> lock(mu_);
     uintptr_t p = (cur_ + (align - 1)) & ~(uintptr_t{align} - 1);
     if (p + bytes > end_) {
       const size_t block = bytes + align > block_bytes_ ? bytes + align
                                                         : block_bytes_;
       blocks_.push_back(std::make_unique<char[]>(block));
-      bytes_reserved_.fetch_add(block, std::memory_order_relaxed);
+      bytes_reserved_ += block;
       cur_ = reinterpret_cast<uintptr_t>(blocks_.back().get());
       end_ = cur_ + block;
       p = (cur_ + (align - 1)) & ~(uintptr_t{align} - 1);
     }
     cur_ = p + bytes;
-    bytes_used_.fetch_add(bytes, std::memory_order_relaxed);
     return reinterpret_cast<void*>(p);
   }
 
-  /// Total block bytes reserved from the system (>= bytes_used).
-  size_t bytes_reserved() const {
-    return bytes_reserved_.load(std::memory_order_relaxed);
-  }
-
-  /// Bytes handed out to callers (excludes alignment slop and block tails).
-  size_t bytes_used() const {
-    return bytes_used_.load(std::memory_order_relaxed);
-  }
+  /// Total block bytes reserved from the system.
+  size_t bytes_reserved() const { return bytes_reserved_; }
 
  private:
-  mutable std::mutex mu_;
   size_t block_bytes_;
   std::vector<std::unique_ptr<char[]>> blocks_;
   uintptr_t cur_ = 0;
   uintptr_t end_ = 0;
-  std::atomic<size_t> bytes_reserved_{0};
-  std::atomic<size_t> bytes_used_{0};
+  size_t bytes_reserved_ = 0;
 };
 
 /// \brief Append-only vector with stable element addresses, backed by an
-/// arena. One writer (externally serialized) and any number of lock-free
-/// readers.
+/// arena.
 ///
 /// Chunk c holds kBase << c elements starting at logical index
 /// kBase * ((1 << c) - 1); 40 chunks cover ~2^42 elements. Element
@@ -103,43 +86,39 @@ class StableVector {
 
   ~StableVector() { DestroyAll(); }
 
-  size_t size() const { return size_.load(std::memory_order_acquire); }
-  bool empty() const { return size() == 0; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   T& operator[](size_t i) { return *Slot(i); }
   const T& operator[](size_t i) const { return *Slot(i); }
 
-  T& back() { return (*this)[size() - 1]; }
+  T& back() { return (*this)[size_ - 1]; }
 
-  /// Constructs a new element in place and publishes it. The caller must
-  /// serialize EmplaceBack/Clear calls (readers need no lock).
+  /// Constructs a new element in place at the end.
   template <typename... Args>
   T& EmplaceBack(Args&&... args) {
-    const size_t i = size_.load(std::memory_order_relaxed);
     size_t chunk, offset;
-    Locate(i, &chunk, &offset);
-    T* base = chunks_[chunk].load(std::memory_order_relaxed);
+    Locate(size_, &chunk, &offset);
+    T*& base = chunks_[chunk];
     if (base == nullptr) {
       base = static_cast<T*>(
           arena_->Allocate(sizeof(T) * (kBase << chunk), alignof(T)));
-      chunks_[chunk].store(base, std::memory_order_release);
     }
     T* slot = base + offset;
     ::new (static_cast<void*>(slot)) T(std::forward<Args>(args)...);
-    size_.store(i + 1, std::memory_order_release);
+    ++size_;
     return *slot;
   }
 
   /// Destroys all elements and resets the size, keeping the chunk ladder
-  /// for reuse. Only valid when no concurrent reader exists (the serial
-  /// memo's destructive merge path).
+  /// for reuse (the memo's merge path empties the losing group).
   void Clear() {
     DestroyAll();
-    size_.store(0, std::memory_order_release);
+    size_ = 0;
   }
 
-  /// Index-based iteration (stable under concurrent appends: the range is
-  /// pinned to the size observed when begin() was called).
+  /// Index-based iteration over the elements present when begin() was
+  /// called.
   class const_iterator {
    public:
     const_iterator(const StableVector* v, size_t i) : v_(v), i_(i) {}
@@ -157,7 +136,7 @@ class StableVector {
     size_t i_;
   };
   const_iterator begin() const { return const_iterator(this, 0); }
-  const_iterator end() const { return const_iterator(this, size()); }
+  const_iterator end() const { return const_iterator(this, size_); }
 
  private:
   static void Locate(size_t i, size_t* chunk, size_t* offset) {
@@ -170,17 +149,16 @@ class StableVector {
   T* Slot(size_t i) const {
     size_t chunk, offset;
     Locate(i, &chunk, &offset);
-    return chunks_[chunk].load(std::memory_order_acquire) + offset;
+    return chunks_[chunk] + offset;
   }
 
   void DestroyAll() {
-    const size_t n = size_.load(std::memory_order_relaxed);
-    for (size_t i = 0; i < n; ++i) Slot(i)->~T();
+    for (size_t i = 0; i < size_; ++i) Slot(i)->~T();
   }
 
   Arena* arena_;
-  std::atomic<T*> chunks_[kMaxChunks] = {};
-  std::atomic<size_t> size_{0};
+  T* chunks_[kMaxChunks] = {};
+  size_t size_ = 0;
 };
 
 }  // namespace prairie::common

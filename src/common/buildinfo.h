@@ -1,20 +1,17 @@
 // Build-configuration provenance for bundles, logs, and --version.
 //
 // A diagnostic bundle captured on one machine is read on another; whether
-// tracing/metrics/exec-stats were compiled in, and with which compiler,
-// changes what the numbers mean (a tracing-off binary reports zero rule
-// latencies honestly). These helpers render the compile-time switches the
-// repo exposes, in both human (--version) and JSON (manifest) form.
+// the observability layer (traces, metrics, executor stats) was compiled
+// in, and with which compiler, changes what the numbers mean (a
+// tracing-off binary reports zero rule latencies honestly). These helpers
+// render the repo's one compile-time switch, PRAIRIE_TRACING, in both
+// human (--version) and JSON (manifest) form.
 
 #pragma once
 
 #include <string>
 
-#include "common/metrics.h"  // PRAIRIE_TRACING / PRAIRIE_METRICS defaults.
-
-#ifndef PRAIRIE_EXEC_STATS
-#define PRAIRIE_EXEC_STATS PRAIRIE_TRACING
-#endif
+#include "common/trace.h"  // PRAIRIE_TRACING default.
 
 namespace prairie::common {
 
@@ -34,19 +31,15 @@ inline std::string CompilerText() {
 }
 
 /// Human-readable build configuration, one line ("gcc 13.2.0,
-/// tracing=1 metrics=1 exec_stats=1").
+/// tracing=1").
 inline std::string BuildConfigText() {
-  return CompilerText() + ", tracing=" + std::to_string(PRAIRIE_TRACING) +
-         " metrics=" + std::to_string(PRAIRIE_METRICS) +
-         " exec_stats=" + std::to_string(PRAIRIE_EXEC_STATS);
+  return CompilerText() + ", tracing=" + std::to_string(PRAIRIE_TRACING);
 }
 
 /// The same as a JSON object (no trailing newline), for manifests.
 inline std::string BuildConfigJson() {
   return std::string("{\"compiler\":\"") + CompilerText() +
-         "\",\"tracing\":" + std::to_string(PRAIRIE_TRACING) +
-         ",\"metrics\":" + std::to_string(PRAIRIE_METRICS) +
-         ",\"exec_stats\":" + std::to_string(PRAIRIE_EXEC_STATS) + "}";
+         "\",\"tracing\":" + std::to_string(PRAIRIE_TRACING) + "}";
 }
 
 }  // namespace prairie::common

@@ -6,9 +6,9 @@
 // survive an 8-worker batch run and export in one call.
 //
 // Cost model (mirrors common/trace.h):
-//   * Compile-time: PRAIRIE_METRICS (defaults to PRAIRIE_TRACING, so
-//     -DPRAIRIE_TRACING=0 kills both layers). With it off, instrumented
-//     code compiles every emission site away.
+//   * Compile-time: PRAIRIE_TRACING (-DPRAIRIE_TRACING=0 kills traces and
+//     metrics alike). With it off, instrumented code compiles every
+//     emission site away.
 //   * Hot path: one relaxed atomic add into a per-thread shard — no locks,
 //     no cache-line ping-pong between worker threads (shards are
 //     cache-line padded and picked by thread id). Values are merged across
@@ -37,9 +37,6 @@
 
 #ifndef PRAIRIE_TRACING
 #define PRAIRIE_TRACING 1
-#endif
-#ifndef PRAIRIE_METRICS
-#define PRAIRIE_METRICS PRAIRIE_TRACING
 #endif
 
 namespace prairie::common {

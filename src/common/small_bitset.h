@@ -5,10 +5,8 @@
 
 #pragma once
 
-#include <atomic>
-#include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace prairie::common {
@@ -58,111 +56,6 @@ class SmallBitset {
  private:
   uint64_t inline_ = 0;
   std::vector<uint64_t> rest_;
-};
-
-/// \brief A bitset whose words are atomics, for per-expression rule masks
-/// shared by concurrent memo workers.
-///
-/// Bits 0..63 live in an inline word (allocation-free for typical rule
-/// sets); larger rule sets spill to a fixed heap array sized once by
-/// EnsureCapacity() BEFORE the bitset is shared — the word count never
-/// changes afterwards, so Test/Set/TestAndSet are lock-free and safe from
-/// any thread. Copying (memo merges duplicate expressions between groups)
-/// snapshots each word with relaxed loads; the copy is only published
-/// under the destination group's lock.
-class AtomicBitset {
- public:
-  AtomicBitset() = default;
-
-  AtomicBitset(const AtomicBitset& o) { CopyFrom(o); }
-  AtomicBitset& operator=(const AtomicBitset& o) {
-    if (this != &o) CopyFrom(o);
-    return *this;
-  }
-  /// Atomics are not movable; moves degrade to relaxed-snapshot copies.
-  AtomicBitset(AtomicBitset&& o) noexcept { CopyFrom(o); }
-  AtomicBitset& operator=(AtomicBitset&& o) noexcept {
-    if (this != &o) CopyFrom(o);
-    return *this;
-  }
-
-  /// Sizes the spill array for bits [64, bits). Must be called before the
-  /// bitset is visible to other threads; bits < 64 need no capacity.
-  void EnsureCapacity(int bits) {
-    if (bits <= 64) return;
-    const std::size_t words = (static_cast<std::size_t>(bits - 64) + 63) >> 6;
-    if (words <= rest_words_) return;
-    auto grown = std::make_unique<std::atomic<uint64_t>[]>(words);
-    for (std::size_t w = 0; w < words; ++w) {
-      grown[w].store(w < rest_words_
-                         ? rest_[w].load(std::memory_order_relaxed)
-                         : 0,
-                     std::memory_order_relaxed);
-    }
-    rest_ = std::move(grown);
-    rest_words_ = words;
-  }
-
-  bool Test(int i) const {
-    if (i < 64) {
-      return (inline_.load(std::memory_order_relaxed) & (1ull << i)) != 0;
-    }
-    const std::size_t word = static_cast<std::size_t>(i - 64) >> 6;
-    if (word >= rest_words_) return false;
-    return (rest_[word].load(std::memory_order_relaxed) &
-            (1ull << ((i - 64) & 63))) != 0;
-  }
-
-  void Set(int i) { (void)TestAndSet(i); }
-
-  /// Atomically sets bit `i`; returns its previous value. This is the
-  /// claim primitive: the worker that flips 0 -> 1 owns the
-  /// (expression, rule) application.
-  bool TestAndSet(int i) {
-    if (i < 64) {
-      const uint64_t mask = 1ull << i;
-      return (inline_.fetch_or(mask, std::memory_order_acq_rel) & mask) != 0;
-    }
-    const std::size_t word = static_cast<std::size_t>(i - 64) >> 6;
-    assert(word < rest_words_ &&
-           "AtomicBitset::EnsureCapacity must cover every rule index");
-    const uint64_t mask = 1ull << ((i - 64) & 63);
-    return (rest_[word].fetch_or(mask, std::memory_order_acq_rel) & mask) != 0;
-  }
-
-  /// Atomically clears bit `i` (re-arms a rule after its inputs changed).
-  void Clear(int i) {
-    if (i < 64) {
-      inline_.fetch_and(~(1ull << i), std::memory_order_acq_rel);
-      return;
-    }
-    const std::size_t word = static_cast<std::size_t>(i - 64) >> 6;
-    if (word >= rest_words_) return;
-    rest_[word].fetch_and(~(1ull << ((i - 64) & 63)),
-                          std::memory_order_acq_rel);
-  }
-
- private:
-  void CopyFrom(const AtomicBitset& o) {
-    inline_.store(o.inline_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-    if (o.rest_words_ > 0) {
-      auto words = std::make_unique<std::atomic<uint64_t>[]>(o.rest_words_);
-      for (std::size_t w = 0; w < o.rest_words_; ++w) {
-        words[w].store(o.rest_[w].load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-      }
-      rest_ = std::move(words);
-      rest_words_ = o.rest_words_;
-    } else {
-      rest_.reset();
-      rest_words_ = 0;
-    }
-  }
-
-  std::atomic<uint64_t> inline_{0};
-  std::unique_ptr<std::atomic<uint64_t>[]> rest_;
-  std::size_t rest_words_ = 0;
 };
 
 }  // namespace prairie::common

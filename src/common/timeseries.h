@@ -25,7 +25,7 @@
 // Sample() uses the same relaxed shard merges as the exporters — but the
 // writer itself is not thread-safe and expects one scraping thread.
 //
-// Compiled out with the rest of the metrics layer: with PRAIRIE_METRICS=0
+// Compiled out with the rest of the metrics layer: with PRAIRIE_TRACING=0
 // the registry still exists but holds no series, so scrapes cheaply emit
 // empty windows.
 

@@ -25,7 +25,7 @@ Result<IterPtr> ExecutorRegistry::Build(const algebra::Expr& plan,
                                         const algebra::Algebra& algebra,
                                         const Database& db,
                                         ExecStats* stats) const {
-#if !PRAIRIE_EXEC_STATS
+#if !PRAIRIE_TRACING
   stats = nullptr;
 #endif
   return BuildNode(plan, algebra, db, stats, /*parent=*/nullptr,

@@ -37,7 +37,7 @@ class ExecutorRegistry {
   /// algorithm node gets an OpStats node in `stats` (est_rows read from
   /// the descriptor property stats->est_rows_property()) and its iterator
   /// is wrapped in an InstrumentedIterator. A null `stats` — or building
-  /// with PRAIRIE_EXEC_STATS=0 — degrades to the plain Build.
+  /// with PRAIRIE_TRACING=0 — degrades to the plain Build.
   common::Result<IterPtr> Build(const algebra::Expr& plan,
                                 const algebra::Algebra& algebra,
                                 const Database& db, ExecStats* stats) const;

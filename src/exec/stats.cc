@@ -229,7 +229,7 @@ ExecMetrics ExecMetrics::ForRegistry(common::MetricsRegistry* registry) {
 }
 
 void ExecMetrics::FlushExecStats(const ExecStats& stats) const {
-#if PRAIRIE_METRICS
+#if PRAIRIE_TRACING
   const OpStats* root = stats.root();
   if (root == nullptr) return;
   if (queries != nullptr) queries->Inc();

@@ -9,8 +9,8 @@
 // (stored-file leaves have no runtime behavior and get no node).
 //
 // Cost model (mirrors common/trace.h and common/metrics.h):
-//   * Compile-time: PRAIRIE_EXEC_STATS (defaults to PRAIRIE_TRACING).
-//     With it off, Build ignores the collector and returns the plain tree.
+//   * Compile-time: PRAIRIE_TRACING. With it off, Build ignores the
+//     collector and returns the plain tree.
 //   * Runtime: passing a null ExecStats* builds the plain tree.
 //   * Enabled: Open/Close are timed exactly (they run once per operator);
 //     Next is counted on every call but *timed* only one call in
@@ -37,10 +37,6 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "exec/iterator.h"
-
-#ifndef PRAIRIE_EXEC_STATS
-#define PRAIRIE_EXEC_STATS PRAIRIE_TRACING
-#endif
 
 namespace prairie::exec {
 

@@ -4,9 +4,9 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/stopwatch.h"
-#include "common/workpool.h"
 #include "volcano/diag.h"
 
 namespace prairie::volcano {
@@ -39,7 +39,7 @@ std::vector<BatchResult> BatchOptimizer::OptimizeAll(
     const std::vector<BatchQuery>& queries) {
   std::vector<BatchResult> results(queries.size());
   std::atomic<size_t> next{0};
-  const int pool =
+  const int workers =
       std::max(1, std::min<int>(jobs_, static_cast<int>(queries.size())));
   // One private sink per worker: emission never crosses threads, so sinks
   // stay lock-free; the streams are merged after the join barrier below.
@@ -52,8 +52,8 @@ std::vector<BatchResult> BatchOptimizer::OptimizeAll(
                                           ? options_.flight_recorder_capacity
                                           : 0);
   if (sink_capacity > 0) {
-    sinks.reserve(static_cast<size_t>(pool));
-    for (int t = 0; t < pool; ++t) {
+    sinks.reserve(static_cast<size_t>(workers));
+    for (int t = 0; t < workers; ++t) {
       sinks.push_back(std::make_unique<common::RingBufferSink>(sink_capacity));
     }
   }
@@ -104,19 +104,15 @@ std::vector<BatchResult> BatchOptimizer::OptimizeAll(
       }
     }
   };
-  if (pool <= 1) {
-    worker(0);
-  } else {
-    // One long-lived task per worker on the shared pool; each drains the
-    // `next` counter, so queries balance across workers regardless of how
-    // the pool schedules the tasks.
-    common::WorkPool wp(pool);
-    for (int t = 0; t < pool; ++t) {
-      wp.Submit([&worker, t](int) { worker(t); });
-    }
-    wp.RunUntilIdle();
-  }
-  // The pool has drained: merge the per-worker streams into one
+  // Workers 1..workers-1 get threads of their own and the calling thread
+  // runs as worker 0; each drains the `next` counter, so queries balance
+  // across workers however the threads are scheduled.
+  std::vector<std::thread> helpers;
+  helpers.reserve(static_cast<size_t>(workers - 1));
+  for (int t = 1; t < workers; ++t) helpers.emplace_back(worker, t);
+  worker(0);
+  for (std::thread& helper : helpers) helper.join();
+  // Every worker has joined: merge the per-worker streams into one
   // timestamp-ordered trace (steady-clock timestamps are comparable across
   // threads on one host).
   trace_.clear();
@@ -134,14 +130,14 @@ std::vector<BatchResult> BatchOptimizer::OptimizeAll(
             [](const common::TraceEvent& a, const common::TraceEvent& b) {
               return a.ts_ns < b.ts_ns;
             });
-#if PRAIRIE_METRICS
+#if PRAIRIE_TRACING
   // Post-barrier batch metrics. Per-query counters were already flushed by
   // each worker's optimizers (same bundle, sharded counters: no
   // contention); here only the batch-level shape is recorded.
   if (const VolcanoMetrics* mm = options_.optimizer.metrics) {
     if (mm->batch_runs != nullptr) mm->batch_runs->Inc();
     if (mm->batch_worker_merges != nullptr) {
-      mm->batch_worker_merges->Inc(static_cast<uint64_t>(pool));
+      mm->batch_worker_merges->Inc(static_cast<uint64_t>(workers));
     }
   }
 #endif

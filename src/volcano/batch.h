@@ -3,14 +3,12 @@
 // A production optimizer's figure of merit under heavy traffic is
 // throughput — queries optimized per second across concurrent sessions —
 // not just single-query latency. Queries are independent searches, so the
-// natural unit of parallelism here is the query (for parallelism WITHIN
-// one search, see OptimizerOptions::search_jobs and the concurrent memo):
-// BatchOptimizer runs a fixed pool of worker threads, each constructing a
+// unit of parallelism is the query (each search itself is serial):
+// BatchOptimizer runs a fixed set of worker threads, each constructing a
 // private single-threaded Optimizer (its own memo, winner tables, stats)
-// per query, while all
-// workers intern descriptors through ONE concurrent DescriptorStore so ids
-// stay globally canonical and common descriptors (empty requirements,
-// shared literals, projected slices) are stored once.
+// per query, while all workers intern descriptors through ONE concurrent
+// DescriptorStore so ids stay globally canonical and common descriptors
+// (empty requirements, shared literals, projected slices) are stored once.
 //
 // Shared, immutable across workers: the RuleSet (including its dispatch
 // index, built by Finalize()), each query's Catalog, the Algebra, and the
@@ -100,7 +98,7 @@ class BatchOptimizer {
   explicit BatchOptimizer(const RuleSet* rules,
                           BatchOptions options = BatchOptions());
 
-  /// Optimizes every query, distributing them over the worker pool.
+  /// Optimizes every query, distributing them over the worker threads.
   /// Results are positionally aligned with `queries`. Individual failures
   /// (e.g. no feasible plan) land in that query's BatchResult; they do not
   /// abort the batch.

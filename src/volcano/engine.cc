@@ -38,36 +38,13 @@ double OptimizerStats::InternHitRate() const {
                                  static_cast<double>(desc_lookups);
 }
 
-namespace {
-
-MemoMode MemoModeFor(const OptimizerOptions& options,
-                     const algebra::DescriptorStore* shared_store) {
-  if (options.search_jobs == 1) return MemoMode::kSerial;
-  // A concurrent memo interns from several threads: it needs a concurrent
-  // store. With a serial shared store the search degrades to one job
-  // (ResolveSearchJobs agrees) rather than racing the store.
-  if (shared_store != nullptr && !shared_store->concurrent()) {
-    return MemoMode::kSerial;
-  }
-  return MemoMode::kConcurrent;
-}
-
-}  // namespace
-
 Optimizer::Optimizer(const RuleSet* rules, const catalog::Catalog* catalog,
                      OptimizerOptions options,
-                     algebra::DescriptorStore* shared_store, Memo* shared_memo)
+                     algebra::DescriptorStore* shared_store)
     : rules_(rules),
       catalog_(catalog),
       options_(options),
-      owned_memo_(shared_memo != nullptr
-                      ? nullptr
-                      : std::make_unique<Memo>(rules, options.memo_limits,
-                                               shared_store,
-                                               MemoModeFor(options,
-                                                           shared_store))),
-      memo_(shared_memo != nullptr ? shared_memo : owned_memo_.get()),
-      concurrent_memo_(memo_->concurrent()),
+      memo_(std::make_unique<Memo>(rules, options.memo_limits, shared_store)),
       phys_slice_id_(memo_->store()->RegisterSlice(rules->PhysSlice())) {
   stats_.trans_matched.assign(rules_->trans_rules.size(), 0);
   stats_.impl_matched.assign(rules_->impl_rules.size(), 0);
@@ -134,12 +111,12 @@ void Optimizer::RecordStoreStats() {
 
 Result<Plan> Optimizer::Optimize(const algebra::Expr& tree,
                                  const Descriptor& required) {
-#if PRAIRIE_METRICS
+#if PRAIRIE_TRACING
   const VolcanoMetrics* mm = options_.metrics;
   const uint64_t t0 = mm != nullptr ? common::TraceNowNs() : 0;
 #endif
   Result<Plan> result = OptimizeCached(tree, NormalizeReq(required));
-#if PRAIRIE_METRICS
+#if PRAIRIE_TRACING
   if (mm != nullptr) {
     if (mm->query_latency_ns != nullptr) {
       mm->query_latency_ns->Observe(common::TraceNowNs() - t0);
@@ -176,7 +153,7 @@ Result<Plan> Optimizer::OptimizeCached(const algebra::Expr& tree,
   PlanCache* cache = UsableCache();
   stats_.plan_from_cache = false;
   if (cache == nullptr) return OptimizeImpl(tree, req);
-#if PRAIRIE_METRICS
+#if PRAIRIE_TRACING
   const VolcanoMetrics* mm = options_.metrics;
   const uint64_t p0 = mm != nullptr ? common::TraceNowNs() : 0;
 #endif
@@ -211,7 +188,7 @@ Result<Plan> Optimizer::OptimizeCached(const algebra::Expr& tree,
   ++stats_.cache_probes;
   if (guard_rejected) ++stats_.cache_param_rejects;
   if (dropped_stale) ++stats_.cache_stale_drops;
-#if PRAIRIE_METRICS
+#if PRAIRIE_TRACING
   if (mm != nullptr) {
     if (mm->plan_cache_probe_ns != nullptr) {
       mm->plan_cache_probe_ns->Observe(common::TraceNowNs() - p0);
@@ -252,7 +229,7 @@ Result<Plan> Optimizer::OptimizeCached(const algebra::Expr& tree,
       cache->Insert(key, *catalog_, result.ValueOrDie(),
                     std::move(provenance));
     }
-#if PRAIRIE_METRICS
+#if PRAIRIE_TRACING
     if (mm != nullptr) {
       if (mm->plan_cache_inserts != nullptr) mm->plan_cache_inserts->Inc();
       if (parameterized && mm->plan_cache_param_inserts != nullptr) {
@@ -297,11 +274,8 @@ Result<Plan> Optimizer::OptimizeImpl(const algebra::Expr& tree,
                                      const Descriptor& req) {
   ArmBudget();
   PRAIRIE_ASSIGN_OR_RETURN(GroupId root, memo_->CopyIn(tree));
-  const bool parallel = concurrent_memo_ && ResolveSearchJobs() > 1;
   PRAIRIE_ASSIGN_OR_RETURN(
-      Winner w, parallel
-                    ? OptimizeParallel(root, req)
-                    : OptimizeGroup(root, req, options_.initial_cost_limit));
+      Winner w, OptimizeGroup(root, req, options_.initial_cost_limit));
   // Entry point of ExplainWinner(): the canonical root group and the
   // interned requirement the final winner is memoized under.
   explain_root_ = memo_->Find(root);
@@ -349,53 +323,25 @@ Result<size_t> Optimizer::ExpandOnly(const algebra::Expr& tree) {
 // Transformation phase
 // ---------------------------------------------------------------------------
 
-Status Optimizer::ExpandGroup(GroupId gid, bool* partial) {
+Status Optimizer::ExpandGroup(GroupId gid) {
   gid = memo_->Find(gid);
-  // Check, claim, and release the `expanding` flag on this exact group
-  // object, resolved ONCE. Re-resolving through Find between claim and
-  // release is not merely redundant: a merge landing between the two
-  // resolutions would set one group's flag and clear a different one's,
-  // leaving the keeper's flag stuck true — every later claim would see it
-  // as foreign-owned and phase A of OptimizeParallel would spin forever.
+  // The `expanding` flag is cleared on the group object it was set on,
+  // even if a merge under this pass makes another group canonical.
   const GroupId claimed = gid;
-  Group& claimed_grp = memo_->raw_group(claimed);
-  if (concurrent_memo_) {
-    if (claimed_grp.expanded.load(std::memory_order_acquire)) {
-      return Status::OK();
-    }
-    // Re-entry from this optimizer's own recursion is a cyclic rule
-    // path: match over what is already there, exactly as the serial
-    // engine does.
-    if (expanding_here_.count(claimed) > 0) return Status::OK();
-    if (claimed_grp.expanding.exchange(true, std::memory_order_acq_rel)) {
-      // Another worker owns this expansion. Its current contents are
-      // safe to read, but the caller must not treat a pass over them as
-      // complete — the round driver retries once the owner finishes.
-      if (partial != nullptr) *partial = true;
-      return Status::OK();
-    }
-    expanding_here_.insert(claimed);
-  } else {
-    if (claimed_grp.expanded || claimed_grp.expanding) return Status::OK();
-    claimed_grp.expanding = true;
-  }
+  Group& claimed_grp = memo_->group(claimed);
+  if (claimed_grp.expanded || claimed_grp.expanding) return Status::OK();
+  claimed_grp.expanding = true;
   TraceSpan span(this, common::TraceEventKind::kGroupExpand, gid, -1,
                  algebra::kInvalidDescriptorId);
   Status st = Status::OK();
   bool restart = true;
-  bool pass_complete = true;
-  bool frozen = false;
   while (restart && st.ok()) {
     restart = false;
-    pass_complete = true;
     for (size_t ei = 0; st.ok(); ++ei) {
-      if (BudgetExhausted()) {
-        // Anytime budget: freeze the logical search space as-is. The group
-        // is marked expanded so no pass retries it; costing proceeds over
-        // whatever alternatives exist.
-        frozen = true;
-        break;
-      }
+      // Anytime budget: freeze the logical search space as-is. The group is
+      // marked expanded so no pass retries it; costing proceeds over
+      // whatever alternatives exist.
+      if (BudgetExhausted()) break;
       gid = memo_->Find(gid);
       Group* grp = &memo_->group(gid);
       if (ei >= grp->exprs.size()) break;
@@ -414,22 +360,13 @@ Status Optimizer::ExpandGroup(GroupId gid, bool* partial) {
         if (ei >= grp->exprs.size()) break;
         if (grp->exprs[ei].applied.Test(static_cast<int>(ri))) continue;
         bool epoch_changed = false;
-        bool partial_child = false;
-        st = ApplyTransRule(gid, ei, ri, &epoch_changed, &partial_child);
+        st = ApplyTransRule(gid, ei, ri, &epoch_changed);
         if (!st.ok()) break;
         if (epoch_changed) {
           // Groups merged under us: expression indices moved. Restart the
           // pass; the applied bitset keeps finished work cheap to skip.
           restart = true;
           break;
-        }
-        if (concurrent_memo_ && partial_child) {
-          // A child group was mid-expansion in another worker: the binding
-          // enumeration may have missed alternatives. Leave the applied
-          // bit clear so a later pass redoes this application, and do not
-          // mark the group expanded.
-          pass_complete = false;
-          continue;
         }
         gid = memo_->Find(gid);
         grp = &memo_->group(gid);
@@ -440,29 +377,13 @@ Status Optimizer::ExpandGroup(GroupId gid, bool* partial) {
       if (restart) break;
     }
   }
-  if (concurrent_memo_) {
-    if (st.ok() && (pass_complete || frozen)) {
-      // Publish completion on the canonical group: a merge under this pass
-      // leaves `claimed` merged away, and readers resolve through Find.
-      memo_->group(claimed).expanded.store(true, std::memory_order_release);
-    } else if (partial != nullptr) {
-      // The pass skipped applications over children that were themselves
-      // incomplete: the group is not marked expanded, and an enclosing
-      // enumeration over it must not mark its own work done either.
-      *partial = true;
-    }
-    claimed_grp.expanding.store(false, std::memory_order_release);
-    expanding_here_.erase(claimed);
-  } else {
-    if (st.ok()) memo_->group(claimed).expanded = true;
-    claimed_grp.expanding = false;
-  }
+  if (st.ok()) memo_->group(claimed).expanded = true;
+  claimed_grp.expanding = false;
   return st;
 }
 
 Status Optimizer::ApplyTransRule(GroupId gid, size_t expr_idx,
-                                 size_t rule_idx, bool* epoch_changed,
-                                 bool* partial_child) {
+                                 size_t rule_idx, bool* epoch_changed) {
   const TransRule& rule = rules_->trans_rules[rule_idx];
   uint64_t epoch = memo_->merge_epoch();
   const MExpr& m = memo_->group(gid).exprs[expr_idx];
@@ -478,15 +399,14 @@ Status Optimizer::ApplyTransRule(GroupId gid, size_t expr_idx,
   };
   PRAIRIE_RETURN_NOT_OK(EnumerateBindings(*rule.lhs, gid,
                                           static_cast<int>(expr_idx),
-                                          &binding, emit, &aborted,
-                                          partial_child, epoch));
+                                          &binding, emit, &aborted, epoch));
   *epoch_changed = aborted || memo_->merge_epoch() != epoch;
   return Status::OK();
 }
 
 Status Optimizer::EnumerateBindings(const PatNode& pat, GroupId gid,
                                     int expr_idx, MatchBinding* binding,
-                                    EmitFn emit, bool* aborted, bool* partial,
+                                    EmitFn emit, bool* aborted,
                                     uint64_t epoch) {
   // Binds pattern node `pat` (known to be kOp) to expression `expr_idx` of
   // group `gid`, then matches its children.
@@ -497,8 +417,8 @@ Status Optimizer::EnumerateBindings(const PatNode& pat, GroupId gid,
   if (m.is_file || m.op != pat.op) return Status::OK();
   binding->op_nodes.emplace_back(pat.desc_slot, std::make_pair(gid, expr_idx));
   std::vector<GroupId> child_groups = m.children;  // Copy: vector may move.
-  Status st = MatchChildren(pat, child_groups, 0, binding, emit, aborted,
-                            partial, epoch);
+  Status st =
+      MatchChildren(pat, child_groups, 0, binding, emit, aborted, epoch);
   binding->op_nodes.pop_back();
   return st;
 }
@@ -506,7 +426,7 @@ Status Optimizer::EnumerateBindings(const PatNode& pat, GroupId gid,
 Status Optimizer::MatchChildren(const PatNode& pat,
                                 const std::vector<GroupId>& child_groups,
                                 size_t k, MatchBinding* binding, EmitFn emit,
-                                bool* aborted, bool* partial, uint64_t epoch) {
+                                bool* aborted, uint64_t epoch) {
   if (*aborted) return Status::OK();
   if (memo_->merge_epoch() != epoch) {
     *aborted = true;
@@ -519,16 +439,10 @@ Status Optimizer::MatchChildren(const PatNode& pat,
     binding->streams[static_cast<size_t>(cp.stream_var - 1)] =
         std::make_pair(cg, cp.desc_slot);
     return MatchChildren(pat, child_groups, k + 1, binding, emit, aborted,
-                         partial, epoch);
+                         epoch);
   }
   // Descend into the child group: it must be expanded for completeness.
-  // An incomplete child expansion (mid-flight in another worker, or
-  // finished with partial grandchildren of its own) ORs into `partial` —
-  // the enclosing application's marker — so its applied bit stays clear
-  // and a later pass redoes it. ExpandGroup only ever sets the flag,
-  // never clears it, so nested expansions reached through deeper pattern
-  // levels cannot erase an earlier child's marker.
-  PRAIRIE_RETURN_NOT_OK(ExpandGroup(cg, partial));
+  PRAIRIE_RETURN_NOT_OK(ExpandGroup(cg));
   if (memo_->merge_epoch() != epoch) {
     *aborted = true;
     return Status::OK();
@@ -541,11 +455,10 @@ Status Optimizer::MatchChildren(const PatNode& pat,
     if (ci >= static_cast<int>(cgrp.exprs.size())) break;
     auto next = [&]() -> Status {
       return MatchChildren(pat, child_groups, k + 1, binding, emit, aborted,
-                           partial, epoch);
+                           epoch);
     };
     PRAIRIE_RETURN_NOT_OK(
-        EnumerateBindings(cp, rep, ci, binding, next, aborted, partial,
-                          epoch));
+        EnumerateBindings(cp, rep, ci, binding, next, aborted, epoch));
   }
   return Status::OK();
 }
@@ -749,8 +662,8 @@ Result<Winner> Optimizer::OptimizeGroup(GroupId gid, const Descriptor& req,
     best.failed_limit =
         limit_failure ? limit : std::numeric_limits<double>::max();
   }
-  // Serial: overwrite (failed_limit retries depend on it). Concurrent:
-  // first writer with a plan wins, so racing workers agree on one winner.
+  // Overwrite: a failed_limit retry under a larger budget replaces the
+  // earlier failure.
   return memo_->StoreWinner(gid, rid, std::move(best), std::move(prov));
 }
 
@@ -1148,7 +1061,7 @@ common::Histogram* Optimizer::SampledLatency(common::TraceEventKind kind,
 }
 
 void Optimizer::FlushMetrics() {
-#if PRAIRIE_METRICS
+#if PRAIRIE_TRACING
   const VolcanoMetrics* mm = options_.metrics;
   if (mm == nullptr) return;
   const auto add = [](common::Counter* c, uint64_t delta) {

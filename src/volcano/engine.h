@@ -125,8 +125,8 @@ struct OptimizerOptions {
   /// Aggregate metrics bundle (borrowed; must outlive the optimizer). Null
   /// disables metrics: counters cost nothing (they flush per query), and
   /// the per-attempt sampling check is one branch. Compiling with
-  /// -DPRAIRIE_METRICS=0 (default: PRAIRIE_TRACING) removes even that.
-  /// Unlike trace sinks, one bundle is safely shared by parallel workers.
+  /// -DPRAIRIE_TRACING=0 removes even that. Unlike trace sinks, one bundle
+  /// is safely shared by concurrent batch workers.
   const VolcanoMetrics* metrics = nullptr;
   /// Shared plan cache (borrowed; must outlive the optimizer). Null
   /// disables caching — the classic search-every-query path, with zero
@@ -150,15 +150,6 @@ struct OptimizerOptions {
   /// false, cache behavior is byte-identical to exact-only caching.
   bool param_cache = false;
   MemoLimits memo_limits;
-  /// Intra-query parallel search: > 1 runs the transformation closure and
-  /// the costing sweep on this many workers over ONE concurrent memo
-  /// (MemoMode::kConcurrent), finishing with a serial root pass; <= 0
-  /// picks std::thread::hardware_concurrency(); 1 (default) is the classic
-  /// serial search. Requires the memo's descriptor store to be concurrent;
-  /// with a serial shared store the engine silently degrades to 1.
-  /// Cached plans are keyed identically in both modes — a plan cache
-  /// warmed serially serves parallel searches and vice versa.
-  int search_jobs = 1;
   /// Anytime budgets (0 = unlimited): stop EXPANDING the search space once
   /// the wall clock or the allocated-group count passes the budget, then
   /// cost what exists and return the best plan found so far (possibly
@@ -216,18 +207,13 @@ struct OptimizerStats {
 /// CountOnly for expansion statistics), inspect stats.
 class Optimizer {
  public:
-  /// `shared_store` null: the optimizer's memo owns a private descriptor
-  /// store (serial by default; concurrent when search_jobs > 1). Non-null:
-  /// the memo interns through the given store — BatchOptimizer passes one
-  /// concurrent store to every worker so ids stay globally canonical.
-  /// `shared_memo` non-null: the optimizer BORROWS that memo instead of
-  /// owning one (shared_store is then ignored) — this is how the parallel
-  /// search builds its worker optimizers: one concurrent memo, K
-  /// optimizers with private search state (stats, cycle guards, traces).
+  /// `shared_store` null: the optimizer's memo owns a private serial
+  /// descriptor store. Non-null: the memo interns through the given store —
+  /// BatchOptimizer passes one concurrent store to every worker so ids stay
+  /// globally canonical.
   Optimizer(const RuleSet* rules, const catalog::Catalog* catalog,
             OptimizerOptions options = OptimizerOptions(),
-            algebra::DescriptorStore* shared_store = nullptr,
-            Memo* shared_memo = nullptr);
+            algebra::DescriptorStore* shared_store = nullptr);
 
   /// Optimizes a logical operator tree into the cheapest access plan that
   /// delivers the physical properties set (non-null) in `required`.
@@ -264,26 +250,17 @@ class Optimizer {
   /// FunctionRef avoids a std::function allocation per recursion level).
   using EmitFn = common::FunctionRef<common::Status()>;
 
-  /// Expands `gid` to its transformation closure. `partial` (may be null)
-  /// is OR-accumulated, never cleared: it is set when this call could not
-  /// guarantee completeness — the group was mid-expansion in another
-  /// worker, or this pass finished but had to skip applications whose
-  /// child groups were themselves incomplete. Callers that enumerate
-  /// bindings over the group must then not mark their own work done.
-  common::Status ExpandGroup(GroupId gid, bool* partial = nullptr);
-  /// `partial_child` is OR-accumulated: set when some binding descended
-  /// into a child group whose expansion was incomplete, so this
-  /// (expression, rule) application must be redone by a later pass.
+  /// Expands `gid` to its transformation closure.
+  common::Status ExpandGroup(GroupId gid);
   common::Status ApplyTransRule(GroupId gid, size_t expr_idx, size_t rule_idx,
-                                bool* epoch_changed, bool* partial_child);
+                                bool* epoch_changed);
   common::Status EnumerateBindings(const algebra::PatNode& pat, GroupId gid,
                                    int expr_idx, MatchBinding* binding,
-                                   EmitFn emit, bool* aborted, bool* partial,
-                                   uint64_t epoch);
+                                   EmitFn emit, bool* aborted, uint64_t epoch);
   common::Status MatchChildren(const algebra::PatNode& pat,
                                const std::vector<GroupId>& child_groups,
                                size_t k, MatchBinding* binding, EmitFn emit,
-                               bool* aborted, bool* partial, uint64_t epoch);
+                               bool* aborted, uint64_t epoch);
   common::Status FireBinding(GroupId gid, const TransRule& rule,
                              size_t rule_idx, const MatchBinding& binding);
   common::Result<GroupId> BuildRhs(const algebra::PatNode& node,
@@ -305,18 +282,6 @@ class Optimizer {
 
   common::Result<Plan> OptimizeImpl(const algebra::Expr& tree,
                                     const algebra::Descriptor& req);
-  /// Intra-query parallel search over the shared concurrent memo (defined
-  /// in parallel.cc): (A) cooperative transformation closure on the work
-  /// pool — workers claim whole group expansions through the group's
-  /// atomic `expanding` flag, and the applied bits let retried passes
-  /// skip finished work; (B) a costing sweep, one task per group under
-  /// the empty requirement; (C) a serial finishing pass from the root that
-  /// guarantees the final winner regardless of what the waves memoized.
-  common::Result<Winner> OptimizeParallel(GroupId root,
-                                          const algebra::Descriptor& req);
-  /// The effective worker count for this search (resolves <= 0 to the
-  /// hardware concurrency; 1 when the memo is not concurrent).
-  int ResolveSearchJobs() const;
   /// Arms the anytime budget for one Optimize()/ExpandOnly() call.
   void ArmBudget();
   /// True once the wall-clock or group budget ran out (sticky per query;
@@ -380,8 +345,6 @@ class Optimizer {
       traced = opt->options_.trace != nullptr &&
                (opt->options_.trace_detail == common::TraceDetail::kFull ||
                 common::IsCoarseKind(kind));
-#endif
-#if PRAIRIE_METRICS
       hist_ = opt->SampledLatency(kind, rule);
 #endif
       if (traced || hist_ != nullptr) {
@@ -430,12 +393,7 @@ class Optimizer {
   const RuleSet* rules_;
   const catalog::Catalog* catalog_;
   OptimizerOptions options_;
-  /// The memo: owned in the normal case, borrowed when this optimizer is a
-  /// parallel-search worker over another optimizer's concurrent memo.
-  std::unique_ptr<Memo> owned_memo_;
-  Memo* memo_;
-  /// Cached memo_->concurrent(): branch predictable on the hot paths.
-  bool concurrent_memo_ = false;
+  std::unique_ptr<Memo> memo_;
   algebra::SliceId phys_slice_id_;
   OptimizerStats stats_;
   /// Anytime-budget state, armed per query by ArmBudget().
@@ -443,14 +401,6 @@ class Optimizer {
   uint64_t deadline_ns_ = 0;
   size_t group_budget_ = 0;
   uint32_t budget_tick_ = 0;
-  /// Concurrent-expansion state: groups THIS optimizer is currently
-  /// expanding (its recursion stack — distinguishes own-cycle re-entry
-  /// from another worker's in-flight claim). Partial-expansion outcomes
-  /// are NOT member state: they thread through ExpandGroup /
-  /// EnumerateBindings / MatchChildren as OR-accumulating out-parameters,
-  /// because a nested expansion reached mid-enumeration would otherwise
-  /// clobber the enclosing application's marker.
-  std::unordered_set<GroupId> expanding_here_;
   /// Store-counter snapshots taken at construction: RecordStoreStats()
   /// reports deltas, so per-query interning stats stay per-query even when
   /// the store is shared across a batch (exact for private/sequential use,

@@ -11,44 +11,31 @@ using common::Result;
 using common::Status;
 
 Memo::Memo(const RuleSet* rules, MemoLimits limits,
-           algebra::DescriptorStore* shared_store, MemoMode mode)
+           algebra::DescriptorStore* shared_store)
     : rules_(rules),
       limits_(limits),
-      mode_(mode),
       owned_store_(shared_store != nullptr
                        ? nullptr
                        : std::make_unique<algebra::DescriptorStore>(
-                             &rules->algebra->properties(),
-                             mode == MemoMode::kConcurrent
-                                 ? algebra::StoreMode::kConcurrent
-                                 : algebra::StoreMode::kSerial)),
+                             &rules->algebra->properties())),
       store_(shared_store != nullptr ? shared_store : owned_store_.get()),
       arg_slice_id_(store_->RegisterSlice(rules->ArgSlice())),
       groups_(&arena_),
       parent_(&arena_) {
   assert(store_->schema() == &rules->algebra->properties() &&
          "shared store must use the rule set's property schema");
-  assert((mode_ != MemoMode::kConcurrent || store_->concurrent()) &&
-         "a concurrent memo needs a concurrent descriptor store");
 }
 
 GroupId Memo::Find(GroupId g) const {
   GroupId root = g;
-  for (;;) {
-    const GroupId p =
-        parent_[static_cast<size_t>(root)].load(std::memory_order_acquire);
-    if (p == root) break;
-    root = p;
+  while (parent_[static_cast<size_t>(root)] != root) {
+    root = parent_[static_cast<size_t>(root)];
   }
-  // Path compression. Parent links only ever step toward smaller ids, so a
-  // racy CAS that loses simply leaves one extra hop for the next reader.
+  // Path compression.
   while (g != root) {
-    GroupId next =
-        parent_[static_cast<size_t>(g)].load(std::memory_order_relaxed);
-    if (next == root) break;
-    parent_[static_cast<size_t>(g)].compare_exchange_weak(
-        next, root, std::memory_order_relaxed);
-    g = next;
+    GroupId& link = parent_[static_cast<size_t>(g)];
+    g = link;
+    link = root;
   }
   return root;
 }
@@ -81,9 +68,8 @@ bool Memo::SameExpr(const MExpr& a, const MExpr& b) const {
   return a.arg_key == b.arg_key;
 }
 
-GroupId Memo::FindDup(const IndexShard& sh, uint64_t key,
-                      const MExpr& m) const {
-  auto [begin, end] = sh.map.equal_range(key);
+GroupId Memo::FindDup(uint64_t key, const MExpr& m) const {
+  auto [begin, end] = index_.equal_range(key);
   for (auto it = begin; it != end; ++it) {
     const GroupId g = Find(it->second.first);
     const Group& grp = groups_[static_cast<size_t>(g)];
@@ -96,159 +82,72 @@ GroupId Memo::FindDup(const IndexShard& sh, uint64_t key,
   return -1;
 }
 
-Result<GroupId> Memo::NewGroupLocked(MExpr m, algebra::DescriptorId desc,
-                                     uint64_t key, IndexShard& sh) {
-  // Caller holds the shard lock exclusively in concurrent mode; the group
-  // table itself has its own append lock.
-  std::unique_lock<std::mutex> glock(groups_mu_, std::defer_lock);
-  if (concurrent()) glock.lock();
+Status Memo::CheckExprLimit() const {
+  if (num_exprs_ < limits_.max_exprs) return Status::OK();
+  return Status::ResourceExhausted(
+      "memo expression limit reached (" + std::to_string(limits_.max_exprs) +
+      " expressions); the search space exploded");
+}
+
+Result<GroupId> Memo::NewGroup(MExpr m, algebra::DescriptorId desc,
+                               uint64_t key) {
   if (groups_.size() >= limits_.max_groups) {
     return Status::ResourceExhausted(
         "memo group limit reached (" + std::to_string(limits_.max_groups) +
         " groups); the search space exploded");
   }
+  PRAIRIE_RETURN_NOT_OK(CheckExprLimit());
   const GroupId id = static_cast<GroupId>(groups_.size());
   Group& g = groups_.EmplaceBack(&arena_);
   parent_.EmplaceBack(id);
   g.stream_desc = desc;
-  m.applied.EnsureCapacity(static_cast<int>(rules_->trans_rules.size()));
   g.exprs.EmplaceBack(std::move(m));
-  num_exprs_.fetch_add(1, std::memory_order_relaxed);
-  tally_.groups_created.fetch_add(1, std::memory_order_relaxed);
-  tally_.exprs_inserted.fetch_add(1, std::memory_order_relaxed);
-  sh.map.emplace(key, std::make_pair(id, 0));
+  ++num_exprs_;
+  ++tally_.groups_created;
+  ++tally_.exprs_inserted;
+  index_.emplace(key, std::make_pair(id, 0));
   return id;
 }
 
-Result<GroupId> Memo::GetOrCreateGroupSerial(MExpr m,
-                                             algebra::DescriptorId desc) {
-  EnsureKey(m);
-  const uint64_t key = KeyOf(m);
-  IndexShard& sh = shards_[ShardOf(key)];
-  const GroupId dup = FindDup(sh, key, m);
-  if (dup >= 0) {
-    tally_.exprs_deduped.fetch_add(1, std::memory_order_relaxed);
-    return dup;
-  }
-  return NewGroupLocked(std::move(m), desc, key, sh);
-}
-
 Result<GroupId> Memo::GetOrCreateGroup(MExpr m, algebra::DescriptorId desc) {
-  if (!concurrent()) return GetOrCreateGroupSerial(std::move(m), desc);
-  // Inserts hold the merge lock shared so union-find results are stable
-  // for the duration of one operation (merges take it exclusively).
-  std::shared_lock<std::shared_mutex> ml(merge_mu_);
   EnsureKey(m);
   const uint64_t key = KeyOf(m);
-  IndexShard& sh = shards_[ShardOf(key)];
-  {
-    std::shared_lock<std::shared_mutex> sl(sh.mu);
-    const GroupId dup = FindDup(sh, key, m);
-    if (dup >= 0) {
-      tally_.exprs_deduped.fetch_add(1, std::memory_order_relaxed);
-      return dup;
-    }
-  }
-  // Re-probe under the exclusive shard lock: identical expressions hash to
-  // the same shard, so this closes the create/create race.
-  std::unique_lock<std::shared_mutex> sl(sh.mu);
-  const GroupId dup = FindDup(sh, key, m);
+  const GroupId dup = FindDup(key, m);
   if (dup >= 0) {
-    tally_.exprs_deduped.fetch_add(1, std::memory_order_relaxed);
+    ++tally_.exprs_deduped;
     return dup;
   }
-  return NewGroupLocked(std::move(m), desc, key, sh);
+  return NewGroup(std::move(m), desc, key);
 }
 
-Result<bool> Memo::AppendExpr(GroupId g, MExpr m, uint64_t key,
-                              IndexShard& sh) {
-  if (num_exprs_.load(std::memory_order_relaxed) >= limits_.max_exprs) {
-    return Status::ResourceExhausted(
-        "memo expression limit reached (" + std::to_string(limits_.max_exprs) +
-        " expressions); the search space exploded");
-  }
+Result<bool> Memo::AppendExpr(GroupId g, MExpr m, uint64_t key) {
+  PRAIRIE_RETURN_NOT_OK(CheckExprLimit());
   Group& grp = groups_[static_cast<size_t>(g)];
-  std::unique_lock<std::mutex> glock(grp.mu, std::defer_lock);
-  if (concurrent()) glock.lock();
   const int idx = static_cast<int>(grp.exprs.size());
-  m.applied.EnsureCapacity(static_cast<int>(rules_->trans_rules.size()));
   grp.exprs.EmplaceBack(std::move(m));
-  num_exprs_.fetch_add(1, std::memory_order_relaxed);
-  tally_.exprs_inserted.fetch_add(1, std::memory_order_relaxed);
-  sh.map.emplace(key, std::make_pair(g, idx));
+  ++num_exprs_;
+  ++tally_.exprs_inserted;
+  index_.emplace(key, std::make_pair(g, idx));
   return true;
 }
 
-Result<bool> Memo::InsertIntoSerial(GroupId g, MExpr m) {
+Result<bool> Memo::InsertInto(GroupId g, MExpr m) {
   g = Find(g);
   EnsureKey(m);
   const uint64_t key = KeyOf(m);
-  IndexShard& sh = shards_[ShardOf(key)];
-  const GroupId dup = FindDup(sh, key, m);
+  const GroupId dup = FindDup(key, m);
   if (dup >= 0) {
-    tally_.exprs_deduped.fetch_add(1, std::memory_order_relaxed);
+    ++tally_.exprs_deduped;
     if (dup != g) {
       // The expression proves g and dup equivalent: merge.
       PRAIRIE_RETURN_NOT_OK(Merge(g, dup));
     }
     return false;
   }
-  return AppendExpr(g, std::move(m), key, sh);
-}
-
-Result<bool> Memo::InsertInto(GroupId g, MExpr m) {
-  if (!concurrent()) return InsertIntoSerial(g, std::move(m));
-  for (;;) {
-    {
-      std::shared_lock<std::shared_mutex> ml(merge_mu_);
-      g = Find(g);
-      EnsureKey(m);
-      const uint64_t key = KeyOf(m);
-      IndexShard& sh = shards_[ShardOf(key)];
-      GroupId dup;
-      {
-        std::shared_lock<std::shared_mutex> sl(sh.mu);
-        dup = FindDup(sh, key, m);
-      }
-      if (dup == g) {
-        tally_.exprs_deduped.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      if (dup < 0) {
-        // Append path: the exclusive shard lock re-probe closes the race
-        // against a concurrent insert of the identical expression.
-        std::unique_lock<std::shared_mutex> sl(sh.mu);
-        const GroupId dup2 = FindDup(sh, key, m);
-        if (dup2 == g) {
-          tally_.exprs_deduped.fetch_add(1, std::memory_order_relaxed);
-          return false;
-        }
-        if (dup2 < 0) return AppendExpr(g, std::move(m), key, sh);
-        // A twin appeared in another group; fall through to the merge path
-        // after releasing the shared merge lock.
-      }
-    }
-    // The expression exists in another group: g and that group are
-    // equivalent. Merging needs the merge lock exclusively; re-validate
-    // after the upgrade since the world may have changed in between.
-    std::unique_lock<std::shared_mutex> ml(merge_mu_);
-    g = Find(g);
-    const uint64_t key = KeyOf(m);
-    IndexShard& sh = shards_[ShardOf(key)];
-    // Exclusive merge lock excludes every inserter; no shard lock needed.
-    const GroupId dup = FindDup(sh, key, m);
-    if (dup < 0) continue;  // It merged away meanwhile; retry the insert.
-    tally_.exprs_deduped.fetch_add(1, std::memory_order_relaxed);
-    if (dup != g) {
-      PRAIRIE_RETURN_NOT_OK(Merge(g, dup));
-    }
-    return false;
-  }
+  return AppendExpr(g, std::move(m), key);
 }
 
 Status Memo::Merge(GroupId keep, GroupId lose) {
-  // Serial mode: called inline. Concurrent mode: the caller holds
-  // merge_mu_ exclusively, so no insert/lookup runs concurrently.
   keep = Find(keep);
   lose = Find(lose);
   if (keep == lose) return Status::OK();
@@ -256,58 +155,37 @@ Status Memo::Merge(GroupId keep, GroupId lose) {
   if (lose < keep) std::swap(keep, lose);
   Group& kg = groups_[static_cast<size_t>(keep)];
   Group& lg = groups_[static_cast<size_t>(lose)];
-  parent_[static_cast<size_t>(lose)].store(keep, std::memory_order_release);
-  tally_.groups_merged.fetch_add(1, std::memory_order_relaxed);
-  // Fold the loser's expressions into the keeper, re-deduplicating. Serial
-  // mode moves them and clears the loser (the historical behavior);
-  // concurrent mode COPIES and leaves the loser's list intact, so stale
-  // readers still holding (group, index) handles into the loser read
-  // valid expressions and recover via Find + merge_epoch.
+  parent_[static_cast<size_t>(lose)] = keep;
+  ++tally_.groups_merged;
+  // Move the loser's expressions into the keeper, re-deduplicating.
   const size_t n = lg.exprs.size();
   for (size_t i = 0; i < n; ++i) {
     MExpr& m = lg.exprs[i];
     const uint64_t key = KeyOf(m);
-    IndexShard& sh = shards_[ShardOf(key)];
-    const GroupId dup = FindDup(sh, key, m);
-    if (dup == keep) {
-      num_exprs_.fetch_sub(1, std::memory_order_relaxed);
-      tally_.exprs_deduped.fetch_add(1, std::memory_order_relaxed);
+    if (FindDup(key, m) == keep) {
+      --num_exprs_;
+      ++tally_.exprs_deduped;
       continue;
     }
     const int idx = static_cast<int>(kg.exprs.size());
-    if (concurrent()) {
-      std::lock_guard<std::mutex> glock(kg.mu);
-      kg.exprs.EmplaceBack(m);  // Copy; the loser's slot stays readable.
-    } else {
-      kg.exprs.EmplaceBack(std::move(m));
-    }
-    sh.map.emplace(key, std::make_pair(keep, idx));
+    kg.exprs.EmplaceBack(std::move(m));
+    index_.emplace(key, std::make_pair(keep, idx));
   }
-  if (!concurrent()) lg.exprs.Clear();
-  lg.merged_away.store(true, std::memory_order_release);
+  lg.exprs.Clear();
+  lg.merged_away = true;
   // Winners may no longer be best (new expressions arrived): recompute.
-  {
-    std::unique_lock<std::mutex> klock(kg.mu, std::defer_lock);
-    if (concurrent()) klock.lock();
-    kg.winners.clear();
-    kg.prov.clear();
-  }
-  {
-    std::unique_lock<std::mutex> llock(lg.mu, std::defer_lock);
-    if (concurrent()) llock.lock();
-    lg.winners.clear();
-    lg.prov.clear();
-  }
-  kg.expanded.store(false, std::memory_order_release);
-  merge_epoch_.fetch_add(1, std::memory_order_acq_rel);
+  kg.winners.clear();
+  kg.prov.clear();
+  lg.winners.clear();
+  lg.prov.clear();
+  kg.expanded = false;
+  ++merge_epoch_;
   return Status::OK();
 }
 
 std::optional<Winner> Memo::FindWinner(GroupId g,
                                        algebra::DescriptorId rid) const {
   const Group& grp = group(g);
-  std::unique_lock<std::mutex> lock(grp.mu, std::defer_lock);
-  if (concurrent()) lock.lock();
   auto it = grp.winners.find(rid);
   if (it == grp.winners.end()) return std::nullopt;
   return it->second;
@@ -316,15 +194,7 @@ std::optional<Winner> Memo::FindWinner(GroupId g,
 Winner Memo::StoreWinner(GroupId g, algebra::DescriptorId rid, Winner w,
                          WinnerProv prov) {
   Group& grp = group(g);
-  std::unique_lock<std::mutex> lock(grp.mu, std::defer_lock);
-  if (concurrent()) lock.lock();
   w.rid = rid;
-  auto it = grp.winners.find(rid);
-  if (it != grp.winners.end() && concurrent() && it->second.has_plan) {
-    // Another worker finished this (group, requirement) first; both
-    // searched the same expanded space, so keep the established winner.
-    return it->second;
-  }
   Winner& slot = grp.winners[rid];
   slot = std::move(w);
   if (slot.has_plan) {
@@ -364,21 +234,13 @@ size_t Memo::NumGroups() const {
   size_t n = 0;
   const size_t total = groups_.size();
   for (size_t i = 0; i < total; ++i) {
-    if (!groups_[i].merged_away.load(std::memory_order_acquire)) ++n;
+    if (!groups_[i].merged_away) ++n;
   }
   return n;
 }
 
-size_t Memo::NumExprs() const {
-  return num_exprs_.load(std::memory_order_relaxed);
-}
-
 MemoTallies Memo::tallies() const {
-  MemoTallies t;
-  t.groups_created = tally_.groups_created.load(std::memory_order_relaxed);
-  t.groups_merged = tally_.groups_merged.load(std::memory_order_relaxed);
-  t.exprs_inserted = tally_.exprs_inserted.load(std::memory_order_relaxed);
-  t.exprs_deduped = tally_.exprs_deduped.load(std::memory_order_relaxed);
+  MemoTallies t = tally_;
   t.arena_bytes = arena_.bytes_reserved();
   return t;
 }
@@ -387,7 +249,7 @@ std::string Memo::ToString(const algebra::Algebra& algebra) const {
   std::string out;
   for (size_t i = 0; i < groups_.size(); ++i) {
     const Group& g = groups_[i];
-    if (g.merged_away.load(std::memory_order_acquire)) continue;
+    if (g.merged_away) continue;
     out += common::StringPrintf("group %d:\n", static_cast<int>(i));
     for (const MExpr& m : g.exprs) {
       out += "  ";

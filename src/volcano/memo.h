@@ -16,19 +16,20 @@
 //
 // Storage model: groups and each group's expression list live in
 // arena-backed StableVectors — append-only chunk ladders whose elements
-// never move. That is what makes MemoMode::kConcurrent possible (readers
-// hold references across concurrent inserts) and what keeps the serial
-// mode's allocation profile flat: the 1995 paper's virtual-memory wall at
-// 8-way joins was allocator churn as much as search-space size.
+// never move, so the engine can hold references into a group while rule
+// firings insert new expressions and groups. The arena also keeps the
+// allocation profile flat: the 1995 paper's virtual-memory wall at 8-way
+// joins was allocator churn as much as search-space size.
+//
+// A memo belongs to one optimizer and is single-threaded. Parallelism runs
+// across queries (BatchOptimizer): many memos, one concurrent
+// DescriptorStore.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -54,16 +55,10 @@ struct MExpr {
   /// Filled lazily by the memo on insert; equal ids <=> equal arg slices.
   algebra::DescriptorId arg_key = algebra::kInvalidDescriptorId;
   std::vector<GroupId> children;   ///< Child groups (canonicalized on use).
-  /// TransRules already applied here. Atomic words so concurrent readers
-  /// and writers race cleanly, but NOT a claim primitive: the engine
-  /// tests the bit, applies the rule, and only then sets it, so two
-  /// workers can redundantly apply the same rule to the same expression
-  /// (memo dedup makes that idempotent). The deferred Set is deliberate —
-  /// a pass that saw a child group mid-expansion leaves the bit clear so
-  /// a later pass redoes the application, which an eager test-and-set
-  /// claim could not express. The memo sizes the bitset to the rule count
-  /// before publishing the expression.
-  common::AtomicBitset applied;
+  /// TransRules already applied here. The engine sets a bit after the
+  /// application finishes, so a pass restarted by a merge skips the rules
+  /// it already applied.
+  common::SmallBitset applied;
   /// Provenance (observability): the trans rule that created this
   /// expression (-1: copied in from the input query), and the memo
   /// identity key (arg_key) of the source expression the rewrite matched
@@ -109,10 +104,9 @@ struct WinnerProv {
   std::vector<std::pair<GroupId, algebra::DescriptorId>> child_keys;
 };
 
-/// \brief One equivalence class. Expressions live in a StableVector:
-/// appended under the group lock (concurrent mode), read lock-free.
-/// Groups are neither copyable nor movable — they are constructed in place
-/// in the memo's stable group table and never relocate.
+/// \brief One equivalence class. Groups are neither copyable nor movable —
+/// they are constructed in place in the memo's stable group table and
+/// never relocate.
 struct Group {
   explicit Group(common::Arena* arena) : exprs(arena) {}
   Group(const Group&) = delete;
@@ -122,19 +116,16 @@ struct Group {
   /// Logical annotations of the stream this class produces (used to bind
   /// rule input descriptors D1..Dk). Interned.
   algebra::DescriptorId stream_desc = algebra::kInvalidDescriptorId;
-  std::atomic<bool> expanded{false};
-  std::atomic<bool> expanding{false};
-  std::atomic<bool> merged_away{false};
+  bool expanded = false;
+  /// On the engine's expansion stack: a cyclic rule path re-entering the
+  /// group matches over what is already there.
+  bool expanding = false;
+  bool merged_away = false;
   /// Key: interned id of the physical-slice requirement descriptor.
-  /// Accessed through Memo::FindWinner/StoreWinner on the hot path (which
-  /// take `mu` in concurrent mode); direct access is reserved for
-  /// quiescent readers (inspector dumps, provenance walks after search).
   std::unordered_map<algebra::DescriptorId, Winner> winners;
   /// Winner provenance, same key as `winners`; entries exist only for
   /// winners that carry a plan. Cleared together with `winners` on merge.
   std::unordered_map<algebra::DescriptorId, WinnerProv> prov;
-  /// Guards expression appends and the winner tables in concurrent mode.
-  mutable std::mutex mu;
 };
 
 /// \brief Limits protecting against search-space explosion (the paper hit
@@ -148,9 +139,8 @@ struct MemoLimits {
 };
 
 /// \brief Structural tallies of one memo (observability), snapshotted by
-/// Memo::tallies(). The memo maintains these as relaxed atomics so
-/// concurrent workers can bump them without contention; the engine flushes
-/// deltas into the process-wide metrics registry at the end of each query.
+/// Memo::tallies(). The engine flushes deltas into the process-wide
+/// metrics registry at the end of each query.
 struct MemoTallies {
   uint64_t groups_created = 0;   ///< NewGroup calls.
   uint64_t groups_merged = 0;    ///< Equivalence merges performed.
@@ -159,64 +149,32 @@ struct MemoTallies {
   uint64_t arena_bytes = 0;      ///< Arena bytes backing groups + exprs.
 };
 
-/// \brief Threading contract of one memo.
-enum class MemoMode {
-  /// Single-threaded owner; no locking at all (the historical behavior,
-  /// byte-identical search results and dumps).
-  kSerial,
-  /// Shared by intra-query search workers: sharded expression index,
-  /// per-group locks for appends and winner tables, lock-free union-find
-  /// reads, merges serialized behind an exclusive merge lock. Mirrors
-  /// StoreMode::kConcurrent in the DescriptorStore.
-  kConcurrent,
-};
-
-/// \brief The memo structure.
-///
-/// In MemoMode::kSerial a memo is single-threaded, exactly as before. In
-/// MemoMode::kConcurrent one memo is shared by the parallel search's
-/// workers: InsertInto / GetOrCreateGroup / Find / FindWinner /
-/// StoreWinner are safe to call concurrently. For parallel BATCH
-/// optimization (across queries), several serial memos may still share one
-/// concurrent DescriptorStore so descriptor ids stay globally canonical.
+/// \brief The memo structure. Single-threaded; for parallel BATCH
+/// optimization (across queries), several memos may share one concurrent
+/// DescriptorStore so descriptor ids stay globally canonical.
 class Memo {
  public:
-  /// `shared_store` null: the memo owns a private store (serial for
-  /// MemoMode::kSerial, concurrent for MemoMode::kConcurrent). Non-null:
+  /// `shared_store` null: the memo owns a private serial store. Non-null:
   /// the memo interns through `shared_store` (which must outlive it, use
   /// the rule set's schema and, when other threads share it, be in
   /// StoreMode::kConcurrent).
   Memo(const RuleSet* rules, MemoLimits limits,
-       algebra::DescriptorStore* shared_store = nullptr,
-       MemoMode mode = MemoMode::kSerial);
-
-  MemoMode mode() const { return mode_; }
-  bool concurrent() const { return mode_ == MemoMode::kConcurrent; }
+       algebra::DescriptorStore* shared_store = nullptr);
 
   /// The descriptor store backing every id in this memo. The engine and
   /// rule callbacks intern through this store so ids are comparable.
   algebra::DescriptorStore* store() { return store_; }
   const algebra::DescriptorStore* store() const { return store_; }
 
-  /// Canonical (union-find) representative of `g`. Lock-free: parent
-  /// links only ever step toward smaller ids, so racy path compression is
-  /// benign.
+  /// Canonical (union-find) representative of `g`, compressing the path.
   GroupId Find(GroupId g) const;
 
   /// The canonical group of `g`. References stay valid forever (stable
-  /// storage); under concurrent merges the REPRESENTATIVE may change, so
-  /// long-running loops re-Find (as the serial engine already does).
+  /// storage); merges may change the REPRESENTATIVE, so loops that insert
+  /// re-Find.
   Group& group(GroupId g) { return groups_[static_cast<size_t>(Find(g))]; }
   const Group& group(GroupId g) const {
     return groups_[static_cast<size_t>(Find(g))];
-  }
-
-  /// The group stored at exactly `g` (no union-find indirection) — a
-  /// stable handle for enumerations that must survive merges: a merged
-  /// loser's expressions remain readable in concurrent mode.
-  Group& raw_group(GroupId g) { return groups_[static_cast<size_t>(g)]; }
-  const Group& raw_group(GroupId g) const {
-    return groups_[static_cast<size_t>(g)];
   }
 
   /// Copies a logical operator tree into the memo; returns the root group.
@@ -233,14 +191,11 @@ class Memo {
   /// true if a new expression was actually added somewhere.
   common::Result<bool> InsertInto(GroupId g, MExpr m);
 
-  /// The memoized winner of (group, interned requirement), if any. Takes
-  /// the group lock in concurrent mode; the returned Winner is a copy.
+  /// The memoized winner of (group, interned requirement), if any.
   std::optional<Winner> FindWinner(GroupId g, algebra::DescriptorId rid) const;
 
   /// Memoizes `w` (and its provenance, when it has a plan) for
-  /// (group, rid). First writer wins: if a winner is already present —
-  /// another worker finished the same (group, requirement) search first —
-  /// the existing entry is kept. Returns the stored winner.
+  /// (group, rid), replacing any earlier entry. Returns the stored winner.
   Winner StoreWinner(GroupId g, algebra::DescriptorId rid, Winner w,
                      WinnerProv prov);
 
@@ -249,17 +204,13 @@ class Memo {
   size_t NumGroups() const;
 
   /// Total logical multi-expressions across live groups.
-  size_t NumExprs() const;
+  size_t NumExprs() const { return num_exprs_; }
 
   /// Bumps on every merge; long-running loops over a group's expressions
   /// restart when they observe a change.
-  uint64_t merge_epoch() const {
-    return merge_epoch_.load(std::memory_order_acquire);
-  }
+  uint64_t merge_epoch() const { return merge_epoch_; }
 
-  size_t allocated_groups() const {
-    return groups_.size();
-  }
+  size_t allocated_groups() const { return groups_.size(); }
 
   /// Snapshot of the structural tallies since construction (groups
   /// created/merged, exprs inserted/deduped, arena bytes).
@@ -271,37 +222,22 @@ class Memo {
   std::string ToString(const algebra::Algebra& algebra) const;
 
  private:
-  struct IndexShard {
-    mutable std::shared_mutex mu;
-    /// key -> (group, expr index) for duplicate detection.
-    std::unordered_multimap<uint64_t, std::pair<GroupId, int>> map;
-  };
-  static constexpr size_t kNumShards = 16;
-  static size_t ShardOf(uint64_t h) { return (h >> 56) & (kNumShards - 1); }
-
   /// Fills m.arg_key (the interned identity projection) if unset.
   void EnsureKey(MExpr& m);
   uint64_t KeyOf(const MExpr& m) const;
   bool SameExpr(const MExpr& a, const MExpr& b) const;
-  /// Probes shard `sh` for an expression identical to `m`; returns the
-  /// canonical group holding it, or -1. Caller holds the shard lock (any
-  /// flavor) in concurrent mode.
-  GroupId FindDup(const IndexShard& sh, uint64_t key, const MExpr& m) const;
+  /// The canonical group holding an expression identical to `m`, or -1.
+  GroupId FindDup(uint64_t key, const MExpr& m) const;
+  /// ResourceExhausted once the memo holds MemoLimits::max_exprs.
+  common::Status CheckExprLimit() const;
   common::Status Merge(GroupId keep, GroupId lose);
-  common::Result<GroupId> NewGroupLocked(MExpr m, algebra::DescriptorId desc,
-                                         uint64_t key, IndexShard& sh);
-  /// Serial fast paths (no locks, original algorithm).
-  common::Result<GroupId> GetOrCreateGroupSerial(MExpr m,
-                                                 algebra::DescriptorId desc);
-  common::Result<bool> InsertIntoSerial(GroupId g, MExpr m);
-  /// Appends `m` to canonical group `g` and indexes it. Caller holds the
-  /// needed locks (shard + group) in concurrent mode.
-  common::Result<bool> AppendExpr(GroupId g, MExpr m, uint64_t key,
-                                  IndexShard& sh);
+  common::Result<GroupId> NewGroup(MExpr m, algebra::DescriptorId desc,
+                                   uint64_t key);
+  /// Appends `m` to canonical group `g` and indexes it.
+  common::Result<bool> AppendExpr(GroupId g, MExpr m, uint64_t key);
 
   const RuleSet* rules_;
   MemoLimits limits_;
-  const MemoMode mode_;
   /// Set when the memo owns its store (no shared store was supplied).
   std::unique_ptr<algebra::DescriptorStore> owned_store_;
   algebra::DescriptorStore* store_;
@@ -311,23 +247,14 @@ class Memo {
   /// union-find parent array. Never shrinks; dies with the memo.
   common::Arena arena_;
   common::StableVector<Group> groups_;
-  mutable common::StableVector<std::atomic<GroupId>> parent_;
-  /// Guards group-table appends (NewGroup) in concurrent mode.
-  std::mutex groups_mu_;
-  /// Merges are rare and global: they take this exclusively; inserts and
-  /// group creation hold it shared so union-find results stay stable
-  /// inside one operation.
-  mutable std::shared_mutex merge_mu_;
-  IndexShard shards_[kNumShards];
+  /// Union-find parent links (mutable: Find compresses paths).
+  mutable common::StableVector<GroupId> parent_;
+  /// Expression key -> (group, expr index) for duplicate detection.
+  std::unordered_multimap<uint64_t, std::pair<GroupId, int>> index_;
 
-  std::atomic<size_t> num_exprs_{0};
-  std::atomic<uint64_t> merge_epoch_{0};
-  struct {
-    std::atomic<uint64_t> groups_created{0};
-    std::atomic<uint64_t> groups_merged{0};
-    std::atomic<uint64_t> exprs_inserted{0};
-    std::atomic<uint64_t> exprs_deduped{0};
-  } tally_;
+  size_t num_exprs_ = 0;
+  uint64_t merge_epoch_ = 0;
+  MemoTallies tally_;  ///< arena_bytes is filled in by tallies().
 };
 
 }  // namespace prairie::volcano

@@ -25,9 +25,9 @@ enum class ExprKind { kE1 = 1, kE2 = 2, kE3 = 3, kE4 = 4 };
 
 /// Shape of the join graph over classes C1..C_{N+1}. The paper's
 /// experiments use chains; star and clique are adversarial shapes for the
-/// parallel-search benchmarks — a star funnels every join through one hub
-/// group, a clique predicates every class pair and maximizes the number
-/// of cross-group merges the transformation rules can trigger.
+/// big-join workloads — a star funnels every join through one hub group, a
+/// clique predicates every class pair and maximizes the number of
+/// cross-group merges the transformation rules can trigger.
 enum class JoinShape {
   kChain,   ///< C_i joins C_{i+1} (the paper's linear graphs; default).
   kStar,    ///< Every C_i (i > 1) joins the hub C1.

@@ -25,10 +25,10 @@ function(check_run expected_code)
   set(last_err "${err}" PARENT_SCOPE)
 endfunction()
 
-# --version succeeds and reports the compiled-in observability switches
+# --version succeeds and reports the compiled-in observability switch
 # (so a bug report can name the exact build shape).
 check_run(0 --version)
-foreach(token "prairie_opt" "tracing=" "metrics=" "exec_stats=")
+foreach(token "prairie_opt" "tracing=")
   string(FIND "${last_out}" "${token}" pos)
   if(pos EQUAL -1)
     message(FATAL_ERROR
@@ -54,6 +54,14 @@ string(FIND "${last_err}" "unknown flag '--bogus'" pos)
 if(pos EQUAL -1)
   message(FATAL_ERROR
     "unknown-flag error does not name the flag; stderr: ${last_err}")
+endif()
+
+# --search-jobs is not a flag: each search runs on one thread.
+check_run(2 --query 1 --search-jobs 4)
+string(FIND "${last_err}" "unknown flag '--search-jobs'" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR
+    "--search-jobs error does not name the flag; stderr: ${last_err}")
 endif()
 
 # Invalid flag values exit with the usage code too.

@@ -478,7 +478,7 @@ TEST(MetricsRegistryTest, SharedBundleAcrossBatchWorkers) {
     ASSERT_TRUE(r.plan.ok());
     want_trans_attempts += r.stats.trans_attempts;
   }
-#if PRAIRIE_METRICS
+#if PRAIRIE_TRACING
   // Every worker flushed into the same sharded series; the merge must be
   // exact once the batch barrier has passed.
   EXPECT_EQ(metrics.queries->Value(), static_cast<uint64_t>(kQueries));
@@ -656,116 +656,13 @@ TEST_F(ParameterizedCacheTest, RacingReboundProbesServeCorrectPlans) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent memo (TSan-covered): racing CopyIn into one shared memo, and
-// the full intra-query parallel search (insert + merge + optimize from
-// several workers over one memo).
-
-using ConcurrentMemoTest = OodbFixture;
-
-TEST_F(ConcurrentMemoTest, ParallelCopyInConvergesToTheSerialMemo) {
-  workload::Workload w = MakeQ(1, 3, 1);
-
-  // Serial reference: one CopyIn into a private serial memo.
-  volcano::Memo serial(rules_.get(), {});
-  ASSERT_OK_AND_ASSIGN(volcano::GroupId serial_root, serial.CopyIn(*w.query));
-  (void)serial_root;
-
-  volcano::Memo memo(rules_.get(), {}, /*shared_store=*/nullptr,
-                     volcano::MemoMode::kConcurrent);
-  constexpr int kThreads = 8;
-  std::vector<volcano::GroupId> roots(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t]() {
-      auto r = memo.CopyIn(*w.query);
-      roots[t] = r.ok() ? *r : volcano::GroupId{-1};
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  // Every thread resolved the identical tree to one equivalence class.
-  for (int t = 0; t < kThreads; ++t) {
-    ASSERT_NE(roots[t], volcano::GroupId{-1});
-    EXPECT_EQ(memo.Find(roots[t]), memo.Find(roots[0])) << "thread " << t;
-  }
-  // And racing dedup created exactly the serial group structure.
-  EXPECT_EQ(memo.NumGroups(), serial.NumGroups());
-  EXPECT_EQ(memo.NumExprs(), serial.NumExprs());
-  EXPECT_GT(memo.arena_bytes(), 0u);
-}
-
-TEST_F(ConcurrentMemoTest, RacingCopyInsOfOverlappingTreesDedup) {
-  // Q1..Q8 at the same seed share leaf subtrees (same catalogs per shape);
-  // interleaved CopyIns must dedup against whatever the other threads
-  // already published, never duplicate a group.
-  workload::Workload w = MakeQ(1, 4, 1);
-  volcano::Memo memo(rules_.get(), {}, /*shared_store=*/nullptr,
-                     volcano::MemoMode::kConcurrent);
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&]() {
-      for (int rep = 0; rep < 4; ++rep) {
-        auto r = memo.CopyIn(*w.query);
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  volcano::Memo serial(rules_.get(), {});
-  ASSERT_TRUE(serial.CopyIn(*w.query).ok());
-  EXPECT_EQ(memo.NumGroups(), serial.NumGroups());
-  EXPECT_EQ(memo.NumExprs(), serial.NumExprs());
-  const volcano::MemoTallies t = memo.tallies();
-  // 32 CopyIns of the same tree: everything after the first insert of each
-  // expression is a dedup.
-  EXPECT_GT(t.exprs_deduped, 0u);
-}
-
-TEST_F(ConcurrentMemoTest, ParallelSearchStressMatchesSerialPlans) {
-  // The real insert/merge/optimize stress: the intra-query parallel search
-  // runs transformation inserts (which trigger cross-group merges) and
-  // winner-table updates from several workers over one concurrent memo.
-  // The clique shape maximizes merge traffic. Correctness bar: the final
-  // plan must be cost-identical to the serial search.
-  struct Case {
-    workload::JoinShape shape;
-    int joins;
-  };
-  for (const Case& c : {Case{workload::JoinShape::kStar, 4},
-                        Case{workload::JoinShape::kClique, 4}}) {
-    workload::QuerySpec spec = workload::PaperQuery(1, c.joins, 1);
-    spec.shape = c.shape;
-    auto w = workload::MakeWorkload(*rules_->algebra, spec);
-    ASSERT_TRUE(w.ok()) << w.status().ToString();
-
-    volcano::Optimizer serial(rules_.get(), &w->catalog, {});
-    auto ref = serial.Optimize(*w->query);
-    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-
-    volcano::OptimizerOptions options;
-    options.search_jobs = 4;
-    volcano::Optimizer parallel(rules_.get(), &w->catalog, options);
-    auto plan = parallel.Optimize(*w->query);
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    EXPECT_EQ(plan->cost, ref->cost);
-    EXPECT_EQ(plan->root->ToString(*rules_->algebra),
-              ref->root->ToString(*rules_->algebra));
-    // The parallel memo explored at least the serial group structure.
-    EXPECT_GE(parallel.stats().groups, serial.stats().groups);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Executor observability under concurrency (TSan-covered): N threads each
 // build and run their own instrumented iterator over one shared read-only
 // plan/database, then rendezvous on the shared aggregate surfaces — the
 // sharded ExecMetrics series, the mutex-protected CardinalityFeedback, and
 // a concurrent DescriptorStore interning fingerprints from every thread.
 
-#if PRAIRIE_EXEC_STATS
+#if PRAIRIE_TRACING
 TEST(ExecObserveConcurrencyTest, SharedAggregatesTakeParallelFlushes) {
   // A 256-row table with k in [0, 16); the filter selects k == 3.
   algebra::PropertySchema schema;
@@ -866,7 +763,7 @@ TEST(ExecObserveConcurrencyTest, SharedAggregatesTakeParallelFlushes) {
     EXPECT_EQ(entry.observations, kRuns) << key;
   }
 }
-#endif  // PRAIRIE_EXEC_STATS
+#endif  // PRAIRIE_TRACING
 
 // ---------------------------------------------------------------------------
 // Windowed time-series scrapes racing metric writers, and the DiagService

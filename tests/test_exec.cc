@@ -447,7 +447,7 @@ TEST(ExecStats, NullCollectorBuildsPlainTree) {
   EXPECT_EQ(Drain(std::move(*it)).size(), 2u);
 }
 
-#if PRAIRIE_EXEC_STATS
+#if PRAIRIE_TRACING
 
 TEST(ExecStats, RowCountsMatchCollectAllSizes) {
   StatsFixture f;
@@ -585,7 +585,6 @@ TEST(CardinalityFeedback, MismatchedStatsTreeIsRejected) {
   EXPECT_FALSE(st.ok());
 }
 
-#if PRAIRIE_METRICS
 TEST(ExecMetrics, FlushAggregatesIntoRegistry) {
   StatsFixture f;
   auto plan = f.Plan(4, 4);
@@ -608,9 +607,7 @@ TEST(ExecMetrics, FlushAggregatesIntoRegistry) {
   EXPECT_EQ(q.counts[2], 1u);
   (void)rows;
 }
-#endif  // PRAIRIE_METRICS
-
-#endif  // PRAIRIE_EXEC_STATS
+#endif  // PRAIRIE_TRACING
 
 }  // namespace
 }  // namespace prairie::exec

@@ -298,6 +298,21 @@ TEST_F(MicroOptimizer, MemoLimitSurfacesResourceExhausted) {
   EXPECT_EQ(plan.status().code(), common::StatusCode::kResourceExhausted);
 }
 
+TEST_F(MicroOptimizer, MemoExprLimitAppliesToGroupCreation) {
+  // CopyIn adds every expression through group creation: the expression
+  // limit must hold there too, not only when appending to a group.
+  MemoLimits limits;
+  limits.max_exprs = 2;
+  std::vector<ExprPtr> kids;
+  kids.push_back(RetOf("A", 10));
+  ExprPtr three_nodes = Expr::MakeOp(ret_, std::move(kids), Desc());
+  Memo memo(&rules_, limits);
+  auto g = memo.CopyIn(*three_nodes);
+  EXPECT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), common::StatusCode::kResourceExhausted);
+  EXPECT_EQ(memo.NumExprs(), 2u);
+}
+
 TEST_F(MicroOptimizer, AlgorithmInInputTreeRejected) {
   Descriptor d = Desc();
   std::vector<ExprPtr> kids;
@@ -925,7 +940,7 @@ TEST_F(ObservabilityTest, MetricsCountersMatchStatsAcrossQueries) {
   // not re-add the first query's totals.
   ASSERT_TRUE(
       o.Optimize(*JoinOf(RetOf("C", 30), RetOf("D", 40), 10)).ok());
-#if PRAIRIE_METRICS
+#if PRAIRIE_TRACING
   const OptimizerStats& s = o.stats();
   EXPECT_EQ(metrics.queries->Value(), 2u);
   EXPECT_EQ(metrics.trans_attempts->Value(), s.trans_attempts);
@@ -1037,124 +1052,6 @@ TEST_F(BudgetTest, BudgetExhaustedPlansAreNotCached) {
   EXPECT_FALSE(unbudgeted.stats().budget_exhausted);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_LE(best->cost, truncated->cost);
-}
-
-// ---------------------------------------------------------------------------
-// Intra-query parallel search: plan identity against the serial engine
-// over the paper's workloads and the adversarial join shapes.
-
-class ParallelSearchTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    auto prairie_rules = opt::BuildOodbPrairie();
-    ASSERT_TRUE(prairie_rules.ok()) << prairie_rules.status().ToString();
-    auto translated = p2v::Translate(*prairie_rules, nullptr);
-    ASSERT_TRUE(translated.ok()) << translated.status().ToString();
-    rules_ = std::move(*translated);
-  }
-
-  workload::Workload MakeQ(int qnum, int joins, uint64_t seed) {
-    auto w = workload::MakeWorkload(
-        *rules_->algebra, workload::PaperQuery(qnum, joins, seed));
-    EXPECT_TRUE(w.ok()) << w.status().ToString();
-    return std::move(*w);
-  }
-
-  std::shared_ptr<RuleSet> rules_;
-};
-
-TEST_F(ParallelSearchTest, Q1ThroughQ8CostIdenticalToSerial) {
-  for (int q = 1; q <= 8; ++q) {
-    workload::Workload w = MakeQ(q, 2, 1);
-    Optimizer serial(rules_.get(), &w.catalog, {});
-    auto ref = serial.Optimize(*w.query);
-    ASSERT_TRUE(ref.ok()) << "Q" << q << ": " << ref.status().ToString();
-
-    for (int jobs : {2, 4}) {
-      OptimizerOptions options;
-      options.search_jobs = jobs;
-      Optimizer parallel(rules_.get(), &w.catalog, options);
-      auto plan = parallel.Optimize(*w.query);
-      ASSERT_TRUE(plan.ok())
-          << "Q" << q << " jobs=" << jobs << ": " << plan.status().ToString();
-      EXPECT_EQ(plan->cost, ref->cost) << "Q" << q << " jobs=" << jobs;
-      EXPECT_EQ(plan->root->ToString(*rules_->algebra),
-                ref->root->ToString(*rules_->algebra))
-          << "Q" << q << " jobs=" << jobs;
-      EXPECT_FALSE(parallel.stats().budget_exhausted);
-    }
-  }
-}
-
-TEST_F(ParallelSearchTest, BigJoinShapesCostIdenticalToSerial) {
-  struct Case {
-    workload::JoinShape shape;
-    int joins;
-  };
-  for (const Case& c : {Case{workload::JoinShape::kChain, 7},
-                        Case{workload::JoinShape::kStar, 5},
-                        Case{workload::JoinShape::kClique, 4}}) {
-    workload::QuerySpec spec = workload::PaperQuery(1, c.joins, 1);
-    spec.shape = c.shape;
-    auto w = workload::MakeWorkload(*rules_->algebra, spec);
-    ASSERT_TRUE(w.ok()) << w.status().ToString();
-
-    Optimizer serial(rules_.get(), &w->catalog, {});
-    auto ref = serial.Optimize(*w->query);
-    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-
-    OptimizerOptions options;
-    options.search_jobs = 4;
-    Optimizer parallel(rules_.get(), &w->catalog, options);
-    auto plan = parallel.Optimize(*w->query);
-    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-    EXPECT_EQ(plan->cost, ref->cost);
-    EXPECT_EQ(plan->root->ToString(*rules_->algebra),
-              ref->root->ToString(*rules_->algebra));
-  }
-}
-
-TEST_F(ParallelSearchTest, SerialSharedStoreDegradesToSerialSearch) {
-  // A serial shared store cannot back a concurrent memo: search_jobs > 1
-  // degrades to the single-threaded engine (and its exact statistics)
-  // instead of racing on an unsynchronized store.
-  workload::Workload w = MakeQ(1, 3, 1);
-  Optimizer serial(rules_.get(), &w.catalog, {});
-  auto ref = serial.Optimize(*w.query);
-  ASSERT_TRUE(ref.ok());
-
-  algebra::DescriptorStore store(&rules_->algebra->properties(),
-                                 algebra::StoreMode::kSerial);
-  OptimizerOptions options;
-  options.search_jobs = 8;
-  Optimizer degraded(rules_.get(), &w.catalog, options, &store);
-  auto plan = degraded.Optimize(*w.query);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_EQ(plan->cost, ref->cost);
-  // Fully serial search: stats are byte-identical, not merely cost-equal.
-  EXPECT_EQ(degraded.stats().mexprs, serial.stats().mexprs);
-  EXPECT_EQ(degraded.stats().trans_fired, serial.stats().trans_fired);
-  EXPECT_EQ(degraded.stats().plans_costed, serial.stats().plans_costed);
-}
-
-TEST_F(ParallelSearchTest, GroupBudgetComposesWithParallelSearch) {
-  workload::QuerySpec spec = workload::PaperQuery(1, 5, 1);
-  spec.shape = workload::JoinShape::kStar;
-  auto w = workload::MakeWorkload(*rules_->algebra, spec);
-  ASSERT_TRUE(w.ok());
-
-  Optimizer serial(rules_.get(), &w->catalog, {});
-  auto ref = serial.Optimize(*w->query);
-  ASSERT_TRUE(ref.ok());
-
-  OptimizerOptions options;
-  options.search_jobs = 4;
-  options.group_budget = 8;  // Far below the full search's group count.
-  Optimizer budgeted(rules_.get(), &w->catalog, options);
-  auto plan = budgeted.Optimize(*w->query);
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_TRUE(budgeted.stats().budget_exhausted);
-  EXPECT_GE(plan->cost, ref->cost);
 }
 
 }  // namespace

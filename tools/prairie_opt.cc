@@ -148,9 +148,6 @@ void PrintUsage(std::FILE* out) {
       "                               the search-space size only\n"
       "  --no-prune                   disable branch-and-bound pruning\n"
       "  --shape chain|star|clique    join-graph shape (default chain)\n"
-      "  --search-jobs N              intra-query parallel search workers\n"
-      "                               over one concurrent memo (default 1;\n"
-      "                               0 = hardware default)\n"
       "  --search-budget-ms MS        anytime budget: stop expanding after\n"
       "                               MS milliseconds, return the best plan\n"
       "                               over the truncated space (default\n"
@@ -361,13 +358,6 @@ int main(int argc, char** argv) {
       shape = v;
     } else if (arg.rfind("--shape=", 0) == 0) {
       shape = arg.substr(std::strlen("--shape="));
-    } else if (arg == "--search-jobs") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.search_jobs = std::atoi(v);
-    } else if (arg.rfind("--search-jobs=", 0) == 0) {
-      options.search_jobs =
-          std::atoi(arg.c_str() + std::strlen("--search-jobs="));
     } else if (arg == "--search-budget-ms") {
       const char* v = next();
       if (v == nullptr) return Usage();
@@ -941,13 +931,8 @@ int main(int argc, char** argv) {
   std::unique_ptr<prairie::algebra::DescriptorStore> cache_store;
   std::unique_ptr<prairie::volcano::PlanCache> cache;
   if (plan_cache) {
-    // A serial shared store would degrade --search-jobs to one worker (a
-    // concurrent memo interns from several threads), so the cache store
-    // follows the search mode.
     cache_store = std::make_unique<prairie::algebra::DescriptorStore>(
-        &(*volcano_rules)->algebra->properties(),
-        options.search_jobs != 1 ? prairie::algebra::StoreMode::kConcurrent
-                                 : prairie::algebra::StoreMode::kSerial);
+        &(*volcano_rules)->algebra->properties());
     prairie::volcano::PlanCacheOptions copt;
     copt.max_entries = plan_cache_entries;
     cache = std::make_unique<prairie::volcano::PlanCache>(cache_store.get(),
