@@ -186,6 +186,11 @@ struct ErrorCase {
   const char* expect_substr;
 };
 
+// Without this, gtest prints an ErrorCase as its raw bytes, i.e. the string
+// addresses, which move with every run; the listed test names (and so the
+// ctest names) then change from build to build. Print the case name instead.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
+
 class ParserErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
 TEST_P(ParserErrorTest, ReportsError) {
