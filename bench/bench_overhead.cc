@@ -1,0 +1,355 @@
+// Observability overhead over the Q1..Q8 OODB workload at 2 joins: what
+// does each observability layer cost against the plain default path?
+//
+// Each layer is timed against the plain configuration of the same work
+// with bench_util's TimePairs (interleaved back-to-back pairs whose time
+// ratios cancel host load and frequency drift):
+//   metrics  Optimize with a VolcanoMetrics bundle over a private registry
+//            (counters flushed per query, rule latencies sampled 1-in-16).
+//   trace    Optimize into a full-detail RingBufferSink.
+//   exec     execute the winning plan with an ExecStats collector wrapping
+//            every operator (rows counted, Next() timed 1-in-64).
+//   diag     the serving posture, armed but untriggered: a coarse
+//            flight-recorder ring on the optimizer plus DiagService::Check
+//            with every trigger configured but unreachable.
+// A layer's overhead is the median layer/plain ratio pooled over all its
+// timed pairs (8 queries x PRAIRIE_OVERHEAD_REPEATS); the per-query
+// medians printed alongside still wander a few percent under host load.
+//
+// Self-checks (exit non-zero on failure):
+//   - the metrics bundle's counters equal the engine stats summed over the
+//     metered runs (queries, trans attempts, trans firings, plans costed);
+//   - the rule profile built from the trace counts every trans firing
+//     (checked when the ring dropped nothing);
+//   - instrumented execution is SameResult with plain execution, the root
+//     operator's rows equal the CollectAll size, and next calls are not
+//     fewer than rows;
+//   - the armed plan costs exactly what the plain plan costs, Check()
+//     never fires, and the flight recorder recorded events;
+//   - the pooled median overhead of metrics, exec and diag is at most
+//     PRAIRIE_OVERHEAD_TOL percent (default 2); trace is reported only.
+//
+// Environment knobs:
+//   PRAIRIE_OVERHEAD_REPEATS  timed pairs per query and layer  (def 13)
+//   PRAIRIE_OVERHEAD_TOL      overhead gate, percent           (def 2)
+
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "bench/bench_util.h"
+#include "common/metrics.h"
+#include "common/stopwatch.h"
+#include "common/trace.h"
+#include "exec/builder.h"
+#include "exec/stats.h"
+#include "optimizers/executors.h"
+#include "volcano/diag.h"
+#include "volcano/engine.h"
+#include "volcano/profile.h"
+#include "workload/workload.h"
+
+namespace {
+
+using prairie::common::FunctionRef;
+using prairie::common::RingBufferSink;
+using prairie::common::Status;
+using prairie::exec::ExecStats;
+using prairie::exec::Row;
+using prairie::volcano::DiagTrigger;
+using prairie::volcano::Optimizer;
+using prairie::volcano::OptimizerOptions;
+
+constexpr int kJoins = 2;
+// Executable base-class sizes: the default workload's classes of up to
+// 10k rows make worst-case joins take minutes.
+constexpr int kMinCard = 16;
+constexpr int kMaxCard = 256;
+// The flight recorder only needs the last few queries' coarse events.
+constexpr size_t kFlightRecorderEvents = 4096;
+
+enum Layer { kMetrics, kTrace, kExec, kDiag, kNumLayers };
+constexpr const char* kLayerNames[kNumLayers] = {"metrics", "trace", "exec",
+                                                 "diag"};
+
+}  // namespace
+
+int main() {
+  const int repeats = prairie::bench::EnvInt("PRAIRIE_OVERHEAD_REPEATS", 13);
+  const int tol_pct = prairie::bench::EnvInt("PRAIRIE_OVERHEAD_TOL", 2);
+
+  auto pair = prairie::bench::BuildOodbPair();
+  if (!pair.ok()) {
+    std::fprintf(stderr, "bench_overhead: %s\n",
+                 pair.status().ToString().c_str());
+    return 1;
+  }
+  const prairie::volcano::RuleSet& rules = *pair->emitted;
+
+  // Private registry: the counter check needs series that start at zero.
+  prairie::common::MetricsRegistry registry;
+  const prairie::volcano::VolcanoMetrics metrics =
+      prairie::volcano::VolcanoMetrics::ForRuleSet(&registry, rules);
+
+  prairie::exec::ExecutorRegistry executors;
+  if (auto st = prairie::opt::RegisterStandardExecutors(&executors);
+      !st.ok()) {
+    std::fprintf(stderr, "bench_overhead: %s\n", st.ToString().c_str());
+    return 1;
+  }
+
+  // The armed configuration of a real serving loop: every trigger set (so
+  // Check() walks its full evaluation order, including the periodic
+  // cached-p99 refresh against a populated histogram) with thresholds no
+  // healthy query can cross.
+  prairie::common::Histogram latency_hist;
+  for (int i = 0; i < 512; ++i) latency_hist.Observe(1'000'000);  // 1 ms.
+  prairie::volcano::DiagOptions dopt;
+  dopt.slow_ms = 1e12;
+  dopt.adaptive_k = 1e9;
+  dopt.adaptive_min_count = 1;
+  dopt.latency_hist = &latency_hist;
+  dopt.qerror_limit = 1e12;
+  dopt.on_budget_exhausted = true;
+  dopt.cache_storm_threshold = 0;
+  prairie::volcano::DiagService diag(dopt);
+
+  std::printf(
+      "observability overhead: Q1..Q8 at %d joins, %d interleaved pairs per "
+      "query and layer, gate: pooled median <= %d%% (metrics, exec, diag)\n\n",
+      kJoins, repeats, tol_pct);
+  std::printf("%6s %-8s %12s %12s %10s\n", "query", "layer", "plain", "on",
+              "overhead");
+
+  prairie::bench::JsonWriter json("overhead");
+  std::vector<double> pooled[kNumLayers];
+  uint64_t want_queries = 0;
+  uint64_t want_trans_attempts = 0;
+  uint64_t want_trans_fired = 0;
+  uint64_t want_plans_costed = 0;
+  size_t recorded_events = 0;
+  bool ok = true;
+
+  for (int q = 1; q <= 8; ++q) {
+    const std::string qname = "Q" + std::to_string(q);
+    prairie::workload::QuerySpec spec =
+        prairie::workload::PaperQuery(q, kJoins, 1);
+    spec.min_card = kMinCard;
+    spec.max_card = kMaxCard;
+    auto w = prairie::workload::MakeWorkload(*rules.algebra, spec);
+    if (!w.ok()) {
+      std::fprintf(stderr, "bench_overhead: %s: %s\n", qname.c_str(),
+                   w.status().ToString().c_str());
+      return 1;
+    }
+    auto db = prairie::workload::MakeDatabase(w->catalog, spec.seed);
+    if (!db.ok()) {
+      std::fprintf(stderr, "bench_overhead: %s: %s\n", qname.c_str(),
+                   db.status().ToString().c_str());
+      return 1;
+    }
+
+    // One optimization under `options`; `on_done` sees the finished
+    // optimizer and plan cost.
+    auto optimize = [&](const OptimizerOptions& options,
+                        auto&& on_done) -> Status {
+      Optimizer optimizer(&rules, &w->catalog, options);
+      prairie::common::Stopwatch sw;
+      auto plan = optimizer.Optimize(*w->query);
+      if (!plan.ok()) return plan.status();
+      on_done(optimizer, plan->cost, sw.ElapsedSeconds());
+      return Status::OK();
+    };
+
+    const OptimizerOptions plain_opt;
+    double plain_cost = 0;
+    auto plain = [&]() {
+      return optimize(plain_opt, [&](const Optimizer&, double cost, double) {
+        plain_cost = cost;
+      });
+    };
+
+    OptimizerOptions metered_opt;
+    metered_opt.metrics = &metrics;
+    auto metered = [&]() {
+      return optimize(metered_opt, [&](const Optimizer& o, double, double) {
+        ++want_queries;
+        want_trans_attempts += o.stats().trans_attempts;
+        want_trans_fired += o.stats().trans_fired;
+        want_plans_costed += o.stats().plans_costed;
+      });
+    };
+
+    RingBufferSink trace_sink;
+    OptimizerOptions traced_opt;
+    traced_opt.trace = &trace_sink;
+    size_t trans_fired = 0;
+    auto traced = [&]() {
+      trace_sink.Clear();  // Keep exactly the last run's stream.
+      return optimize(traced_opt, [&](const Optimizer& o, double, double) {
+        trans_fired = o.stats().trans_fired;
+      });
+    };
+
+    RingBufferSink recorder(kFlightRecorderEvents);
+    OptimizerOptions armed_opt;
+    armed_opt.trace = &recorder;
+    armed_opt.trace_detail = prairie::common::TraceDetail::kCoarse;
+    double armed_cost = 0;
+    DiagTrigger fired = DiagTrigger::kNone;
+    auto armed = [&]() {
+      return optimize(armed_opt, [&](const Optimizer& o, double cost,
+                                     double seconds) {
+        armed_cost = cost;
+        const DiagTrigger trig =
+            diag.Check(seconds * 1e3, o.stats(), /*max_qerror=*/1.0);
+        if (trig != DiagTrigger::kNone) fired = trig;
+      });
+    };
+
+    Optimizer planner(&rules, &w->catalog);
+    auto plan = planner.Optimize(*w->query);
+    if (!plan.ok()) {
+      std::fprintf(stderr, "bench_overhead: %s: %s\n", qname.c_str(),
+                   plan.status().ToString().c_str());
+      return 1;
+    }
+    const prairie::algebra::ExprPtr plan_expr =
+        plan->root->ToExpr(*rules.algebra);
+    auto execute = [&](ExecStats* stats, std::vector<Row>* out) -> Status {
+      auto it = executors.Build(*plan_expr, *rules.algebra, *db, stats);
+      if (!it.ok()) return it.status();
+      auto rows = prairie::exec::CollectAll(it->get());
+      if (!rows.ok()) return rows.status();
+      *out = std::move(*rows);
+      return Status::OK();
+    };
+    std::vector<Row> plain_rows;
+    std::vector<Row> inst_rows;
+    std::unique_ptr<ExecStats> exec_stats;
+    auto plain_exec = [&]() { return execute(nullptr, &plain_rows); };
+    auto inst_exec = [&]() {
+      exec_stats = std::make_unique<ExecStats>();
+      return execute(exec_stats.get(), &inst_rows);
+    };
+
+    const FunctionRef<Status()> bases[kNumLayers] = {plain, plain,
+                                                     plain_exec, plain};
+    const FunctionRef<Status()> layers[kNumLayers] = {metered, traced,
+                                                      inst_exec, armed};
+    for (int l = 0; l < kNumLayers; ++l) {
+      auto t = prairie::bench::TimePairs(repeats, bases[l], layers[l]);
+      if (!t.ok()) {
+        std::fprintf(stderr, "bench_overhead: %s (%s): %s\n", qname.c_str(),
+                     kLayerNames[l], t.status().ToString().c_str());
+        return 1;
+      }
+      pooled[l].insert(pooled[l].end(), t->ratios.begin(), t->ratios.end());
+      const double pct = prairie::bench::MedianOverheadPct(t->ratios);
+      char extra[96];
+      std::snprintf(extra, sizeof(extra),
+                    "\"plain_us\":%.3f,\"overhead_pct\":%.2f",
+                    t->base_s * 1e6, pct);
+      json.RecordRaw(qname + "/" + kLayerNames[l], t->layer_s * 1e6, extra);
+      std::printf("%6s %-8s %10.2fus %10.2fus %+9.1f%%\n", qname.c_str(),
+                  kLayerNames[l], t->base_s * 1e6, t->layer_s * 1e6, pct);
+      std::fflush(stdout);
+    }
+
+    if (trace_sink.dropped() == 0 &&
+        prairie::volcano::BuildRuleProfile(trace_sink.Snapshot(), rules, 0)
+                .TotalTransFired() != trans_fired) {
+      std::fprintf(stderr,
+                   "bench_overhead: FAILED — %s profile firings differ from "
+                   "stats.trans_fired (%zu)\n",
+                   qname.c_str(), trans_fired);
+      ok = false;
+    }
+    if (!prairie::exec::SameResult(plain_rows, inst_rows)) {
+      std::fprintf(stderr,
+                   "bench_overhead: FAILED — %s instrumented result differs "
+                   "from plain\n",
+                   qname.c_str());
+      ok = false;
+    }
+    // Stats count every call exactly; only timing is sampled.
+    const uint64_t root_rows =
+        exec_stats->root() == nullptr ? 0 : exec_stats->root()->rows;
+    if (exec_stats->root() == nullptr || root_rows != inst_rows.size() ||
+        exec_stats->TotalNextCalls() < exec_stats->TotalRows()) {
+      std::fprintf(stderr,
+                   "bench_overhead: FAILED — %s stats miscount: root "
+                   "recorded %llu rows of %zu collected, %llu next calls "
+                   "for %llu rows\n",
+                   qname.c_str(), static_cast<unsigned long long>(root_rows),
+                   inst_rows.size(),
+                   static_cast<unsigned long long>(
+                       exec_stats->TotalNextCalls()),
+                   static_cast<unsigned long long>(exec_stats->TotalRows()));
+      ok = false;
+    }
+    if (fired != DiagTrigger::kNone) {
+      std::fprintf(stderr,
+                   "bench_overhead: FAILED — %s fired trigger '%s'; the diag "
+                   "layer measures the untriggered path\n",
+                   qname.c_str(), prairie::volcano::DiagTriggerName(fired));
+      ok = false;
+    }
+    if (armed_cost != plain_cost) {
+      std::fprintf(stderr,
+                   "bench_overhead: FAILED — %s armed cost %.6f != plain "
+                   "cost %.6f (diagnostics perturbed the search)\n",
+                   qname.c_str(), armed_cost, plain_cost);
+      ok = false;
+    }
+    recorded_events += recorder.total_emitted();
+  }
+
+  // The bundle's counters against the engine stats of every metered run:
+  // the per-query flush must not lose or double-count.
+  struct CounterCheck {
+    const char* name;
+    uint64_t got;
+    uint64_t want;
+  };
+  const CounterCheck counter_checks[] = {
+      {"queries", metrics.queries->Value(), want_queries},
+      {"trans_attempts", metrics.trans_attempts->Value(), want_trans_attempts},
+      {"trans_fired", metrics.trans_fired->Value(), want_trans_fired},
+      {"plans_costed", metrics.plans_costed->Value(), want_plans_costed},
+  };
+  for (const CounterCheck& c : counter_checks) {
+    if (c.got != c.want) {
+      std::fprintf(stderr,
+                   "bench_overhead: FAILED — counter %s is %llu, engine "
+                   "stats sum to %llu\n",
+                   c.name, static_cast<unsigned long long>(c.got),
+                   static_cast<unsigned long long>(c.want));
+      ok = false;
+    }
+  }
+  if (recorded_events == 0) {
+    std::fprintf(stderr,
+                 "bench_overhead: FAILED — the flight recorder captured no "
+                 "events; the diag layer measured nothing\n");
+    ok = false;
+  }
+
+  std::printf("\npooled median overhead (%zu timed pairs per layer):\n",
+              pooled[0].size());
+  for (int l = 0; l < kNumLayers; ++l) {
+    const double median = prairie::bench::MedianOverheadPct(pooled[l]);
+    const bool gated = l != kTrace;
+    std::printf("  %-8s %+6.2f%%%s\n", kLayerNames[l], median,
+                gated ? "" : "  (reported, not gated)");
+    if (gated && median > static_cast<double>(tol_pct)) {
+      std::fprintf(stderr,
+                   "bench_overhead: FAILED — %s median overhead %.2f%% "
+                   "exceeds %d%% budget\n",
+                   kLayerNames[l], median, tol_pct);
+      ok = false;
+    }
+  }
+  return ok ? 0 : 1;
+}

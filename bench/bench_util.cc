@@ -1,5 +1,6 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -192,6 +193,41 @@ int EnvInt(const char* name, int def) {
   if (v == nullptr) return def;
   int parsed = std::atoi(v);
   return parsed > 0 ? parsed : def;
+}
+
+Result<PairTiming> TimePairs(int pairs, common::FunctionRef<Status()> base,
+                             common::FunctionRef<Status()> layer) {
+  constexpr double kMinRegionS = 0.004;
+  PairTiming out;
+  int inner = 1;
+  const auto time = [&inner](common::FunctionRef<Status()> f,
+                             double* seconds) -> Status {
+    common::Stopwatch sw;
+    for (int i = 0; i < inner; ++i) PRAIRIE_RETURN_NOT_OK(f());
+    *seconds = sw.ElapsedSeconds() / inner;
+    return Status::OK();
+  };
+  for (int pair = 0; pair <= pairs; ++pair) {
+    double t_base = 0;
+    PRAIRIE_RETURN_NOT_OK(time(base, &t_base));
+    if (pair == 0) {
+      inner = static_cast<int>(
+          std::clamp(kMinRegionS / std::max(t_base, 1e-9), 1.0, 64.0));
+    }
+    double t_layer = 0;
+    PRAIRIE_RETURN_NOT_OK(time(layer, &t_layer));
+    if (pair == 0) continue;  // Warmup.
+    if (out.base_s < 0 || t_base < out.base_s) out.base_s = t_base;
+    if (out.layer_s < 0 || t_layer < out.layer_s) out.layer_s = t_layer;
+    out.ratios.push_back(t_layer / t_base);
+  }
+  return out;
+}
+
+double MedianOverheadPct(std::vector<double> ratios) {
+  if (ratios.empty()) return 0;
+  std::sort(ratios.begin(), ratios.end());
+  return 100.0 * (ratios[ratios.size() / 2] - 1.0);
 }
 
 }  // namespace prairie::bench

@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/function_ref.h"
 #include "common/result.h"
 #include "volcano/engine.h"
 #include "workload/workload.h"
@@ -99,5 +101,29 @@ void RunFigure(const std::string& title, const OptimizerPair& pair, int qa,
 /// Reads a positive integer override from the environment (for extending
 /// sweeps), else returns `def`.
 int EnvInt(const char* name, int def);
+
+/// \brief A layer timed against its plain baseline by TimePairs.
+struct PairTiming {
+  double base_s = -1;   ///< Fastest per-iteration time, baseline side.
+  double layer_s = -1;  ///< Fastest per-iteration time, layered side.
+  std::vector<double> ratios;  ///< layer/base time of each timed pair.
+};
+
+/// Times `layer` against `base` as interleaved back-to-back pairs (base,
+/// layer, base, layer, ...) so warmup, allocator state and frequency drift
+/// hit both sides equally, and each pair's time ratio cancels the host
+/// conditions of its moment (independently taken best-of minima read as
+/// phantom overhead on busy hosts). One untimed warmup pair comes first
+/// and sizes an inner loop (1..64 iterations) that keeps every timed
+/// region above 4 ms, so sub-millisecond work is not timer-noise-bound.
+/// Each callable runs one iteration; the first non-OK Status aborts.
+common::Result<PairTiming> TimePairs(
+    int pairs, common::FunctionRef<common::Status()> base,
+    common::FunctionRef<common::Status()> layer);
+
+/// The overhead in percent that a set of layer/base ratios shows:
+/// 100 x (median - 1). Pool the ratios of many pairs before taking it —
+/// the median of a handful still wanders a few percent under host load.
+double MedianOverheadPct(std::vector<double> ratios);
 
 }  // namespace prairie::bench

@@ -1,17 +1,12 @@
-// Build-configuration provenance for bundles, logs, and --version.
+// Build provenance for bundles, logs, and --version.
 //
-// A diagnostic bundle captured on one machine is read on another; whether
-// the observability layer (traces, metrics, executor stats) was compiled
-// in, and with which compiler, changes what the numbers mean (a
-// tracing-off binary reports zero rule latencies honestly). These helpers
-// render the repo's one compile-time switch, PRAIRIE_TRACING, in both
-// human (--version) and JSON (manifest) form.
+// A diagnostic bundle captured on one machine is read on another; the
+// compiler that built the binary is part of what its numbers mean. These
+// helpers render it in both human (--version) and JSON (manifest) form.
 
 #pragma once
 
 #include <string>
-
-#include "common/trace.h"  // PRAIRIE_TRACING default.
 
 namespace prairie::common {
 
@@ -30,16 +25,9 @@ inline std::string CompilerText() {
 #endif
 }
 
-/// Human-readable build configuration, one line ("gcc 13.2.0,
-/// tracing=1").
-inline std::string BuildConfigText() {
-  return CompilerText() + ", tracing=" + std::to_string(PRAIRIE_TRACING);
-}
-
-/// The same as a JSON object (no trailing newline), for manifests.
+/// The build as a JSON object (no trailing newline), for manifests.
 inline std::string BuildConfigJson() {
-  return std::string("{\"compiler\":\"") + CompilerText() +
-         "\",\"tracing\":" + std::to_string(PRAIRIE_TRACING) + "}";
+  return "{\"compiler\":\"" + CompilerText() + "\"}";
 }
 
 }  // namespace prairie::common

@@ -6,9 +6,8 @@
 // survive an 8-worker batch run and export in one call.
 //
 // Cost model (mirrors common/trace.h):
-//   * Compile-time: PRAIRIE_TRACING (-DPRAIRIE_TRACING=0 kills traces and
-//     metrics alike). With it off, instrumented code compiles every
-//     emission site away.
+//   * Off: code given no metrics bundle (a null OptimizerOptions::metrics
+//     is the default) pays one branch per flush or sample site.
 //   * Hot path: one relaxed atomic add into a per-thread shard — no locks,
 //     no cache-line ping-pong between worker threads (shards are
 //     cache-line padded and picked by thread id). Values are merged across
@@ -34,10 +33,6 @@
 #include <thread>
 #include <utility>
 #include <vector>
-
-#ifndef PRAIRIE_TRACING
-#define PRAIRIE_TRACING 1
-#endif
 
 namespace prairie::common {
 

@@ -69,7 +69,7 @@ bool TimeSeriesWriter::ScrapeAt(uint64_t now_ms, bool force) {
   std::string line = "{\"ts_ms\":" + std::to_string(now_ms) +
                      ",\"interval_ms\":" + std::to_string(window_ms) +
                      ",\"seq\":" + std::to_string(seq_) + ",\"metrics\":[" +
-                     Delta(last_, cur, options_.include_unchanged) + "]}\n";
+                     Delta(last_, cur) + "]}\n";
   (*out_) << line;
   out_->flush();
   last_ = std::move(cur);
@@ -81,8 +81,7 @@ bool TimeSeriesWriter::ScrapeAt(uint64_t now_ms, bool force) {
 
 std::string TimeSeriesWriter::Delta(
     const std::vector<MetricsRegistry::SeriesSample>& before,
-    const std::vector<MetricsRegistry::SeriesSample>& after,
-    bool include_unchanged) {
+    const std::vector<MetricsRegistry::SeriesSample>& after) {
   std::string out;
   bool first = true;
   auto append = [&](const std::string& body) {
@@ -104,7 +103,7 @@ std::string TimeSeriesWriter::Delta(
       case MetricKind::kCounter: {
         const uint64_t prev = has_before ? before[i].counter : 0;
         const uint64_t delta = a.counter > prev ? a.counter - prev : 0;
-        if (delta == 0 && !include_unchanged) break;
+        if (delta == 0) break;
         append(head + ",\"type\":\"counter\",\"delta\":" +
                std::to_string(delta) +
                ",\"total\":" + std::to_string(a.counter) + "}");
@@ -112,7 +111,7 @@ std::string TimeSeriesWriter::Delta(
       }
       case MetricKind::kGauge: {
         const int64_t prev = has_before ? before[i].gauge : 0;
-        if (a.gauge == prev && !include_unchanged) break;
+        if (a.gauge == prev) break;
         append(head +
                ",\"type\":\"gauge\",\"value\":" + std::to_string(a.gauge) +
                "}");
@@ -121,7 +120,7 @@ std::string TimeSeriesWriter::Delta(
       case MetricKind::kHistogram: {
         const HistogramSnapshot d =
             has_before ? HistDelta(before[i].hist, a.hist) : a.hist;
-        if (d.count == 0 && !include_unchanged) break;
+        if (d.count == 0) break;
         std::string body = head + ",\"type\":\"histogram\",\"count\":" +
                            std::to_string(d.count) +
                            ",\"sum\":" + std::to_string(d.sum) +

@@ -18,16 +18,12 @@
 //      "p50":...,"p90":...,"p99":...,"buckets":[[ub,c],...]} ]}
 // ts_ms is milliseconds since the writer was armed (steady clock), so
 // successive records have monotonically nondecreasing timestamps.
-// Unchanged series are omitted unless Options::include_unchanged is set.
+// Series that did not change during the window are omitted.
 //
 // Threading: scrapes are driver-side (the traffic/batch loop calls
 // MaybeScrape between chunks); concurrent metric *writers* are fine —
 // Sample() uses the same relaxed shard merges as the exporters — but the
 // writer itself is not thread-safe and expects one scraping thread.
-//
-// Compiled out with the rest of the metrics layer: with PRAIRIE_TRACING=0
-// the registry still exists but holds no series, so scrapes cheaply emit
-// empty windows.
 
 #pragma once
 
@@ -40,13 +36,11 @@
 
 namespace prairie::common {
 
-/// \brief Scrape cadence and verbosity of a TimeSeriesWriter.
+/// \brief Scrape cadence of a TimeSeriesWriter.
 struct TimeSeriesOptions {
   /// Minimum milliseconds between scrapes; MaybeScrape() calls inside
   /// the window are no-ops. 0 means every MaybeScrape() call scrapes.
   uint64_t interval_ms = 250;
-  /// Also emit series whose value did not change during the window.
-  bool include_unchanged = false;
 };
 
 /// \brief Interval-delta scraper: arms on construction (baseline sample),
@@ -74,11 +68,11 @@ class TimeSeriesWriter {
   uint64_t seq() const { return seq_; }
 
   /// Renders the delta between two Sample() vectors as the "metrics":[...]
-  /// array body (no surrounding envelope). `before` may be shorter than
-  /// `after` — series registered mid-window diff against zero.
+  /// array body (no surrounding envelope), omitting unchanged series.
+  /// `before` may be shorter than `after` — series registered mid-window
+  /// diff against zero.
   static std::string Delta(const std::vector<MetricsRegistry::SeriesSample>& before,
-                           const std::vector<MetricsRegistry::SeriesSample>& after,
-                           bool include_unchanged);
+                           const std::vector<MetricsRegistry::SeriesSample>& after);
 
  private:
   const MetricsRegistry* registry_;

@@ -7,9 +7,7 @@
 // so instrumented code never knows who is listening.
 //
 // Cost model:
-//   * Compile-time: PRAIRIE_TRACING (default 1). Building with
-//     -DPRAIRIE_TRACING=0 removes every emission site entirely.
-//   * Runtime: a null sink pointer disables tracing at the price of one
+//   * Off: a null sink pointer disables tracing at the price of one
 //     predictable branch per event site — no clock reads, no stores.
 //   * Enabled: events go to a preallocated ring buffer (RingBufferSink),
 //     so emission is a couple of stores plus one steady_clock read; the
@@ -29,10 +27,6 @@
 #include <functional>
 #include <thread>
 #include <vector>
-
-#ifndef PRAIRIE_TRACING
-#define PRAIRIE_TRACING 1
-#endif
 
 namespace prairie::common {
 
@@ -68,8 +62,8 @@ inline bool IsSpanKind(TraceEventKind k) {
 /// kFull is the post-mortem setting: every kind, including per-attempt
 /// spans whose paired clock reads dominate tracing cost. kCoarse is the
 /// always-on flight-recorder setting: only the kinds IsCoarseKind()
-/// accepts, cheap enough to leave armed under traffic (bench_diag gates
-/// it at <= 2% per-query overhead).
+/// accepts, cheap enough to leave armed under traffic (bench_overhead
+/// gates it at <= 2% per-query overhead).
 enum class TraceDetail : uint8_t { kFull, kCoarse };
 
 /// Kinds retained at TraceDetail::kCoarse: group-level search spans,

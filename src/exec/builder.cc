@@ -25,9 +25,6 @@ Result<IterPtr> ExecutorRegistry::Build(const algebra::Expr& plan,
                                         const algebra::Algebra& algebra,
                                         const Database& db,
                                         ExecStats* stats) const {
-#if !PRAIRIE_TRACING
-  stats = nullptr;
-#endif
   return BuildNode(plan, algebra, db, stats, /*parent=*/nullptr,
                    /*child_index=*/0);
 }

@@ -36,8 +36,8 @@ class ExecutorRegistry {
   /// Like Build, but additionally attaches runtime instrumentation: every
   /// algorithm node gets an OpStats node in `stats` (est_rows read from
   /// the descriptor property stats->est_rows_property()) and its iterator
-  /// is wrapped in an InstrumentedIterator. A null `stats` — or building
-  /// with PRAIRIE_TRACING=0 — degrades to the plain Build.
+  /// is wrapped in an InstrumentedIterator. A null `stats` degrades to the
+  /// plain Build.
   common::Result<IterPtr> Build(const algebra::Expr& plan,
                                 const algebra::Algebra& algebra,
                                 const Database& db, ExecStats* stats) const;

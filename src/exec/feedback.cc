@@ -7,63 +7,24 @@ namespace prairie::exec {
 
 using common::Status;
 
-void CardinalityFeedback::Record(const std::string& fingerprint_key,
-                                 double est_rows, uint64_t actual_rows) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry& e = entries_[fingerprint_key];
-  e.est_rows = est_rows;
-  e.actual_rows = actual_rows;
-  ++e.observations;
-}
-
-std::optional<CardinalityFeedback::Entry> CardinalityFeedback::Lookup(
-    const std::string& fingerprint_key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(fingerprint_key);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
-}
-
-size_t CardinalityFeedback::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
-}
-
-std::vector<std::pair<std::string, CardinalityFeedback::Entry>>
-CardinalityFeedback::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {entries_.begin(), entries_.end()};
-}
-
-std::string CardinalityFeedback::ToJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  for (const auto& [key, e] : entries_) {
-    std::string hex;
-    hex.reserve(key.size() * 2);
-    static constexpr char kHex[] = "0123456789abcdef";
-    for (const char c : key) {
-      const auto b = static_cast<unsigned char>(c);
-      hex += kHex[b >> 4];
-      hex += kHex[b & 0xf];
-    }
-    out += "{\"key\":\"" + hex + "\"";
-    if (e.est_rows >= 0) {
-      out += ",\"est_rows\":" + common::FormatDouble(e.est_rows);
-    }
-    out += ",\"actual_rows\":" + std::to_string(e.actual_rows) +
-           ",\"observations\":" + std::to_string(e.observations) + "}\n";
-  }
-  return out;
-}
-
 namespace {
 
-Status RecordRec(const algebra::Expr& plan, const OpStats& stats,
-                 algebra::DescriptorStore* store, CardinalityFeedback* fb) {
+Status AppendLines(const algebra::Expr& plan, const OpStats& stats,
+                   algebra::DescriptorStore* store, std::string* out) {
   std::string key;
   plan.Fingerprint(store, &key);
-  fb->Record(key, stats.est_rows, stats.rows);
+  static constexpr char kHex[] = "0123456789abcdef";
+  *out += "{\"key\":\"";
+  for (const char c : key) {
+    const auto b = static_cast<unsigned char>(c);
+    *out += kHex[b >> 4];
+    *out += kHex[b & 0xf];
+  }
+  *out += "\"";
+  if (stats.est_rows >= 0) {
+    *out += ",\"est_rows\":" + common::FormatDouble(stats.est_rows);
+  }
+  *out += ",\"actual_rows\":" + std::to_string(stats.rows) + "}\n";
   size_t next_stats_child = 0;
   for (size_t i = 0; i < plan.num_children(); ++i) {
     if (plan.child(i).is_file()) continue;
@@ -75,9 +36,8 @@ Status RecordRec(const algebra::Expr& plan, const OpStats& stats,
           "algorithm '" +
           stats.alg + "'");
     }
-    Status s = RecordRec(plan.child(i), *stats.children[next_stats_child],
-                         store, fb);
-    if (!s.ok()) return s;
+    PRAIRIE_RETURN_NOT_OK(AppendLines(
+        plan.child(i), *stats.children[next_stats_child], store, out));
     ++next_stats_child;
   }
   if (next_stats_child != stats.children.size()) {
@@ -91,17 +51,17 @@ Status RecordRec(const algebra::Expr& plan, const OpStats& stats,
 
 }  // namespace
 
-Status RecordPlanFeedback(const algebra::Expr& plan, const ExecStats& stats,
-                          algebra::DescriptorStore* store,
-                          CardinalityFeedback* fb) {
-  if (stats.root() == nullptr) {
-    return Status::OK();  // Nothing collected (stats disabled or no run).
-  }
+common::Result<std::string> FeedbackJson(const algebra::Expr& plan,
+                                         const ExecStats& stats,
+                                         algebra::DescriptorStore* store) {
+  std::string out;
+  if (stats.root() == nullptr) return out;  // Nothing collected.
   if (plan.is_file()) {
     return Status::Internal(
         "cardinality feedback: plan root is a stored file");
   }
-  return RecordRec(plan, *stats.root(), store, fb);
+  PRAIRIE_RETURN_NOT_OK(AppendLines(plan, *stats.root(), store, &out));
+  return out;
 }
 
 }  // namespace prairie::exec

@@ -1,27 +1,16 @@
 // Cardinality feedback: (sub-plan fingerprint) -> observed row counts.
 //
-// The front door for the ROADMAP's "calibrated cost model, closed-loop
-// with the executor" item: after an instrumented run, RecordPlanFeedback
-// walks the executed access plan and its ExecStats tree in lockstep and
-// records, for every algorithm sub-plan, the optimizer's estimate and the
-// actual rows the operator produced — keyed by the sub-plan's
-// Expr::Fingerprint serialization. The key is the full collision-free
-// byte string (the PlanCache discipline: a hash collision may cost a
-// lookup miss, never a wrong entry), so a future stat-refresh pass can
-// trust what it reads back.
-//
-// CardinalityFeedback is mutex-protected: BatchOptimizer-style concurrent
-// executors record into one shared store.
+// After an instrumented run, FeedbackJson walks the executed access plan
+// and its ExecStats tree in lockstep and renders, for every algorithm
+// sub-plan, the optimizer's estimate and the actual rows the operator
+// produced — keyed by the sub-plan's Expr::Fingerprint serialization. The
+// key is the full collision-free byte string (the PlanCache discipline),
+// so a reader can match lines across runs without trusting a hash.
+// Diagnostic bundles embed the result as feedback.json.
 
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "algebra/expr.h"
 #include "common/result.h"
@@ -29,46 +18,15 @@
 
 namespace prairie::exec {
 
-/// \brief Thread-safe store of observed cardinalities per sub-plan.
-class CardinalityFeedback {
- public:
-  struct Entry {
-    double est_rows = -1;      ///< Latest optimizer estimate (<0 = none).
-    uint64_t actual_rows = 0;  ///< Latest observed row count.
-    uint64_t observations = 0;  ///< How many runs recorded this sub-plan.
-  };
-
-  /// Records one observation; repeat keys overwrite est/actual and bump
-  /// the observation count.
-  void Record(const std::string& fingerprint_key, double est_rows,
-              uint64_t actual_rows);
-
-  /// The stored entry for a sub-plan key, if any.
-  std::optional<Entry> Lookup(const std::string& fingerprint_key) const;
-
-  size_t size() const;
-
-  /// All entries ordered by key bytes (deterministic for export/tests).
-  std::vector<std::pair<std::string, Entry>> Snapshot() const;
-
-  /// JSON-lines export (one entry per line, key order): keys are raw
-  /// fingerprint bytes, so they are rendered as lowercase hex; est_rows
-  /// is omitted when unknown. Diagnostic bundles embed this file.
-  std::string ToJson() const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, Entry> entries_;
-};
-
-/// Walks the executed access plan `plan` and the collected `stats` in
-/// lockstep (stored-file leaves have no stats node and are skipped) and
-/// records every algorithm sub-plan's estimate and actual rows into `fb`,
-/// fingerprinting through `store`. Fails if the trees disagree — a sign
-/// the stats did not come from this plan's build.
-common::Status RecordPlanFeedback(const algebra::Expr& plan,
-                                  const ExecStats& stats,
-                                  algebra::DescriptorStore* store,
-                                  CardinalityFeedback* fb);
+/// Renders one JSON line per algorithm sub-plan of `plan`, in plan
+/// pre-order (stored-file leaves have no stats node and are skipped):
+/// {"key":<fingerprint bytes as lowercase hex>,"est_rows":...,
+/// "actual_rows":...}, with est_rows omitted when unknown. Fingerprints
+/// intern through `store`. Empty when `stats` collected nothing; Internal
+/// when the trees disagree — a sign the stats did not come from this
+/// plan's build.
+common::Result<std::string> FeedbackJson(const algebra::Expr& plan,
+                                         const ExecStats& stats,
+                                         algebra::DescriptorStore* store);
 
 }  // namespace prairie::exec

@@ -229,7 +229,6 @@ ExecMetrics ExecMetrics::ForRegistry(common::MetricsRegistry* registry) {
 }
 
 void ExecMetrics::FlushExecStats(const ExecStats& stats) const {
-#if PRAIRIE_TRACING
   const OpStats* root = stats.root();
   if (root == nullptr) return;
   if (queries != nullptr) queries->Inc();
@@ -238,9 +237,6 @@ void ExecMetrics::FlushExecStats(const ExecStats& stats) const {
   if (next_calls != nullptr) next_calls->Inc(stats.TotalNextCalls());
   if (query_latency_ns != nullptr) query_latency_ns->Observe(root->ElapsedNs());
   if (qerror != nullptr) ObserveQErrors(*root, qerror);
-#else
-  (void)stats;
-#endif
 }
 
 }  // namespace prairie::exec

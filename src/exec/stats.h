@@ -9,9 +9,7 @@
 // (stored-file leaves have no runtime behavior and get no node).
 //
 // Cost model (mirrors common/trace.h and common/metrics.h):
-//   * Compile-time: PRAIRIE_TRACING. With it off, Build ignores the
-//     collector and returns the plain tree.
-//   * Runtime: passing a null ExecStats* builds the plain tree.
+//   * Off: passing a null ExecStats* builds the plain tree.
 //   * Enabled: Open/Close are timed exactly (they run once per operator);
 //     Next is counted on every call but *timed* only one call in
 //     kNextSamplePeriod — the same sampling discipline as
@@ -23,9 +21,8 @@
 // optimizer's search trace.
 //
 // ExecStats is single-threaded like TraceSink: one collector per executing
-// thread. The aggregate surfaces (ExecMetrics counters/histograms in a
-// MetricsRegistry, CardinalityFeedback) are the thread-safe rendezvous for
-// concurrent executors.
+// thread. The aggregate surface (ExecMetrics counters/histograms in a
+// MetricsRegistry) is the thread-safe rendezvous for concurrent executors.
 
 #pragma once
 
@@ -143,7 +140,7 @@ class InstrumentedIterator final : public Iterator {
   /// executor's Next() runs orders of magnitude more often than rule
   /// firings, and a steady-clock read costs tens of ns on VM hosts: at
   /// 1-in-64 the two reads amortize to well under the per-row budget of
-  /// the bench_exec_observe overhead gate.
+  /// bench_overhead's executor-stats gate.
   static constexpr uint64_t kNextSamplePeriod = 64;
 
   InstrumentedIterator(IterPtr inner, OpStats* stats)

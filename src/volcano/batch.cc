@@ -11,6 +11,15 @@
 
 namespace prairie::volcano {
 
+namespace {
+
+// Per-worker flight-recorder ring capacity when diagnostics are armed
+// without a batch trace. Small on purpose: the recorder only needs to hold
+// the last few queries' events for anomaly slices.
+constexpr size_t kFlightRecorderCapacity = 4096;
+
+}  // namespace
+
 BatchOptimizer::BatchOptimizer(const RuleSet* rules, BatchOptions options)
     : rules_(rules), options_(options) {
   jobs_ = options_.jobs;
@@ -18,20 +27,17 @@ BatchOptimizer::BatchOptimizer(const RuleSet* rules, BatchOptions options)
     jobs_ = static_cast<int>(std::thread::hardware_concurrency());
     if (jobs_ <= 0) jobs_ = 1;
   }
-  if (options_.share_store) {
-    store_ = std::make_unique<algebra::DescriptorStore>(
-        &rules_->algebra->properties(),
-        jobs_ > 1 ? algebra::StoreMode::kConcurrent
-                  : algebra::StoreMode::kSerial);
-    // A batch-owned cache only makes sense over the shared store: cache
-    // keys embed interned ids, which per-query private stores don't share.
-    // A caller-provided optimizer.plan_cache takes precedence.
-    if (options_.plan_cache_entries > 0 &&
-        options_.optimizer.plan_cache == nullptr) {
-      PlanCacheOptions copt;
-      copt.max_entries = options_.plan_cache_entries;
-      cache_ = std::make_unique<PlanCache>(store_.get(), copt);
-    }
+  store_ = std::make_unique<algebra::DescriptorStore>(
+      &rules_->algebra->properties(),
+      jobs_ > 1 ? algebra::StoreMode::kConcurrent
+                : algebra::StoreMode::kSerial);
+  // Cache keys embed interned ids, so a batch-owned cache lives over the
+  // shared store. A caller-provided optimizer.plan_cache takes precedence.
+  if (options_.plan_cache_entries > 0 &&
+      options_.optimizer.plan_cache == nullptr) {
+    PlanCacheOptions copt;
+    copt.max_entries = options_.plan_cache_entries;
+    cache_ = std::make_unique<PlanCache>(store_.get(), copt);
   }
 }
 
@@ -46,11 +52,10 @@ std::vector<BatchResult> BatchOptimizer::OptimizeAll(
   // With a DiagService armed, workers keep a (small) flight-recorder ring
   // even when the caller asked for no batch trace.
   std::vector<std::unique_ptr<common::RingBufferSink>> sinks;
-  const size_t sink_capacity = options_.trace_capacity > 0
-                                   ? options_.trace_capacity
-                                   : (options_.diag != nullptr
-                                          ? options_.flight_recorder_capacity
-                                          : 0);
+  const size_t sink_capacity =
+      options_.trace_capacity > 0
+          ? options_.trace_capacity
+          : (options_.diag != nullptr ? kFlightRecorderCapacity : 0);
   if (sink_capacity > 0) {
     sinks.reserve(static_cast<size_t>(workers));
     for (int t = 0; t < workers; ++t) {
@@ -130,7 +135,6 @@ std::vector<BatchResult> BatchOptimizer::OptimizeAll(
             [](const common::TraceEvent& a, const common::TraceEvent& b) {
               return a.ts_ns < b.ts_ns;
             });
-#if PRAIRIE_TRACING
   // Post-barrier batch metrics. Per-query counters were already flushed by
   // each worker's optimizers (same bundle, sharded counters: no
   // contention); here only the batch-level shape is recorded.
@@ -140,7 +144,6 @@ std::vector<BatchResult> BatchOptimizer::OptimizeAll(
       mm->batch_worker_merges->Inc(static_cast<uint64_t>(workers));
     }
   }
-#endif
   return results;
 }
 

@@ -57,16 +57,12 @@ struct BatchOptions {
   /// do not contend; batch_runs/batch_worker_merges are bumped after the
   /// join barrier.
   OptimizerOptions optimizer;
-  /// Intern all workers' descriptors through one concurrent store.
-  /// Disabling gives every query a private serial store (no sharing).
-  bool share_store = true;
   /// > 0: construct a plan cache (sized to this many entries) over the
   /// shared store and hand it to every worker — repeated queries across
   /// and within batches are answered without re-running the search.
-  /// Requires share_store (per-query private stores cannot share cache
-  /// keys); ignored otherwise. Alternatively the caller may place its own
-  /// cache in optimizer.plan_cache, which takes precedence (it must be
-  /// bound to shared_store()).
+  /// Alternatively the caller may place its own cache in
+  /// optimizer.plan_cache, which takes precedence (it must be bound to
+  /// shared_store()).
   size_t plan_cache_entries = 0;
   /// > 0: trace every worker into a private RingBufferSink of this
   /// capacity; the streams are merged (timestamp-ordered) after the
@@ -74,7 +70,7 @@ struct BatchOptions {
   size_t trace_capacity = 0;
   /// Per-query anomaly diagnostics (borrowed; null disables). When set,
   /// every worker arms a private flight-recorder ring even with
-  /// trace_capacity 0 (sized flight_recorder_capacity, receiving whatever
+  /// trace_capacity 0 (4096 events, receiving whatever
   /// optimizer.trace_detail admits — drivers typically pick kCoarse),
   /// marks it before each query, and runs DiagService::Check() on the
   /// query's latency and stats afterwards; a firing trigger reports the
@@ -82,10 +78,6 @@ struct BatchOptions {
   /// DiagService::Report(). Check() is lock-free and Report() serializes
   /// internally, so one service is shared by all workers.
   DiagService* diag = nullptr;
-  /// Flight-recorder ring capacity per worker when `diag` is set and
-  /// trace_capacity is 0. Small on purpose: the recorder only needs to
-  /// hold the last few queries' events for anomaly slices.
-  size_t flight_recorder_capacity = 4096;
 };
 
 /// \brief Optimizes batches of queries over one rule set, in parallel.
@@ -104,7 +96,7 @@ class BatchOptimizer {
   /// abort the batch.
   std::vector<BatchResult> OptimizeAll(const std::vector<BatchQuery>& queries);
 
-  /// The store shared by all workers (null when share_store is false).
+  /// The store every worker interns descriptors through.
   const algebra::DescriptorStore* shared_store() const { return store_.get(); }
 
   /// The plan cache workers probe: the owned one (plan_cache_entries > 0),

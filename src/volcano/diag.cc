@@ -228,9 +228,7 @@ std::string DiagService::WriteBundle(DiagTrigger trigger,
     std::vector<common::MetricsRegistry::SeriesSample> cur =
         options_.registry->Sample();
     add("metrics_delta.json",
-        "{\"metrics\":[" +
-            common::TimeSeriesWriter::Delta(last_sample_, cur,
-                                            /*include_unchanged=*/false) +
+        "{\"metrics\":[" + common::TimeSeriesWriter::Delta(last_sample_, cur) +
             "]}\n");
     last_sample_ = std::move(cur);
   }

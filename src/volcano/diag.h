@@ -7,8 +7,8 @@
 // queries were slow or WHY. DiagService is the per-query layer on top:
 //
 //   * The driver keeps a small flight-recorder RingBufferSink armed (at
-//     TraceDetail::kCoarse, cheap enough to leave on — bench_diag gates
-//     the armed-but-untriggered overhead at <= 2%).
+//     TraceDetail::kCoarse, cheap enough to leave on — bench_overhead
+//     gates the armed-but-untriggered overhead at <= 2%).
 //   * After each query it calls Check(): a cheap, allocation-free
 //     evaluation of the anomaly triggers — fixed latency threshold,
 //     adaptive k x running-p99 latency, max Q-error limit, anytime-budget
@@ -19,10 +19,10 @@
 //     Report(), which appends one slow-query-log JSON line and — when a
 //     bundle directory is configured — writes a self-contained bundle
 //     under <dir>/<query-fingerprint>-<seq>/: manifest.json (trigger,
-//     thresholds, build config, flags/seed, dropped-event counts, and the
+//     thresholds, compiler, flags/seed, dropped-event counts, and the
 //     member list), the trace slice as Chrome trace JSON, a metrics delta
 //     since the previous report, plan provenance, and the EXPLAIN ANALYZE
-//     tree + cardinality-feedback snapshot when the query executed.
+//     tree + cardinality feedback when the query executed.
 //
 // QueryDiag carries exec-side artifacts as pre-rendered strings, so this
 // module depends only on common + the trace/profile layer — the volcano
@@ -30,9 +30,6 @@
 //
 // Thread-safety: Check() is lock-free (atomics) so batch workers may call
 // it concurrently; Report() serializes on a mutex — it is the rare path.
-// The whole layer compiles to cheap no-ops under -DPRAIRIE_TRACING=0 in
-// the sense that the flight recorder and profile slices are empty; the
-// trigger logic itself is plain arithmetic and stays live.
 
 #pragma once
 
@@ -129,7 +126,7 @@ struct QueryDiag {
   std::string memo_dot;       ///< Memo DOT dump (optional).
   std::string analyze_text;   ///< EXPLAIN ANALYZE tree (optional).
   std::string analyze_json;   ///< ExecStats::ToJson (optional).
-  std::string feedback_json;  ///< CardinalityFeedback snapshot (optional).
+  std::string feedback_json;  ///< exec::FeedbackJson lines (optional).
   double est_rows = -1;       ///< Root estimate (<0 = unknown).
   double actual_rows = -1;    ///< Root actual (<0 = did not execute).
 };

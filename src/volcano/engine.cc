@@ -57,9 +57,7 @@ Optimizer::Optimizer(const RuleSet* rules, const catalog::Catalog* catalog,
   store_size0_ = snap.size;
   store_lookups0_ = snap.lookups;
   store_hits0_ = snap.hits;
-#if PRAIRIE_TRACING
   if (options_.trace != nullptr) trace_tid_ = common::TraceThreadId();
-#endif
 }
 
 const std::vector<uint32_t>* Optimizer::TransRulesFor(
@@ -111,12 +109,9 @@ void Optimizer::RecordStoreStats() {
 
 Result<Plan> Optimizer::Optimize(const algebra::Expr& tree,
                                  const Descriptor& required) {
-#if PRAIRIE_TRACING
   const VolcanoMetrics* mm = options_.metrics;
   const uint64_t t0 = mm != nullptr ? common::TraceNowNs() : 0;
-#endif
   Result<Plan> result = OptimizeCached(tree, NormalizeReq(required));
-#if PRAIRIE_TRACING
   if (mm != nullptr) {
     if (mm->query_latency_ns != nullptr) {
       mm->query_latency_ns->Observe(common::TraceNowNs() - t0);
@@ -124,7 +119,6 @@ Result<Plan> Optimizer::Optimize(const algebra::Expr& tree,
     if (mm->queries != nullptr) mm->queries->Inc();
     FlushMetrics();
   }
-#endif
   return result;
 }
 
@@ -153,10 +147,8 @@ Result<Plan> Optimizer::OptimizeCached(const algebra::Expr& tree,
   PlanCache* cache = UsableCache();
   stats_.plan_from_cache = false;
   if (cache == nullptr) return OptimizeImpl(tree, req);
-#if PRAIRIE_TRACING
   const VolcanoMetrics* mm = options_.metrics;
   const uint64_t p0 = mm != nullptr ? common::TraceNowNs() : 0;
-#endif
   // Parameterized mode: canonicalize the query into a constant-stripped
   // skeleton and key over THAT, so queries differing only in literals
   // share one entry. The canonicalization happens inside the probe-timed
@@ -178,7 +170,7 @@ Result<Plan> Optimizer::OptimizeCached(const algebra::Expr& tree,
   }
   const PlanCache::Key key =
       PlanCache::MakeKey(*key_tree, ReqId(req), *catalog_, memo_->store());
-  PlanCache::Hit hit;
+  Plan hit;
   bool dropped_stale = false;
   bool guard_rejected = false;
   const bool found =
@@ -188,7 +180,6 @@ Result<Plan> Optimizer::OptimizeCached(const algebra::Expr& tree,
   ++stats_.cache_probes;
   if (guard_rejected) ++stats_.cache_param_rejects;
   if (dropped_stale) ++stats_.cache_stale_drops;
-#if PRAIRIE_TRACING
   if (mm != nullptr) {
     if (mm->plan_cache_probe_ns != nullptr) {
       mm->plan_cache_probe_ns->Observe(common::TraceNowNs() - p0);
@@ -202,7 +193,6 @@ Result<Plan> Optimizer::OptimizeCached(const algebra::Expr& tree,
     if (guard_rejected) inc(mm->plan_cache_param_rejects);
     if (dropped_stale) inc(mm->plan_cache_stale);
   }
-#endif
   if (found) {
     ++stats_.cache_hits;
     if (parameterized) ++stats_.cache_param_hits;
@@ -212,31 +202,24 @@ Result<Plan> Optimizer::OptimizeCached(const algebra::Expr& tree,
     explain_root_ = -1;
     explain_req_ = algebra::kInvalidDescriptorId;
     RecordStoreStats();  // fingerprint interning traffic (all hits)
-    return hit.plan;
+    return hit;
   }
   // Always optimize the ORIGINAL tree — the skeleton was only the key.
   Result<Plan> result = OptimizeImpl(tree, req);
   // A budget-exhausted plan is valid but possibly suboptimal: caching it
   // would serve the truncated plan to future unbudgeted queries.
   if (result.ok() && !stats_.budget_exhausted) {
-    std::string provenance = options_.plan_cache_provenance
-                                 ? ExplainWinner()
-                                 : std::string();
     if (parameterized) {
-      cache->InsertParam(key, *catalog_, pinfo, result.ValueOrDie(),
-                         std::move(provenance));
+      cache->InsertParam(key, *catalog_, pinfo, result.ValueOrDie());
     } else {
-      cache->Insert(key, *catalog_, result.ValueOrDie(),
-                    std::move(provenance));
+      cache->Insert(key, *catalog_, result.ValueOrDie());
     }
-#if PRAIRIE_TRACING
     if (mm != nullptr) {
       if (mm->plan_cache_inserts != nullptr) mm->plan_cache_inserts->Inc();
       if (parameterized && mm->plan_cache_param_inserts != nullptr) {
         mm->plan_cache_param_inserts->Inc();
       }
     }
-#endif
   }
   return result;
 }
@@ -1054,14 +1037,13 @@ common::Histogram* Optimizer::SampledLatency(common::TraceEventKind kind,
   if (h == nullptr) return nullptr;
   // 1-in-N sampling: the cost of observing an attempt is the two clock
   // reads around it, not the shard increment; sampling keeps the
-  // per-attempt overhead inside the bench_metrics 2% gate.
+  // per-attempt overhead inside bench_overhead's 2% metrics gate.
   ++metrics_tick_;
   return metrics_tick_ % VolcanoMetrics::kLatencySamplePeriod == 0 ? h
                                                                    : nullptr;
 }
 
 void Optimizer::FlushMetrics() {
-#if PRAIRIE_TRACING
   const VolcanoMetrics* mm = options_.metrics;
   if (mm == nullptr) return;
   const auto add = [](common::Counter* c, uint64_t delta) {
@@ -1103,7 +1085,6 @@ void Optimizer::FlushMetrics() {
   mark.desc_lookups = stats_.desc_lookups;
   mark.desc_hits = stats_.desc_hits;
   mark.memo = t;
-#endif
 }
 
 std::string Optimizer::RenderExpr(const MExpr& m) const {

@@ -110,9 +110,8 @@ struct OptimizerOptions {
   /// equivalence tests compare the two paths.
   bool use_dispatch_index = true;
   /// Search-trace event sink (borrowed; must outlive the optimizer). Null
-  /// disables tracing: the per-event cost is one predictable branch.
-  /// Compiling with -DPRAIRIE_TRACING=0 removes even that. Sinks are
-  /// single-threaded — give each optimizer its own (BatchOptimizer wires
+  /// disables tracing: the per-event cost is one predictable branch. Sinks
+  /// are single-threaded — give each optimizer its own (BatchOptimizer wires
   /// one per worker and merges afterwards).
   common::TraceSink* trace = nullptr;
   /// Granularity of the stream `trace` receives. kFull (default) emits
@@ -120,13 +119,12 @@ struct OptimizerOptions {
   /// group-level spans and winner instants (common::IsCoarseKind); the
   /// per-attempt kinds are skipped with no clock reads, which is what
   /// lets the diagnostics flight recorder stay armed under traffic
-  /// within bench_diag's 2% overhead gate.
+  /// within bench_overhead's 2% gate.
   common::TraceDetail trace_detail = common::TraceDetail::kFull;
   /// Aggregate metrics bundle (borrowed; must outlive the optimizer). Null
   /// disables metrics: counters cost nothing (they flush per query), and
-  /// the per-attempt sampling check is one branch. Compiling with
-  /// -DPRAIRIE_TRACING=0 removes even that. Unlike trace sinks, one bundle
-  /// is safely shared by concurrent batch workers.
+  /// the per-attempt sampling check is one branch. Unlike trace sinks, one
+  /// bundle is safely shared by concurrent batch workers.
   const VolcanoMetrics* metrics = nullptr;
   /// Shared plan cache (borrowed; must outlive the optimizer). Null
   /// disables caching — the classic search-every-query path, with zero
@@ -136,10 +134,6 @@ struct OptimizerOptions {
   /// (the shared batch store, or the store passed at construction) — a
   /// mismatched cache is bypassed, since its keys would be meaningless.
   PlanCache* plan_cache = nullptr;
-  /// Record full winner provenance text (ExplainWinner) into cache
-  /// entries. Off by default: the provenance walk costs more than many
-  /// warm hits save.
-  bool plan_cache_provenance = false;
   /// Parameterized caching (requires plan_cache): queries are canonicalized
   /// into constant-stripped skeletons (algebra::ParameterizeQuery) before
   /// probing, so queries differing only in predicate literals share one
@@ -317,15 +311,11 @@ class Optimizer {
   /// Emits an instant trace event; a null sink costs one branch.
   void TraceInstant(common::TraceEventKind kind, GroupId gid, int rule,
                     algebra::DescriptorId desc, double cost) {
-#if PRAIRIE_TRACING
     if (options_.trace != nullptr &&
         (options_.trace_detail == common::TraceDetail::kFull ||
          common::IsCoarseKind(kind))) {
       TraceInstantSlow(kind, gid, rule, desc, cost);
     }
-#else
-    (void)kind, (void)gid, (void)rule, (void)desc, (void)cost;
-#endif
   }
   void TraceInstantSlow(common::TraceEventKind kind, GroupId gid, int rule,
                         algebra::DescriptorId desc, double cost);
@@ -340,17 +330,14 @@ class Optimizer {
    public:
     TraceSpan(Optimizer* opt, common::TraceEventKind kind, GroupId gid,
               int rule, algebra::DescriptorId desc) {
-      bool traced = false;
-#if PRAIRIE_TRACING
-      traced = opt->options_.trace != nullptr &&
-               (opt->options_.trace_detail == common::TraceDetail::kFull ||
-                common::IsCoarseKind(kind));
+      const bool traced =
+          opt->options_.trace != nullptr &&
+          (opt->options_.trace_detail == common::TraceDetail::kFull ||
+           common::IsCoarseKind(kind));
       hist_ = opt->SampledLatency(kind, rule);
-#endif
       if (traced || hist_ != nullptr) {
         Begin(opt, kind, gid, rule, desc, traced);
       }
-      (void)opt, (void)kind, (void)gid, (void)rule, (void)desc;
     }
     TraceSpan(const TraceSpan&) = delete;
     TraceSpan& operator=(const TraceSpan&) = delete;

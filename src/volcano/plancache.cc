@@ -190,8 +190,7 @@ PlanCache::Key PlanCache::MakeKey(const algebra::Expr& tree,
 }
 
 size_t PlanCache::EntryBytes(const Entry& e) {
-  // Approximation good enough to budget by: the key and provenance
-  // strings, the list/map node overhead, the plan tree at a nominal
+  // Approximation good enough to budget by: the key bytes, the list/map node overhead, the plan tree at a nominal
   // per-node footprint (PhysNode + descriptor values + child vector), and
   // — for parameterized entries — the recorded binding vector including
   // out-of-line string payloads.
@@ -207,12 +206,11 @@ size_t PlanCache::EntryBytes(const Entry& e) {
       param_bytes += str->size();
     }
   }
-  return kFixed + e.key_bytes.size() + e.provenance.size() +
-         plan_nodes * kPerNode + param_bytes;
+  return kFixed + e.key_bytes.size() + plan_nodes * kPerNode + param_bytes;
 }
 
 bool PlanCache::Probe(const Key& key, const catalog::Catalog& catalog,
-                      Hit* hit, bool* dropped_stale) {
+                      Plan* hit, bool* dropped_stale) {
   probes_.fetch_add(1, std::memory_order_relaxed);
   if (dropped_stale != nullptr) *dropped_stale = false;
   if (key.catalog_uid != catalog.uid()) {
@@ -239,8 +237,7 @@ bool PlanCache::Probe(const Key& key, const catalog::Catalog& catalog,
       break;
     }
     sh.lru.splice(sh.lru.begin(), sh.lru, it->second);  // refresh recency
-    hit->plan = e.plan;
-    hit->provenance = e.provenance;
+    *hit = e.plan;
     hits_.fetch_add(1, std::memory_order_relaxed);
     return true;
   }
@@ -249,7 +246,7 @@ bool PlanCache::Probe(const Key& key, const catalog::Catalog& catalog,
 }
 
 void PlanCache::Insert(const Key& key, const catalog::Catalog& catalog,
-                       const Plan& plan, std::string provenance) {
+                       const Plan& plan) {
   if (key.catalog_uid != catalog.uid() || catalog.version() != key.epoch) {
     // The catalog moved (or is not the one the key was built against)
     // while this query was being optimized: the plan may reflect mixed
@@ -262,7 +259,6 @@ void PlanCache::Insert(const Key& key, const catalog::Catalog& catalog,
   entry.fingerprint = key.fingerprint;
   entry.epoch = key.epoch;
   entry.plan = plan;
-  entry.provenance = std::move(provenance);
   entry.bytes = EntryBytes(entry);
 
   Shard& sh = ShardFor(key.fingerprint);
@@ -284,7 +280,7 @@ void PlanCache::Insert(const Key& key, const catalog::Catalog& catalog,
 }
 
 bool PlanCache::ProbeParam(const Key& key, const catalog::Catalog& catalog,
-                           const ParamInfo& info, Hit* hit,
+                           const ParamInfo& info, Plan* hit,
                            bool* dropped_stale, bool* guard_rejected) {
   probes_.fetch_add(1, std::memory_order_relaxed);
   if (dropped_stale != nullptr) *dropped_stale = false;
@@ -302,7 +298,6 @@ bool PlanCache::ProbeParam(const Key& key, const catalog::Catalog& catalog,
   bool saw_guard_reject = false;
   bool have_rebind = false;
   Plan rebind_plan;
-  std::string rebind_prov;
   {
     Shard& sh = ShardFor(key.fingerprint);
     std::lock_guard<std::mutex> lock(sh.mu);
@@ -328,15 +323,13 @@ bool PlanCache::ProbeParam(const Key& key, const catalog::Catalog& catalog,
         }
         sh.lru.splice(sh.lru.begin(), sh.lru, cur->second);
         rebind_plan = e.plan;
-        rebind_prov = e.provenance;
         have_rebind = true;
         break;
       }
       if (e.values == values) {
         // Exact-only variant optimized for precisely this binding.
         sh.lru.splice(sh.lru.begin(), sh.lru, cur->second);
-        hit->plan = e.plan;
-        hit->provenance = e.provenance;
+        *hit = e.plan;
         hits_.fetch_add(1, std::memory_order_relaxed);
         param_hits_.fetch_add(1, std::memory_order_relaxed);
         if (saw_stale) {
@@ -358,8 +351,7 @@ bool PlanCache::ProbeParam(const Key& key, const catalog::Catalog& catalog,
     bool ok = true;
     PhysNodeRef root = RebindNode(rebind_plan.root, values, &ok);
     if (ok) {
-      hit->plan = Plan{std::move(root), rebind_plan.cost};
-      hit->provenance = std::move(rebind_prov);
+      *hit = Plan{std::move(root), rebind_plan.cost};
       hits_.fetch_add(1, std::memory_order_relaxed);
       param_hits_.fetch_add(1, std::memory_order_relaxed);
       return true;
@@ -374,8 +366,7 @@ bool PlanCache::ProbeParam(const Key& key, const catalog::Catalog& catalog,
 }
 
 void PlanCache::InsertParam(const Key& key, const catalog::Catalog& catalog,
-                            const ParamInfo& info, const Plan& plan,
-                            std::string provenance) {
+                            const ParamInfo& info, const Plan& plan) {
   if (key.catalog_uid != catalog.uid() || catalog.version() != key.epoch) {
     skipped_inserts_.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -384,7 +375,6 @@ void PlanCache::InsertParam(const Key& key, const catalog::Catalog& catalog,
   entry.key_bytes = key.bytes;
   entry.fingerprint = key.fingerprint;
   entry.epoch = key.epoch;
-  entry.provenance = std::move(provenance);
   entry.is_param = true;
   entry.guard_est = info.guard_est;
   entry.values.reserve(info.slots.size());

@@ -17,8 +17,7 @@
 // BatchOptimizer workers probe and insert concurrently with contention
 // only within a shard. Entries hold the winning Plan (immutable
 // shared-ownership PhysNode trees — a hit hands out a reference-counted
-// copy without touching the search engine), its cost, and optional
-// provenance text.
+// copy without touching the search engine) and its cost.
 //
 // Eviction is per-shard LRU under a configurable entry/byte budget.
 // Invalidation is epoch-based: entries record the owning catalog's
@@ -80,8 +79,7 @@ struct PlanCacheOptions {
   /// entry budget.
   size_t max_entries = 4096;
   /// Approximate total retained bytes across shards (keys + plan trees +
-  /// provenance + parameter vectors, split evenly); 0 disables the byte
-  /// budget.
+  /// parameter vectors, split evenly); 0 disables the byte budget.
   size_t max_bytes = 64u << 20;
   /// Parameter-sensitivity band for skeleton entries (Cobra-style): a
   /// parameterized probe whose estimated binding selectivity differs from
@@ -146,17 +144,12 @@ class PlanCache {
                      const catalog::Catalog& catalog,
                      algebra::DescriptorStore* store);
 
-  /// \brief A served cache hit.
-  struct Hit {
-    Plan plan;               ///< Shares the cached immutable plan tree.
-    std::string provenance;  ///< As recorded by Insert (may be empty).
-  };
-
   /// Probes for `key`. A present entry whose epoch no longer matches
   /// `catalog.version()` is dropped (counted in stale_drops, reported via
   /// `*dropped_stale` when non-null) and reported as a miss; a genuine hit
-  /// refreshes LRU recency and fills `*hit`.
-  bool Probe(const Key& key, const catalog::Catalog& catalog, Hit* hit,
+  /// refreshes LRU recency and fills `*hit` with the cached plan (sharing
+  /// its immutable tree).
+  bool Probe(const Key& key, const catalog::Catalog& catalog, Plan* hit,
              bool* dropped_stale = nullptr);
 
   /// Stores the winning plan for `key`. Refused (skipped_inserts) when the
@@ -165,7 +158,7 @@ class PlanCache {
   /// inserted by a racing worker) and evicts LRU entries past the shard
   /// budgets.
   void Insert(const Key& key, const catalog::Catalog& catalog,
-              const Plan& plan, std::string provenance = std::string());
+              const Plan& plan);
 
   /// \brief One parameterized probe/insert context: the slots the query
   /// canonicalized into (values included) and the binding's selectivity
@@ -185,7 +178,7 @@ class PlanCache {
   /// band variant under the same key). Stale-epoch entries are dropped as
   /// in Probe(). Skeleton entries are invisible to Probe() and vice versa.
   bool ProbeParam(const Key& key, const catalog::Catalog& catalog,
-                  const ParamInfo& info, Hit* hit,
+                  const ParamInfo& info, Plan* hit,
                   bool* dropped_stale = nullptr,
                   bool* guard_rejected = nullptr);
 
@@ -200,8 +193,7 @@ class PlanCache {
   /// equal-values exact variant); distinct bands accumulate as variants
   /// under one key, bounded by the LRU budgets. Epoch-refusal as Insert().
   void InsertParam(const Key& key, const catalog::Catalog& catalog,
-                   const ParamInfo& info, const Plan& plan,
-                   std::string provenance = std::string());
+                   const ParamInfo& info, const Plan& plan);
 
   PlanCacheStats stats() const;
 
@@ -215,7 +207,6 @@ class PlanCache {
     uint64_t fingerprint = 0;
     uint64_t epoch = 0;
     Plan plan;
-    std::string provenance;
     size_t bytes = 0;  ///< Approximate retained size of this entry.
     /// Skeleton entry (InsertParam): invisible to exact Probe().
     bool is_param = false;

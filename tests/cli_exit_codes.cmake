@@ -25,16 +25,14 @@ function(check_run expected_code)
   set(last_err "${err}" PARENT_SCOPE)
 endfunction()
 
-# --version succeeds and reports the compiled-in observability switch
-# (so a bug report can name the exact build shape).
+# --version succeeds and names the binary (and the compiler that built
+# it, so a bug report can name the exact build).
 check_run(0 --version)
-foreach(token "prairie_opt" "tracing=")
-  string(FIND "${last_out}" "${token}" pos)
-  if(pos EQUAL -1)
-    message(FATAL_ERROR
-      "--version output does not mention ${token}; stdout: ${last_out}")
-  endif()
-endforeach()
+string(FIND "${last_out}" "prairie_opt" pos)
+if(pos EQUAL -1)
+  message(FATAL_ERROR
+    "--version output does not mention prairie_opt; stdout: ${last_out}")
+endif()
 
 # --help succeeds and documents the cache/traffic/execution/diagnostics
 # surface.
@@ -79,6 +77,13 @@ check_run(2 --qerror-limit -1)
 check_run(2 --diag-detail verbose)  # only full|coarse
 check_run(2 --slow-log)  # requires a value
 check_run(2 --timeseries=)  # =FILE[,interval] form with an empty value
+# Numeric values are parsed whole and range-checked: no negative counts,
+# no wrap-around to SIZE_MAX, no silently-zero non-numbers.
+check_run(2 --jobs -2 --batch 2)
+check_run(2 --query 1 --max-groups -1)
+check_run(2 --query 1 --search-budget-ms -5)
+check_run(2 --query 1 --slow-ms abc)
+check_run(2 --query 1 --seed x)
 
 # --execute on a plan whose winning algorithm has no registered executor
 # must fail with the usage code and name the algorithm on stderr — not

@@ -601,7 +601,7 @@ TEST(TimeSeries, CounterDeltaCarriesWindowAndTotal) {
   auto before = reg.Sample();
   c->Inc(5);
   auto after = reg.Sample();
-  EXPECT_EQ(TimeSeriesWriter::Delta(before, after, false),
+  EXPECT_EQ(TimeSeriesWriter::Delta(before, after),
             "{\"metric\":\"d_hits\",\"type\":\"counter\",\"delta\":5,"
             "\"total\":15}");
 }
@@ -613,7 +613,7 @@ TEST(TimeSeries, SeriesBornMidWindowDiffAgainstZero) {
   reg.GetCounter("d_new")->Inc(9);  // Registered after the baseline.
   auto after = reg.Sample();
   // d_old is unchanged (omitted); d_new's full value is its window delta.
-  EXPECT_EQ(TimeSeriesWriter::Delta(before, after, false),
+  EXPECT_EQ(TimeSeriesWriter::Delta(before, after),
             "{\"metric\":\"d_new\",\"type\":\"counter\",\"delta\":9,"
             "\"total\":9}");
 }
@@ -624,11 +624,7 @@ TEST(TimeSeries, UnchangedSeriesOmittedUnlessRequested) {
   reg.GetGauge("d_level")->Set(2);
   auto before = reg.Sample();
   auto after = reg.Sample();
-  EXPECT_EQ(TimeSeriesWriter::Delta(before, after, false), "");
-  EXPECT_EQ(TimeSeriesWriter::Delta(before, after, true),
-            "{\"metric\":\"d_quiet\",\"type\":\"counter\",\"delta\":0,"
-            "\"total\":4},"
-            "{\"metric\":\"d_level\",\"type\":\"gauge\",\"value\":2}");
+  EXPECT_EQ(TimeSeriesWriter::Delta(before, after), "");
 }
 
 TEST(TimeSeries, EmptyWindowsStillEmitRecordsWithMonotonicTimestamps) {

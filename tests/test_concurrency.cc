@@ -24,7 +24,6 @@
 #include "common/timeseries.h"
 #include "common/trace.h"
 #include "exec/builder.h"
-#include "exec/feedback.h"
 #include "exec/operators.h"
 #include "exec/stats.h"
 #include "optimizers/oodb.h"
@@ -372,20 +371,6 @@ TEST_F(BatchOptimizerTest, PerWorkerTracingMergesOneConsistentStream) {
   }
 }
 
-TEST_F(BatchOptimizerTest, PrivateStoresWhenSharingDisabled) {
-  workload::Workload w = MakeQ(2, 2, 1);
-  std::vector<volcano::BatchQuery> queries{
-      volcano::BatchQuery{w.query.get(), &w.catalog}};
-  volcano::BatchOptions options;
-  options.jobs = 2;
-  options.share_store = false;
-  volcano::BatchOptimizer batch(rules_.get(), options);
-  EXPECT_EQ(batch.shared_store(), nullptr);
-  auto results = batch.OptimizeAll(queries);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].plan.ok());
-}
-
 // ---------------------------------------------------------------------------
 // Metrics under concurrency (TSan-covered): sharded counters/histograms
 // take concurrent increments from many threads while another thread
@@ -478,14 +463,12 @@ TEST(MetricsRegistryTest, SharedBundleAcrossBatchWorkers) {
     ASSERT_TRUE(r.plan.ok());
     want_trans_attempts += r.stats.trans_attempts;
   }
-#if PRAIRIE_TRACING
   // Every worker flushed into the same sharded series; the merge must be
   // exact once the batch barrier has passed.
   EXPECT_EQ(metrics.queries->Value(), static_cast<uint64_t>(kQueries));
   EXPECT_EQ(metrics.trans_attempts->Value(), want_trans_attempts);
   EXPECT_EQ(metrics.batch_runs->Value(), 1u);
   EXPECT_EQ(metrics.batch_worker_merges->Value(), 4u);
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -658,11 +641,9 @@ TEST_F(ParameterizedCacheTest, RacingReboundProbesServeCorrectPlans) {
 // ---------------------------------------------------------------------------
 // Executor observability under concurrency (TSan-covered): N threads each
 // build and run their own instrumented iterator over one shared read-only
-// plan/database, then rendezvous on the shared aggregate surfaces — the
-// sharded ExecMetrics series, the mutex-protected CardinalityFeedback, and
-// a concurrent DescriptorStore interning fingerprints from every thread.
+// plan/database, then rendezvous on the shared aggregate surface — the
+// sharded ExecMetrics series.
 
-#if PRAIRIE_TRACING
 TEST(ExecObserveConcurrencyTest, SharedAggregatesTakeParallelFlushes) {
   // A 256-row table with k in [0, 16); the filter selects k == 3.
   algebra::PropertySchema schema;
@@ -719,8 +700,6 @@ TEST(ExecObserveConcurrencyTest, SharedAggregatesTakeParallelFlushes) {
   common::MetricsRegistry metrics_registry;
   const exec::ExecMetrics metrics =
       exec::ExecMetrics::ForRegistry(&metrics_registry);
-  exec::CardinalityFeedback feedback;
-  algebra::DescriptorStore store(&schema, algebra::StoreMode::kConcurrent);
 
   constexpr int kThreads = 8;
   constexpr int kRunsPerThread = 25;
@@ -743,11 +722,6 @@ TEST(ExecObserveConcurrencyTest, SharedAggregatesTakeParallelFlushes) {
           return;
         }
         metrics.FlushExecStats(stats);
-        if (!exec::RecordPlanFeedback(*plan, stats, &store, &feedback)
-                 .ok()) {
-          ++failures;
-          return;
-        }
       }
     });
   }
@@ -757,13 +731,7 @@ TEST(ExecObserveConcurrencyTest, SharedAggregatesTakeParallelFlushes) {
   EXPECT_EQ(metrics.queries->Value(), kRuns);
   EXPECT_EQ(metrics.operators->Value(), 2 * kRuns);
   EXPECT_EQ(metrics.query_latency_ns->Snapshot().count, kRuns);
-  // Every thread fingerprinted the same two sub-plans.
-  EXPECT_EQ(feedback.size(), 2u);
-  for (const auto& [key, entry] : feedback.Snapshot()) {
-    EXPECT_EQ(entry.observations, kRuns) << key;
-  }
 }
-#endif  // PRAIRIE_TRACING
 
 // ---------------------------------------------------------------------------
 // Windowed time-series scrapes racing metric writers, and the DiagService

@@ -349,7 +349,6 @@ class DiagOodbTest : public ::testing::Test {
   std::shared_ptr<volcano::RuleSet> rules_;
 };
 
-#if PRAIRIE_TRACING
 TEST_F(DiagOodbTest, CoarseDetailKeepsSpinesDropsAttempts) {
   workload::Workload w = MakeQ(3, 2, 1);
   common::RingBufferSink sink(1 << 16);
@@ -382,7 +381,6 @@ TEST_F(DiagOodbTest, CoarseDetailKeepsSpinesDropsAttempts) {
   }
   EXPECT_GT(spines, 0u);
 }
-#endif  // PRAIRIE_TRACING
 
 TEST_F(DiagOodbTest, BatchWiringReportsEverySlowQuery) {
   TempDir tmp("batch");
@@ -440,14 +438,12 @@ TEST_F(DiagOodbTest, BatchWiringReportsEverySlowQuery) {
     fps.insert(text.substr(pos, 16));
   }
   EXPECT_EQ(fps, want_fps);
-#if PRAIRIE_TRACING
   // The diag-armed batch kept a flight recorder even though no batch
   // trace was requested — but trace_events() stays empty (it means "the
   // trace the caller asked for").
   EXPECT_NE(text.find("\"trace_events\":"), std::string::npos);
   EXPECT_EQ(text.find("\"trace_events\":0,"), std::string::npos);
   EXPECT_TRUE(batch.trace_events().empty());
-#endif
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "algebra/descriptor_store.h"
+#include "common/strings.h"
 #include "common/trace.h"
 #include "exec/builder.h"
 #include "exec/eval.h"
@@ -447,8 +448,6 @@ TEST(ExecStats, NullCollectorBuildsPlainTree) {
   EXPECT_EQ(Drain(std::move(*it)).size(), 2u);
 }
 
-#if PRAIRIE_TRACING
-
 TEST(ExecStats, RowCountsMatchCollectAllSizes) {
   StatsFixture f;
   auto plan = f.Plan(4, 2);
@@ -549,26 +548,27 @@ TEST(CardinalityFeedback, RecordsEverySubPlanFingerprint) {
   ASSERT_TRUE(it.ok());
   Drain(std::move(*it));
   algebra::DescriptorStore store(&f.schema);
-  CardinalityFeedback fb;
-  ASSERT_TRUE(RecordPlanFeedback(*plan, stats, &store, &fb).ok());
-  EXPECT_EQ(fb.size(), 2u);  // Filter(Scan(Emp)) and Scan(Emp).
-  std::string key;
-  plan->Fingerprint(&store, &key);
-  auto whole = fb.Lookup(key);
-  ASSERT_TRUE(whole.has_value());
-  EXPECT_DOUBLE_EQ(whole->est_rows, 4.0);
-  EXPECT_EQ(whole->actual_rows, 2u);
-  EXPECT_EQ(whole->observations, 1u);
-  key.clear();
-  plan->child(0).Fingerprint(&store, &key);
-  auto sub = fb.Lookup(key);
-  ASSERT_TRUE(sub.has_value());
-  EXPECT_EQ(sub->actual_rows, 4u);
-  // A second run of the same plan bumps the observation count.
-  ASSERT_TRUE(RecordPlanFeedback(*plan, stats, &store, &fb).ok());
-  EXPECT_EQ(fb.size(), 2u);
-  EXPECT_EQ(fb.Lookup(key)->observations, 2u);
-  EXPECT_FALSE(fb.Lookup("unknown").has_value());
+  auto json = FeedbackJson(*plan, stats, &store);
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  // One line per algorithm sub-plan in pre-order: Filter(Scan(Emp)), then
+  // Scan(Emp), each keyed by its full fingerprint bytes in hex.
+  const auto hex_key = [&](const algebra::Expr& e) {
+    std::string key;
+    e.Fingerprint(&store, &key);
+    std::string hex;
+    for (const char c : key) {
+      hex += common::StringPrintf("%02x", static_cast<unsigned char>(c));
+    }
+    return hex;
+  };
+  EXPECT_EQ(*json, "{\"key\":\"" + hex_key(*plan) +
+                       "\",\"est_rows\":4,\"actual_rows\":2}\n"
+                       "{\"key\":\"" + hex_key(plan->child(0)) +
+                       "\",\"est_rows\":4,\"actual_rows\":4}\n");
+  // Nothing collected, nothing rendered.
+  auto idle = FeedbackJson(*plan, ExecStats(), &store);
+  ASSERT_TRUE(idle.ok());
+  EXPECT_EQ(*idle, "");
 }
 
 TEST(CardinalityFeedback, MismatchedStatsTreeIsRejected) {
@@ -580,9 +580,8 @@ TEST(CardinalityFeedback, MismatchedStatsTreeIsRejected) {
   Drain(std::move(*it));
   // Walk a *different* plan (the bare scan) with the filter's stats.
   algebra::DescriptorStore store(&f.schema);
-  CardinalityFeedback fb;
-  auto st = RecordPlanFeedback(deep->child(0), stats, &store, &fb);
-  EXPECT_FALSE(st.ok());
+  auto json = FeedbackJson(deep->child(0), stats, &store);
+  EXPECT_EQ(json.status().code(), common::StatusCode::kInternal);
 }
 
 TEST(ExecMetrics, FlushAggregatesIntoRegistry) {
@@ -607,7 +606,6 @@ TEST(ExecMetrics, FlushAggregatesIntoRegistry) {
   EXPECT_EQ(q.counts[2], 1u);
   (void)rows;
 }
-#endif  // PRAIRIE_TRACING
 
 }  // namespace
 }  // namespace prairie::exec

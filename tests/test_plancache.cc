@@ -274,7 +274,7 @@ TEST_F(PlanCacheTest, LruEvictsOldestUnderEntryBudget) {
   EXPECT_EQ(cache.stats().evictions, 1u);
 
   // The first-inserted key was least recently used and is gone.
-  PlanCache::Hit hit;
+  Plan hit;
   EXPECT_FALSE(cache.Probe(keys[0], ws[0].catalog, &hit));
   EXPECT_TRUE(cache.Probe(keys[1], ws[1].catalog, &hit));
   EXPECT_TRUE(cache.Probe(keys[2], ws[2].catalog, &hit));
@@ -501,7 +501,7 @@ TEST_F(ParameterizedCacheTest, SkeletonEntriesInvisibleToExactProbes) {
 
   // The exact probe must not serve the skeleton entry even though the key
   // bytes match...
-  PlanCache::Hit hit;
+  Plan hit;
   EXPECT_FALSE(cache.Probe(key, w.catalog, &hit));
 
   // ...and an exact insert under the same key coexists rather than
@@ -535,7 +535,7 @@ TEST_F(ParameterizedCacheTest, SensitivityGuardRejectsOutOfBandBindings) {
   // turn the probe away rather than serve a mis-fitted plan.
   PlanCache::ParamInfo broad = selective;
   broad.guard_est = 0.9;
-  PlanCache::Hit hit;
+  Plan hit;
   bool dropped_stale = false;
   bool guard_rejected = false;
   EXPECT_FALSE(cache.ProbeParam(key, w.catalog, broad, &hit, &dropped_stale,
@@ -588,9 +588,9 @@ TEST_F(ParameterizedCacheTest, UnattributablePlanConstantsFallBackToExact) {
   EXPECT_EQ(cache.stats().param_inserts, 0u);
 
   // The exact-only entry serves precisely its own binding...
-  PlanCache::Hit hit;
+  Plan hit;
   EXPECT_TRUE(cache.ProbeParam(key, w.catalog, info, &hit));
-  EXPECT_EQ(Render(hit.plan), Render(*plan));
+  EXPECT_EQ(Render(hit), Render(*plan));
 
   // ...and never a different one (an unrebindable plan must not be bent
   // to fresh constants).

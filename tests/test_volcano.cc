@@ -940,7 +940,6 @@ TEST_F(ObservabilityTest, MetricsCountersMatchStatsAcrossQueries) {
   // not re-add the first query's totals.
   ASSERT_TRUE(
       o.Optimize(*JoinOf(RetOf("C", 30), RetOf("D", 40), 10)).ok());
-#if PRAIRIE_TRACING
   const OptimizerStats& s = o.stats();
   EXPECT_EQ(metrics.queries->Value(), 2u);
   EXPECT_EQ(metrics.trans_attempts->Value(), s.trans_attempts);
@@ -961,7 +960,6 @@ TEST_F(ObservabilityTest, MetricsCountersMatchStatsAcrossQueries) {
   EXPECT_EQ(metrics.intern_misses->Value(), counters.misses());
   // Both query latencies observed, whatever the durations were.
   EXPECT_EQ(metrics.query_latency_ns->Snapshot().count, 2u);
-#endif
 }
 
 // ---------------------------------------------------------------------------

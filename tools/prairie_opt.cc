@@ -92,12 +92,16 @@
 //   mode whenever any diagnostics flag is given.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "algebra/descriptor_store.h"
@@ -216,7 +220,7 @@ void PrintUsage(std::FILE* out) {
       "                               Q-error; optionally export the stats\n"
       "                               tree as JSON\n"
       "\n"
-      "  --version                    print build configuration and exit\n"
+      "  --version                    print the compiler and exit\n"
       "  --help                       show this help and exit\n",
       kExecMaxCard);
 }
@@ -280,19 +284,34 @@ double MaxQError(const prairie::exec::OpStats* node) {
   return q;
 }
 
+/// Parses a whole numeric flag value into `*out`: the entire string must
+/// be one number of T's type (no sign on an unsigned type, no trailing
+/// text) within [lo, hi]. Returns false, leaving `*out` alone, otherwise —
+/// including for a missing (null) value.
+template <typename T>
+bool ParseNumber(const char* text, T* out, std::type_identity_t<T> lo,
+                 std::type_identity_t<T> hi = std::numeric_limits<T>::max()) {
+  if (text == nullptr) return false;
+  const char* end = text + std::strlen(text);
+  T v{};
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || !(v >= lo && v <= hi)) return false;
+  *out = v;
+  return true;
+}
+
 /// Splits "FILE[,MS]" into path + scrape interval (default 250 ms). The
-/// interval suffix must be all digits — a comma inside the path stays in
-/// the path.
+/// interval suffix must be a whole unsigned number — otherwise the comma
+/// is part of the path.
 void ParseTimeSeriesSpec(const std::string& spec, std::string* path,
                          uint64_t* interval_ms) {
   *path = spec;
   *interval_ms = 250;
   const size_t comma = spec.rfind(',');
-  if (comma == std::string::npos || comma + 1 >= spec.size()) return;
-  const std::string tail = spec.substr(comma + 1);
-  if (tail.find_first_not_of("0123456789") != std::string::npos) return;
-  *path = spec.substr(0, comma);
-  *interval_ms = static_cast<uint64_t>(std::atoll(tail.c_str()));
+  if (comma == std::string::npos) return;
+  if (ParseNumber(spec.c_str() + comma + 1, interval_ms, 0)) {
+    *path = spec.substr(0, comma);
+  }
 }
 
 }  // namespace
@@ -337,17 +356,11 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage();
       spec = v;
     } else if (arg == "--query") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      query = std::atoi(v);
+      if (!ParseNumber(next(), &query, 1, 8)) return Usage();
     } else if (arg == "--joins") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      joins = std::atoi(v);
+      if (!ParseNumber(next(), &joins, 1)) return Usage();
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      seed = static_cast<uint64_t>(std::atoll(v));
+      if (!ParseNumber(next(), &seed, 0)) return Usage();
     } else if (arg == "--expand-only") {
       expand_only = true;
     } else if (arg == "--no-prune") {
@@ -359,56 +372,53 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--shape=", 0) == 0) {
       shape = arg.substr(std::strlen("--shape="));
     } else if (arg == "--search-budget-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.search_budget_ms = std::atof(v);
+      if (!ParseNumber(next(), &options.search_budget_ms, 0)) return Usage();
     } else if (arg.rfind("--search-budget-ms=", 0) == 0) {
-      options.search_budget_ms =
-          std::atof(arg.c_str() + std::strlen("--search-budget-ms="));
+      if (!ParseNumber(arg.c_str() + std::strlen("--search-budget-ms="),
+                       &options.search_budget_ms, 0)) {
+        return Usage();
+      }
     } else if (arg == "--max-groups") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.group_budget = static_cast<size_t>(std::atoll(v));
+      if (!ParseNumber(next(), &options.group_budget, 0)) return Usage();
     } else if (arg.rfind("--max-groups=", 0) == 0) {
-      options.group_budget = static_cast<size_t>(
-          std::atoll(arg.c_str() + std::strlen("--max-groups=")));
+      if (!ParseNumber(arg.c_str() + std::strlen("--max-groups="),
+                       &options.group_budget, 0)) {
+        return Usage();
+      }
     } else if (arg == "--jobs") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      jobs = std::atoi(v);
+      if (!ParseNumber(next(), &jobs, 0)) return Usage();
     } else if (arg == "--batch") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      batch = std::atoi(v);
+      if (!ParseNumber(next(), &batch, 0)) return Usage();
     } else if (arg == "--plan-cache") {
       plan_cache = true;
     } else if (arg.rfind("--plan-cache=", 0) == 0) {
       plan_cache = true;
-      const long long n = std::atoll(arg.c_str() + std::strlen("--plan-cache="));
-      if (n <= 0) return Usage();
-      plan_cache_entries = static_cast<size_t>(n);
+      if (!ParseNumber(arg.c_str() + std::strlen("--plan-cache="),
+                       &plan_cache_entries, 1)) {
+        return Usage();
+      }
     } else if (arg == "--param-cache") {
       plan_cache = true;
       param_cache = true;
     } else if (arg.rfind("--param-cache=", 0) == 0) {
       plan_cache = true;
       param_cache = true;
-      const long long n =
-          std::atoll(arg.c_str() + std::strlen("--param-cache="));
-      if (n <= 0) return Usage();
-      plan_cache_entries = static_cast<size_t>(n);
+      if (!ParseNumber(arg.c_str() + std::strlen("--param-cache="),
+                       &plan_cache_entries, 1)) {
+        return Usage();
+      }
     } else if (arg == "--traffic") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      traffic = std::atoi(v);
+      if (!ParseNumber(next(), &traffic, 0)) return Usage();
     } else if (arg.rfind("--traffic=", 0) == 0) {
-      traffic = std::atoi(arg.c_str() + std::strlen("--traffic="));
+      if (!ParseNumber(arg.c_str() + std::strlen("--traffic="), &traffic, 0)) {
+        return Usage();
+      }
     } else if (arg == "--repeat") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      repeat = std::atoi(v);
+      if (!ParseNumber(next(), &repeat, 1)) return Usage();
     } else if (arg.rfind("--repeat=", 0) == 0) {
-      repeat = std::atoi(arg.c_str() + std::strlen("--repeat="));
+      if (!ParseNumber(arg.c_str() + std::strlen("--repeat="), &repeat, 1)) {
+        return Usage();
+      }
     } else if (arg == "--trace") {
       const char* v = next();
       if (v == nullptr) return Usage();
@@ -452,23 +462,25 @@ int main(int argc, char** argv) {
       timeseries_spec = arg.substr(std::strlen("--timeseries="));
       if (timeseries_spec.empty()) return Usage();
     } else if (arg == "--slow-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      slow_ms = std::atof(v);
+      if (!ParseNumber(next(), &slow_ms, 0)) return Usage();
     } else if (arg.rfind("--slow-ms=", 0) == 0) {
-      slow_ms = std::atof(arg.c_str() + std::strlen("--slow-ms="));
+      if (!ParseNumber(arg.c_str() + std::strlen("--slow-ms="), &slow_ms, 0)) {
+        return Usage();
+      }
     } else if (arg == "--slow-p99") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      slow_p99 = std::atof(v);
+      if (!ParseNumber(next(), &slow_p99, 0)) return Usage();
     } else if (arg.rfind("--slow-p99=", 0) == 0) {
-      slow_p99 = std::atof(arg.c_str() + std::strlen("--slow-p99="));
+      if (!ParseNumber(arg.c_str() + std::strlen("--slow-p99="), &slow_p99,
+                       0)) {
+        return Usage();
+      }
     } else if (arg == "--qerror-limit") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      qerror_limit = std::atof(v);
+      if (!ParseNumber(next(), &qerror_limit, 0)) return Usage();
     } else if (arg.rfind("--qerror-limit=", 0) == 0) {
-      qerror_limit = std::atof(arg.c_str() + std::strlen("--qerror-limit="));
+      if (!ParseNumber(arg.c_str() + std::strlen("--qerror-limit="),
+                       &qerror_limit, 0)) {
+        return Usage();
+      }
     } else if (arg == "--slow-log") {
       const char* v = next();
       if (v == nullptr) return Usage();
@@ -491,7 +503,7 @@ int main(int argc, char** argv) {
       diag_detail = arg.substr(std::strlen("--diag-detail="));
     } else if (arg == "--version") {
       std::printf("prairie_opt (%s)\n",
-                  prairie::common::BuildConfigText().c_str());
+                  prairie::common::CompilerText().c_str());
       return 0;
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage(stdout);
@@ -500,10 +512,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "prairie_opt: unknown flag '%s'\n", arg.c_str());
       return Usage();
     }
-  }
-  if (query < 1 || query > 8 || joins < 1 || batch < 0 || repeat < 1 ||
-      traffic < 0 || slow_ms < 0 || slow_p99 < 0 || qerror_limit < 0) {
-    return Usage();
   }
   if (diag_detail != "full" && diag_detail != "coarse") return Usage();
   if (execute && (traffic > 0 || jobs != 0 || batch > 1 || expand_only)) {
@@ -827,10 +835,8 @@ int main(int argc, char** argv) {
         "\nbatch: %zu queries on %d worker(s) in %.2f ms (%.1f queries/s)\n",
         total_queries, batcher.jobs(), wall * 1e3,
         static_cast<double>(total_queries) / wall);
-    if (store != nullptr) {
-      std::printf("shared store: %zu descriptors, %.1f%% intern hit rate\n",
-                  store->size(), 100.0 * store->HitRate());
-    }
+    std::printf("shared store: %zu descriptors, %.1f%% intern hit rate\n",
+                store->size(), 100.0 * store->HitRate());
     if (const prairie::volcano::PlanCache* cache = batcher.plan_cache()) {
       const prairie::volcano::PlanCacheStats cs = cache->stats();
       std::printf(
@@ -1063,7 +1069,7 @@ int main(int argc, char** argv) {
                 optimizer.ExplainWinner().c_str());
   }
   prairie::exec::ExecStats exec_stats;
-  prairie::exec::CardinalityFeedback feedback;
+  std::string feedback_json;
   bool executed = false;
   if (execute) {
     auto db = prairie::workload::MakeDatabase(w->catalog, seed);
@@ -1114,19 +1120,18 @@ int main(int argc, char** argv) {
         std::printf("analyze: stats -> %s\n", analyze_path.c_str());
       }
     }
-    // Record (sub-plan fingerprint) -> actual rows: the feedback surface
-    // the calibrated-cost-model roadmap item consumes.
+    // (sub-plan fingerprint) -> est vs actual rows, for diagnostic bundles.
     prairie::algebra::DescriptorStore fp_store(&algebra.properties());
-    auto fb_st = prairie::exec::RecordPlanFeedback(*plan_expr, exec_stats,
-                                                   &fp_store, &feedback);
-    if (!fb_st.ok()) {
-      std::fprintf(stderr, "prairie_opt: %s\n", fb_st.ToString().c_str());
+    auto feedback =
+        prairie::exec::FeedbackJson(*plan_expr, exec_stats, &fp_store);
+    if (!feedback.ok()) {
+      std::fprintf(stderr, "prairie_opt: %s\n",
+                   feedback.status().ToString().c_str());
       return 1;
     }
-    if (exec_stats.root() != nullptr) {
-      std::printf("cardinality feedback: %zu sub-plan fingerprints recorded\n",
-                  feedback.size());
-    }
+    feedback_json = std::move(*feedback);
+    std::printf("cardinality feedback: %zu sub-plan fingerprints recorded\n",
+                exec_stats.num_nodes());
     if (!metrics_path.empty()) {
       prairie::exec::ExecMetrics exec_metrics =
           prairie::exec::ExecMetrics::ForRegistry(
@@ -1160,7 +1165,7 @@ int main(int argc, char** argv) {
       if (executed && exec_stats.root() != nullptr) {
         qd.analyze_text = exec_stats.ToText();
         qd.analyze_json = exec_stats.ToJson();
-        qd.feedback_json = feedback.ToJson();
+        qd.feedback_json = feedback_json;
         qd.est_rows = exec_stats.root()->est_rows;
         qd.actual_rows = static_cast<double>(exec_stats.root()->rows);
       }
