@@ -31,10 +31,9 @@ BatchOptimizer::BatchOptimizer(const RuleSet* rules, BatchOptions options)
       &rules_->algebra->properties(),
       jobs_ > 1 ? algebra::StoreMode::kConcurrent
                 : algebra::StoreMode::kSerial);
-  // Cache keys embed interned ids, so a batch-owned cache lives over the
-  // shared store. A caller-provided optimizer.plan_cache takes precedence.
-  if (options_.plan_cache_entries > 0 &&
-      options_.optimizer.plan_cache == nullptr) {
+  // Cache keys embed interned ids, so the cache lives over the shared
+  // store.
+  if (options_.plan_cache_entries > 0) {
     PlanCacheOptions copt;
     copt.max_entries = options_.plan_cache_entries;
     cache_ = std::make_unique<PlanCache>(store_.get(), copt);
@@ -67,7 +66,7 @@ std::vector<BatchResult> BatchOptimizer::OptimizeAll(
     common::RingBufferSink* sink =
         sinks.empty() ? nullptr : sinks[static_cast<size_t>(wid)].get();
     opt.trace = sink;
-    if (cache_ != nullptr) opt.plan_cache = cache_.get();
+    opt.plan_cache = cache_.get();
     for (;;) {
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= queries.size()) return;

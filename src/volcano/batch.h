@@ -49,9 +49,10 @@ struct BatchResult {
 struct BatchOptions {
   /// Worker threads; <= 0 picks std::thread::hardware_concurrency().
   int jobs = 1;
-  /// Per-query optimizer options (pruning, limits, dispatch index). The
+  /// Per-query optimizer options (pruning, limits, param_cache). The
   /// `trace` sink here is ignored — per-worker sinks are wired internally
-  /// when trace_capacity > 0 so workers never contend on one sink. The
+  /// when trace_capacity > 0 so workers never contend on one sink — and so
+  /// is `plan_cache`: workers probe only the batch's own cache. The
   /// `metrics` bundle, by contrast, IS honored and shared by every worker:
   /// its counters/histograms are per-thread sharded, so concurrent flushes
   /// do not contend; batch_runs/batch_worker_merges are bumped after the
@@ -60,9 +61,6 @@ struct BatchOptions {
   /// > 0: construct a plan cache (sized to this many entries) over the
   /// shared store and hand it to every worker — repeated queries across
   /// and within batches are answered without re-running the search.
-  /// Alternatively the caller may place its own cache in
-  /// optimizer.plan_cache, which takes precedence (it must be bound to
-  /// shared_store()).
   size_t plan_cache_entries = 0;
   /// > 0: trace every worker into a private RingBufferSink of this
   /// capacity; the streams are merged (timestamp-ordered) after the
@@ -99,11 +97,9 @@ class BatchOptimizer {
   /// The store every worker interns descriptors through.
   const algebra::DescriptorStore* shared_store() const { return store_.get(); }
 
-  /// The plan cache workers probe: the owned one (plan_cache_entries > 0),
-  /// the caller's (optimizer.plan_cache), or null when caching is off.
-  PlanCache* plan_cache() const {
-    return cache_ != nullptr ? cache_.get() : options_.optimizer.plan_cache;
-  }
+  /// The plan cache workers probe (plan_cache_entries > 0), or null when
+  /// caching is off.
+  PlanCache* plan_cache() const { return cache_.get(); }
 
   int jobs() const { return jobs_; }
 

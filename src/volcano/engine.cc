@@ -60,21 +60,14 @@ Optimizer::Optimizer(const RuleSet* rules, const catalog::Catalog* catalog,
   if (options_.trace != nullptr) trace_tid_ = common::TraceThreadId();
 }
 
-const std::vector<uint32_t>* Optimizer::TransRulesFor(
-    algebra::OpId op) const {
-  if (!options_.use_dispatch_index || op < 0 ||
-      static_cast<size_t>(op) >= rules_->trans_rules_by_op.size()) {
-    return nullptr;
+Status Optimizer::CheckFinalized() const {
+  const size_t num_ops = static_cast<size_t>(rules_->algebra->size());
+  if (rules_->trans_rules_by_op.size() != num_ops ||
+      rules_->impl_rules_by_op.size() != num_ops) {
+    return Status::RuleError("rule set '" + rules_->name +
+                             "' was not finalized (call RuleSet::Finalize())");
   }
-  return &rules_->trans_rules_by_op[static_cast<size_t>(op)];
-}
-
-const std::vector<uint32_t>* Optimizer::ImplRulesFor(algebra::OpId op) const {
-  if (!options_.use_dispatch_index || op < 0 ||
-      static_cast<size_t>(op) >= rules_->impl_rules_by_op.size()) {
-    return nullptr;
-  }
-  return &rules_->impl_rules_by_op[static_cast<size_t>(op)];
+  return Status::OK();
 }
 
 Descriptor Optimizer::MakeReq() const {
@@ -109,6 +102,7 @@ void Optimizer::RecordStoreStats() {
 
 Result<Plan> Optimizer::Optimize(const algebra::Expr& tree,
                                  const Descriptor& required) {
+  PRAIRIE_RETURN_NOT_OK(CheckFinalized());
   const VolcanoMetrics* mm = options_.metrics;
   const uint64_t t0 = mm != nullptr ? common::TraceNowNs() : 0;
   Result<Plan> result = OptimizeCached(tree, NormalizeReq(required));
@@ -279,6 +273,7 @@ Result<Plan> Optimizer::Optimize(const algebra::Expr& tree) {
 }
 
 Result<size_t> Optimizer::ExpandOnly(const algebra::Expr& tree) {
+  PRAIRIE_RETURN_NOT_OK(CheckFinalized());
   ArmBudget();
   PRAIRIE_ASSIGN_OR_RETURN(GroupId root, memo_->CopyIn(tree));
   PRAIRIE_RETURN_NOT_OK(ExpandGroup(root));
@@ -333,11 +328,10 @@ Status Optimizer::ExpandGroup(GroupId gid) {
       // the dispatch index skips the rest of the rule vector. (An
       // expression's operator never changes in place — merges that move
       // expressions abort the pass through epoch_changed below.)
-      const std::vector<uint32_t>* indexed = TransRulesFor(grp->exprs[ei].op);
-      const size_t num_rules =
-          indexed != nullptr ? indexed->size() : rules_->trans_rules.size();
-      for (size_t k = 0; k < num_rules && st.ok(); ++k) {
-        const size_t ri = indexed != nullptr ? (*indexed)[k] : k;
+      const std::vector<uint32_t>& bucket =
+          rules_->trans_rules_by_op[static_cast<size_t>(grp->exprs[ei].op)];
+      for (size_t k = 0; k < bucket.size() && st.ok(); ++k) {
+        const size_t ri = bucket[k];
         gid = memo_->Find(gid);
         grp = &memo_->group(gid);
         if (ei >= grp->exprs.size()) break;
@@ -600,13 +594,8 @@ Result<Winner> Optimizer::OptimizeGroup(GroupId gid, const Descriptor& req,
     // Copy: recursive OptimizeGroup calls may grow or merge groups and
     // invalidate references into exprs.
     const MExpr m = grp.exprs[ei];
-    const std::vector<uint32_t>* indexed = ImplRulesFor(m.op);
-    const size_t num_rules =
-        indexed != nullptr ? indexed->size() : rules_->impl_rules.size();
-    for (size_t k = 0; k < num_rules; ++k) {
-      const size_t ri = indexed != nullptr ? (*indexed)[k] : k;
+    for (uint32_t ri : rules_->impl_rules_by_op[static_cast<size_t>(m.op)]) {
       const ImplRule& rule = rules_->impl_rules[ri];
-      if (rule.op != m.op) continue;
       st = TryImplRule(rep, rid, m, rule, ri, req, &budget, &best, &prov,
                        &limit_failure);
       if (!st.ok()) {

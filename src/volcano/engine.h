@@ -104,11 +104,6 @@ struct OptimizerOptions {
   bool prune = true;
   /// Initial cost limit for the root (infinite by default).
   double initial_cost_limit = std::numeric_limits<double>::infinity();
-  /// Use the rule set's per-operator dispatch index (built by
-  /// RuleSet::Finalize()) so rule application touches only rules whose LHS
-  /// root matches. Disabling it restores the full linear rule scan — the
-  /// equivalence tests compare the two paths.
-  bool use_dispatch_index = true;
   /// Search-trace event sink (borrowed; must outlive the optimizer). Null
   /// disables tracing: the per-event cost is one predictable branch. Sinks
   /// are single-threaded — give each optimizer its own (BatchOptimizer wires
@@ -210,7 +205,9 @@ class Optimizer {
             algebra::DescriptorStore* shared_store = nullptr);
 
   /// Optimizes a logical operator tree into the cheapest access plan that
-  /// delivers the physical properties set (non-null) in `required`.
+  /// delivers the physical properties set (non-null) in `required`. Both
+  /// this and ExpandOnly() return a RuleError when the rule set skipped
+  /// RuleSet::Finalize().
   common::Result<Plan> Optimize(const algebra::Expr& tree,
                                 const algebra::Descriptor& required);
 
@@ -372,10 +369,9 @@ class Optimizer {
                                const std::vector<GroupId>& children) const;
   std::string RenderExpr(const MExpr& m) const;
 
-  /// The rules indexed for one operator, or null to linear-scan all rules
-  /// (index disabled or the rule set skipped Finalize()).
-  const std::vector<uint32_t>* TransRulesFor(algebra::OpId op) const;
-  const std::vector<uint32_t>* ImplRulesFor(algebra::OpId op) const;
+  /// RuleError unless Finalize() built the per-operator dispatch index the
+  /// rule loops walk (one bucket per operator of the algebra).
+  common::Status CheckFinalized() const;
 
   const RuleSet* rules_;
   const catalog::Catalog* catalog_;

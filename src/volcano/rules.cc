@@ -129,8 +129,8 @@ Status RuleSet::Finalize() {
   trans_rules_by_op.assign(static_cast<size_t>(algebra->size()), {});
   impl_rules_by_op.assign(static_cast<size_t>(algebra->size()), {});
   for (size_t i = 0; i < trans_rules.size(); ++i) {
-    // A bare-stream LHS root (op == -1) can never match a memo expression;
-    // leaving it out of the index preserves the linear scan's behaviour.
+    // A bare-stream LHS root (op == -1) can never match a memo expression,
+    // so it belongs to no bucket.
     if (trans_rules[i].lhs->is_stream()) continue;
     trans_rules_by_op[static_cast<size_t>(trans_rules[i].lhs->op)].push_back(
         static_cast<uint32_t>(i));

@@ -151,9 +151,8 @@ struct RuleSet {
   /// lists the indexes (into trans_rules / impl_rules) of the rules whose
   /// LHS root is `op`, so the engine touches only rules that can match an
   /// expression instead of scanning the whole rule vector. Immutable after
-  /// Finalize(), so N optimizer threads may share it freely. Rule sets
-  /// that skip Finalize() leave these empty; the engine then falls back to
-  /// the linear scan.
+  /// Finalize(), so N optimizer threads may share it freely. The engine
+  /// refuses (RuleError) to search a rule set that skipped Finalize().
   std::vector<std::vector<uint32_t>> trans_rules_by_op;
   std::vector<std::vector<uint32_t>> impl_rules_by_op;
 

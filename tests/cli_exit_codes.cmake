@@ -4,7 +4,8 @@
 #
 # Checks: --help exits 0 and documents the flag surface; unknown flags
 # are named on stderr and exit 2 (the usage error code); invalid flag
-# values exit 2.
+# values exit 2; every value flag also takes --flag=VALUE; a flag the run
+# mode ignores is named on stderr, has no effect, and still exits 0.
 
 if(NOT DEFINED PRAIRIE_OPT)
   message(FATAL_ERROR "pass -DPRAIRIE_OPT=<path to prairie_opt>")
@@ -84,6 +85,48 @@ check_run(2 --query 1 --max-groups -1)
 check_run(2 --query 1 --search-budget-ms -5)
 check_run(2 --query 1 --slow-ms abc)
 check_run(2 --query 1 --seed x)
+# --flag=VALUE is parsed like --flag VALUE; a switch takes no value.
+check_run(2 --query=9)
+check_run(2 --no-prune=1)
+check_run(0 --query=3 --joins=2)
+
+function(expect_mentions text)
+  foreach(needle ${ARGN})
+    string(FIND "${text}" "${needle}" pos)
+    if(pos EQUAL -1)
+      message(FATAL_ERROR "expected '${needle}' in: ${text}")
+    endif()
+  endforeach()
+endfunction()
+
+set(out_dir "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes.out")
+file(REMOVE_RECURSE "${out_dir}")
+file(MAKE_DIRECTORY "${out_dir}")
+
+# Traffic honours --trace and --profile-rules: the per-worker streams are
+# merged into one Chrome trace.
+check_run(0 --traffic 20 --param-cache --jobs 2
+          --trace ${out_dir}/traffic.json --profile-rules)
+expect_mentions("${last_out}" "rule profile")
+file(READ "${out_dir}/traffic.json" trace_json)
+string(JSON n_events ERROR_VARIABLE json_err
+       LENGTH "${trace_json}" traceEvents)
+if(json_err OR n_events EQUAL 0)
+  message(FATAL_ERROR "traffic trace has no traceEvents: ${json_err}")
+endif()
+
+# Flags the run mode ignores are named on stderr and write nothing.
+check_run(0 --traffic 20 --explain --dump-memo ${out_dir}/memo.dot)
+expect_mentions("${last_err}" "--explain" "--dump-memo")
+check_run(0 --query 1 --timeseries ${out_dir}/ts.jsonl)
+expect_mentions("${last_err}" "--timeseries")
+foreach(f memo.dot ts.jsonl)
+  if(EXISTS "${out_dir}/${f}")
+    message(FATAL_ERROR "an ignored flag wrote ${out_dir}/${f}")
+  endif()
+endforeach()
+check_run(0 --batch 2 --expand-only)
+expect_mentions("${last_err}" "--expand-only")
 
 # --execute on a plan whose winning algorithm has no registered executor
 # must fail with the usage code and name the algorithm on stderr — not

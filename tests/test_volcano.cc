@@ -617,6 +617,27 @@ TEST_F(MicroOptimizerMore, RuleSetValidationCatchesMistakes) {
   EXPECT_FALSE(bad_enf.Finalize().ok());
 }
 
+TEST_F(MicroOptimizerMore, UnfinalizedRuleSetIsARuleError) {
+  // The rule loops walk the dispatch index Finalize() builds; a rule set
+  // that skipped it is refused rather than searched with no rules.
+  RuleSet raw;
+  raw.name = "raw";
+  raw.algebra = rules_.algebra;
+  raw.cost_prop = cost_;
+  raw.phys_props = rules_.phys_props;
+  raw.trans_rules = std::move(rules_.trans_rules);
+  raw.impl_rules = std::move(rules_.impl_rules);
+  ExprPtr q = JoinOf(RetOf("A", 10), RetOf("B", 20), 5);
+  Optimizer o(&raw, &catalog_);
+  auto plan = o.Optimize(*q);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), common::StatusCode::kRuleError);
+  Optimizer e(&raw, &catalog_);
+  auto groups = e.ExpandOnly(*q);
+  ASSERT_FALSE(groups.ok());
+  EXPECT_EQ(groups.status().code(), common::StatusCode::kRuleError);
+}
+
 TEST_F(MicroOptimizerMore, PropSatisfiesSemantics) {
   Value none;
   Value dontcare = Value::Sort(SortSpec::DontCare());
