@@ -147,30 +147,26 @@ Result<Plan> Optimizer::OptimizeCached(const algebra::Expr& tree,
   // skeleton and key over THAT, so queries differing only in literals
   // share one entry. The canonicalization happens inside the probe-timed
   // region — it is part of the honest warm-hit cost. Queries with nothing
-  // to strip (and param_cache off) take the exact path below unchanged.
+  // to strip (and param_cache off) key on their own tree with no slots.
   PlanCache::ParamInfo pinfo;
   algebra::ExprPtr skeleton;
-  const algebra::Expr* key_tree = &tree;
-  bool parameterized = false;
   if (options_.param_cache) {
     algebra::ParameterizedQuery pq = algebra::ParameterizeQuery(tree);
     if (pq.skeleton != nullptr) {
       skeleton = std::move(pq.skeleton);
-      key_tree = skeleton.get();
       pinfo.slots = std::move(pq.slots);
       pinfo.guard_est = ParamSelectivity(pinfo.slots, *catalog_);
-      parameterized = true;
     }
   }
+  const bool parameterized = skeleton != nullptr;
   const PlanCache::Key key =
-      PlanCache::MakeKey(*key_tree, ReqId(req), *catalog_, memo_->store());
+      PlanCache::MakeKey(parameterized ? *skeleton : tree, ReqId(req),
+                         *catalog_, memo_->store());
   Plan hit;
   bool dropped_stale = false;
   bool guard_rejected = false;
-  const bool found =
-      parameterized ? cache->ProbeParam(key, *catalog_, pinfo, &hit,
-                                        &dropped_stale, &guard_rejected)
-                    : cache->Probe(key, *catalog_, &hit, &dropped_stale);
+  const bool found = cache->Probe(key, *catalog_, pinfo, &hit,
+                                  &dropped_stale, &guard_rejected);
   ++stats_.cache_probes;
   if (guard_rejected) ++stats_.cache_param_rejects;
   if (dropped_stale) ++stats_.cache_stale_drops;
@@ -203,11 +199,7 @@ Result<Plan> Optimizer::OptimizeCached(const algebra::Expr& tree,
   // A budget-exhausted plan is valid but possibly suboptimal: caching it
   // would serve the truncated plan to future unbudgeted queries.
   if (result.ok() && !stats_.budget_exhausted) {
-    if (parameterized) {
-      cache->InsertParam(key, *catalog_, pinfo, result.ValueOrDie());
-    } else {
-      cache->Insert(key, *catalog_, result.ValueOrDie());
-    }
+    cache->Insert(key, *catalog_, pinfo, result.ValueOrDie());
     if (mm != nullptr) {
       if (mm->plan_cache_inserts != nullptr) mm->plan_cache_inserts->Inc();
       if (parameterized && mm->plan_cache_param_inserts != nullptr) {

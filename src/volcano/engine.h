@@ -135,8 +135,9 @@ struct OptimizerOptions {
   /// cache entry; hits rebind the probe's constants into a copy of the
   /// cached plan, guarded by the cache's selectivity band
   /// (PlanCacheOptions::param_band). Queries with no strippable constants
-  /// fall back to the exact path unchanged. Off by default — with this
-  /// false, cache behavior is byte-identical to exact-only caching.
+  /// key on their own tree with zero slots, as every query does with this
+  /// off. Off by default — with this false, cache behavior is
+  /// byte-identical to exact-only caching.
   bool param_cache = false;
   MemoLimits memo_limits;
   /// Anytime budgets (0 = unlimited): stop EXPANDING the search space once

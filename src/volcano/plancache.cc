@@ -160,6 +160,11 @@ PlanCache::PlanCache(const algebra::DescriptorStore* store,
                      PlanCacheOptions options)
     : store_(store), options_(options) {
   num_shards_ = std::bit_ceil(std::max<size_t>(1, options_.shards));
+  // Each shard keeps at least one entry, so more shards than max_entries
+  // would let the cache hold more plans than its total budget.
+  if (options_.max_entries > 0) {
+    num_shards_ = std::min(num_shards_, std::bit_floor(options_.max_entries));
+  }
   shard_entry_budget_ =
       options_.max_entries == 0
           ? 0
@@ -210,82 +215,14 @@ size_t PlanCache::EntryBytes(const Entry& e) {
 }
 
 bool PlanCache::Probe(const Key& key, const catalog::Catalog& catalog,
-                      Plan* hit, bool* dropped_stale) {
-  probes_.fetch_add(1, std::memory_order_relaxed);
-  if (dropped_stale != nullptr) *dropped_stale = false;
-  if (key.catalog_uid != catalog.uid()) {
-    // A key built against a different catalog can never match an entry
-    // for this one (the uid leads the key bytes); don't even look.
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  const uint64_t now_version = catalog.version();
-  Shard& sh = ShardFor(key.fingerprint);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  auto [begin, end] = sh.by_fp.equal_range(key.fingerprint);
-  for (auto it = begin; it != end; ++it) {
-    Entry& e = *it->second;
-    if (e.key_bytes != key.bytes) continue;  // fingerprint collision
-    if (e.is_param) continue;  // skeleton entries serve ProbeParam only
-    if (e.epoch != now_version) {
-      // Lazy epoch invalidation: the catalog mutated since this plan was
-      // optimized. Drop the entry; the caller re-optimizes and re-inserts
-      // under the current epoch.
-      Erase(sh, it);
-      stale_drops_.fetch_add(1, std::memory_order_relaxed);
-      if (dropped_stale != nullptr) *dropped_stale = true;
-      break;
-    }
-    sh.lru.splice(sh.lru.begin(), sh.lru, it->second);  // refresh recency
-    *hit = e.plan;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
-}
-
-void PlanCache::Insert(const Key& key, const catalog::Catalog& catalog,
-                       const Plan& plan) {
-  if (key.catalog_uid != catalog.uid() || catalog.version() != key.epoch) {
-    // The catalog moved (or is not the one the key was built against)
-    // while this query was being optimized: the plan may reflect mixed
-    // state, so it must not be served to anyone.
-    skipped_inserts_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  Entry entry;
-  entry.key_bytes = key.bytes;
-  entry.fingerprint = key.fingerprint;
-  entry.epoch = key.epoch;
-  entry.plan = plan;
-  entry.bytes = EntryBytes(entry);
-
-  Shard& sh = ShardFor(key.fingerprint);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  // Replace an equal-key entry (a racing worker optimized the same query;
-  // keep the newer plan — same epoch, same answer).
-  auto [begin, end] = sh.by_fp.equal_range(key.fingerprint);
-  for (auto it = begin; it != end; ++it) {
-    if (it->second->key_bytes == key.bytes && !it->second->is_param) {
-      Erase(sh, it);
-      break;
-    }
-  }
-  sh.lru.push_front(std::move(entry));
-  sh.by_fp.emplace(key.fingerprint, sh.lru.begin());
-  sh.bytes += sh.lru.front().bytes;
-  inserts_.fetch_add(1, std::memory_order_relaxed);
-  EvictOver(sh);
-}
-
-bool PlanCache::ProbeParam(const Key& key, const catalog::Catalog& catalog,
-                           const ParamInfo& info, Plan* hit,
-                           bool* dropped_stale, bool* guard_rejected) {
+                      const ParamInfo& info, Plan* hit, bool* dropped_stale,
+                      bool* guard_rejected) {
   probes_.fetch_add(1, std::memory_order_relaxed);
   if (dropped_stale != nullptr) *dropped_stale = false;
   if (guard_rejected != nullptr) *guard_rejected = false;
   if (key.catalog_uid != catalog.uid()) {
+    // A key built against a different catalog can never match an entry
+    // for this one (the uid leads the key bytes); don't even look.
     misses_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
@@ -296,8 +233,9 @@ bool PlanCache::ProbeParam(const Key& key, const catalog::Catalog& catalog,
 
   bool saw_stale = false;
   bool saw_guard_reject = false;
-  bool have_rebind = false;
-  Plan rebind_plan;
+  bool found = false;
+  bool rebind = false;
+  Plan plan;
   {
     Shard& sh = ShardFor(key.fingerprint);
     std::lock_guard<std::mutex> lock(sh.mu);
@@ -308,56 +246,48 @@ bool PlanCache::ProbeParam(const Key& key, const catalog::Catalog& catalog,
     // erased iterator).
     for (auto it = begin; it != end;) {
       auto cur = it++;
-      Entry& e = *cur->second;
-      if (e.key_bytes != key.bytes || !e.is_param) continue;
+      const Entry& e = *cur->second;
+      if (e.key_bytes != key.bytes) continue;  // fingerprint collision
       if (e.epoch != now_version) {
+        // Lazy epoch invalidation: the catalog mutated since this plan was
+        // optimized. Drop the entry; the caller re-optimizes and re-inserts
+        // under the current epoch.
         Erase(sh, cur);
         saw_stale = true;
         continue;
       }
-      if (e.rebindable) {
-        if (!BandCompatible(e.guard_est, info.guard_est,
-                            options_.param_band)) {
-          saw_guard_reject = true;
-          continue;
-        }
-        sh.lru.splice(sh.lru.begin(), sh.lru, cur->second);
-        rebind_plan = e.plan;
-        have_rebind = true;
-        break;
+      if (e.rebindable && !BandCompatible(e.guard_est, info.guard_est,
+                                          options_.param_band)) {
+        saw_guard_reject = true;
+        continue;
       }
-      if (e.values == values) {
-        // Exact-only variant optimized for precisely this binding.
-        sh.lru.splice(sh.lru.begin(), sh.lru, cur->second);
-        *hit = e.plan;
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        param_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (saw_stale) {
-          stale_drops_.fetch_add(1, std::memory_order_relaxed);
-          if (dropped_stale != nullptr) *dropped_stale = true;
-        }
-        return true;
-      }
+      // A verbatim entry serves only the binding it was optimized for; with
+      // zero slots, that is the query itself.
+      if (!e.rebindable && e.values != values) continue;
+      sh.lru.splice(sh.lru.begin(), sh.lru, cur->second);  // refresh recency
+      plan = e.plan;
+      rebind = e.rebindable;
+      found = true;
+      break;
     }
   }
   if (saw_stale) {
     stale_drops_.fetch_add(1, std::memory_order_relaxed);
     if (dropped_stale != nullptr) *dropped_stale = true;
   }
-  if (have_rebind) {
-    // Rebind outside the shard lock: the cached tree is immutable and
-    // reference-counted, so it stays valid even if the entry is evicted
-    // concurrently.
-    bool ok = true;
-    PhysNodeRef root = RebindNode(rebind_plan.root, values, &ok);
-    if (ok) {
-      *hit = Plan{std::move(root), rebind_plan.cost};
-      hits_.fetch_add(1, std::memory_order_relaxed);
+  // Rebind outside the shard lock: the cached tree is immutable and
+  // reference-counted, so it stays valid even if the entry is evicted
+  // concurrently.
+  if (rebind) plan.root = RebindNode(plan.root, values, &found);
+  if (found) {
+    *hit = std::move(plan);
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    if (!info.slots.empty()) {
       param_hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
     }
+    return true;
   }
-  if (saw_guard_reject) {
+  if (saw_guard_reject && !info.slots.empty()) {
     sensitivity_rejects_.fetch_add(1, std::memory_order_relaxed);
     if (guard_rejected != nullptr) *guard_rejected = true;
   }
@@ -365,17 +295,18 @@ bool PlanCache::ProbeParam(const Key& key, const catalog::Catalog& catalog,
   return false;
 }
 
-void PlanCache::InsertParam(const Key& key, const catalog::Catalog& catalog,
-                            const ParamInfo& info, const Plan& plan) {
+void PlanCache::Insert(const Key& key, const catalog::Catalog& catalog,
+                       const ParamInfo& info, const Plan& plan) {
   if (key.catalog_uid != catalog.uid() || catalog.version() != key.epoch) {
+    // The plan may reflect mixed catalog state: never serve it.
     skipped_inserts_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
+  const bool parameterized = !info.slots.empty();
   Entry entry;
   entry.key_bytes = key.bytes;
   entry.fingerprint = key.fingerprint;
   entry.epoch = key.epoch;
-  entry.is_param = true;
   entry.guard_est = info.guard_est;
   entry.values.reserve(info.slots.size());
   for (const algebra::ParamSlot& s : info.slots) {
@@ -389,17 +320,16 @@ void PlanCache::InsertParam(const Key& key, const catalog::Catalog& catalog,
   // constant, two slots are indistinguishable, a predicate was optimized
   // away) is cached for this exact binding only. Collisions cost misses,
   // never wrong plans.
-  algebra::SlotMatcher matcher(info.slots);
-  bool ok = !matcher.ambiguous();
-  if (ok && plan.root != nullptr) {
+  if (parameterized && plan.root != nullptr) {
+    algebra::SlotMatcher matcher(info.slots);
+    bool ok = !matcher.ambiguous();
     std::vector<bool> used(info.slots.size(), false);
-    PhysNodeRef root = ParameterizeNode(plan.root, matcher, &used, &ok);
+    PhysNodeRef root;
+    if (ok) root = ParameterizeNode(plan.root, matcher, &used, &ok);
+    for (bool u : used) ok = ok && u;
     if (ok) {
-      for (bool u : used) ok = ok && u;
-      if (ok) {
-        entry.plan = Plan{std::move(root), plan.cost};
-        entry.rebindable = true;
-      }
+      entry.plan = Plan{std::move(root), plan.cost};
+      entry.rebindable = true;
     }
   }
   if (!entry.rebindable) entry.plan = plan;
@@ -408,12 +338,12 @@ void PlanCache::InsertParam(const Key& key, const catalog::Catalog& catalog,
   Shard& sh = ShardFor(key.fingerprint);
   std::lock_guard<std::mutex> lock(sh.mu);
   // Replace the variant this entry supersedes: the rebindable one within
-  // the same band, or the exact-only one for the same binding. Other
+  // the same band, or the verbatim one for the same binding. Other
   // variants stay (per-band plans accumulate under the LRU budgets).
   auto [begin, end] = sh.by_fp.equal_range(key.fingerprint);
   for (auto it = begin; it != end; ++it) {
     const Entry& e = *it->second;
-    if (e.key_bytes != key.bytes || !e.is_param) continue;
+    if (e.key_bytes != key.bytes) continue;
     if (entry.rebindable
             ? (e.rebindable && BandCompatible(e.guard_est, entry.guard_est,
                                               options_.param_band))
@@ -429,7 +359,7 @@ void PlanCache::InsertParam(const Key& key, const catalog::Catalog& catalog,
   inserts_.fetch_add(1, std::memory_order_relaxed);
   if (rebindable) {
     param_inserts_.fetch_add(1, std::memory_order_relaxed);
-  } else {
+  } else if (parameterized) {
     unrebindable_inserts_.fetch_add(1, std::memory_order_relaxed);
   }
   EvictOver(sh);

@@ -31,12 +31,13 @@
 // query), and plans whose optimization raced a catalog mutation (the
 // version moved between fingerprinting and insert).
 //
-// Parameterized entries (ProbeParam/InsertParam) extend exact matching to
-// queries that differ only in literal constants: keys are built over a
-// constant-stripped skeleton (algebra::ParameterizeQuery), entries store
-// the winning plan with parameter markers in place, and a hit rebinds the
-// probe's constants into a copy-on-write copy of the plan tree. A
-// selectivity band guard (PlanCacheOptions::param_band) keeps
+// Parameterized keys extend exact matching to queries that differ only in
+// literal constants: the key is built over a constant-stripped skeleton
+// (algebra::ParameterizeQuery), the entry stores the winning plan with
+// parameter markers in place, and a hit rebinds the probe's constants into
+// a copy-on-write copy of the plan tree. An exact key is the same thing
+// with zero slots: the query keeps its constants, and the plan is stored
+// verbatim. A selectivity band guard (PlanCacheOptions::param_band) keeps
 // parameter-sensitive plans from serving bindings they were not optimized
 // for; out-of-band bindings optimize fresh and may add per-band variants
 // under the same skeleton key.
@@ -72,8 +73,10 @@ double ParamSelectivity(const std::vector<algebra::ParamSlot>& slots,
 /// \brief Sizing knobs. Defaults fit a service-sized working set while
 /// keeping the TSan/unit suites able to force evictions cheaply.
 struct PlanCacheOptions {
-  /// Mutex-guarded shards; rounded up to a power of two, min 1. More
-  /// shards = less probe contention between batch workers.
+  /// Mutex-guarded shards; rounded up to a power of two, min 1, and capped
+  /// at the largest power of two <= max_entries (every shard holds at
+  /// least one entry). More shards = less probe contention between batch
+  /// workers.
   size_t shards = 16;
   /// Total cached plans across shards (split evenly); 0 disables the
   /// entry budget.
@@ -90,7 +93,7 @@ struct PlanCacheOptions {
 };
 
 /// \brief Monotonic traffic counters (relaxed atomics; exact under any
-/// concurrency).
+/// concurrency). The last four count only probes and inserts with slots.
 struct PlanCacheStats {
   uint64_t probes = 0;       ///< Probe() calls.
   uint64_t hits = 0;         ///< Probes served from the cache.
@@ -99,7 +102,7 @@ struct PlanCacheStats {
   uint64_t inserts = 0;      ///< Entries stored.
   uint64_t evictions = 0;    ///< Entries evicted by the LRU budgets.
   uint64_t skipped_inserts = 0;  ///< Inserts refused (raced a mutation).
-  uint64_t param_hits = 0;   ///< ProbeParam probes served from a skeleton.
+  uint64_t param_hits = 0;   ///< Probes with slots served from the cache.
   uint64_t param_inserts = 0;  ///< Rebindable skeleton entries stored.
   uint64_t unrebindable_inserts = 0;  ///< Skeleton entries stored
                                       ///< exact-only (plan constants could
@@ -144,56 +147,37 @@ class PlanCache {
                      const catalog::Catalog& catalog,
                      algebra::DescriptorStore* store);
 
-  /// Probes for `key`. A present entry whose epoch no longer matches
-  /// `catalog.version()` is dropped (counted in stale_drops, reported via
-  /// `*dropped_stale` when non-null) and reported as a miss; a genuine hit
-  /// refreshes LRU recency and fills `*hit` with the cached plan (sharing
-  /// its immutable tree).
-  bool Probe(const Key& key, const catalog::Catalog& catalog, Plan* hit,
-             bool* dropped_stale = nullptr);
-
-  /// Stores the winning plan for `key`. Refused (skipped_inserts) when the
-  /// catalog's version moved past key.epoch — the search may have read
-  /// mixed catalog state. Replaces an existing equal-key entry (e.g. one
-  /// inserted by a racing worker) and evicts LRU entries past the shard
-  /// budgets.
-  void Insert(const Key& key, const catalog::Catalog& catalog,
-              const Plan& plan);
-
-  /// \brief One parameterized probe/insert context: the slots the query
-  /// canonicalized into (values included) and the binding's selectivity
-  /// estimate (ParamSelectivity) for the sensitivity guard.
+  /// \brief One probe/insert context: the slots the key's query was
+  /// parameterized into (values included) and the binding's selectivity
+  /// estimate (ParamSelectivity) for the sensitivity guard. No slots means
+  /// an exact key, built over the query with its constants.
   struct ParamInfo {
     std::vector<algebra::ParamSlot> slots;
     double guard_est = 1.0;
   };
 
-  /// Probes a skeleton `key` (built over a ParameterizeQuery skeleton) for
-  /// an entry serving `info`'s binding. A rebindable entry within the
-  /// sensitivity band serves a hit by rebinding the probe's constants into
-  /// a fresh copy-on-write copy of the cached plan tree; an exact-only
-  /// entry serves a hit when its recorded constants equal the probe's.
-  /// Entries outside the band are left in place and `*guard_rejected` is
-  /// set — the caller should optimize fresh (and InsertParam may add a
-  /// band variant under the same key). Stale-epoch entries are dropped as
-  /// in Probe(). Skeleton entries are invisible to Probe() and vice versa.
-  bool ProbeParam(const Key& key, const catalog::Catalog& catalog,
-                  const ParamInfo& info, Plan* hit,
-                  bool* dropped_stale = nullptr,
-                  bool* guard_rejected = nullptr);
+  /// Probes `key` for an entry serving `info`'s binding, dropping entries
+  /// whose epoch is not `catalog.version()` (stale_drops, `*dropped_stale`).
+  /// A rebindable entry within the sensitivity band hits by rebinding the
+  /// probe's constants into a copy-on-write copy of its plan; any other
+  /// entry hits when its recorded constants equal the probe's (with zero
+  /// slots, both are empty). Out-of-band entries stay and set
+  /// `*guard_rejected`: optimize fresh, and Insert adds a band variant.
+  bool Probe(const Key& key, const catalog::Catalog& catalog,
+             const ParamInfo& info, Plan* hit,
+             bool* dropped_stale = nullptr, bool* guard_rejected = nullptr);
 
-  /// Stores the winner for a skeleton `key`, optimized with `info`'s
-  /// binding. The plan's constants are matched back to the slots
-  /// (algebra::SlotMatcher); if every slot is used exactly and
-  /// unambiguously the plan is stored with markers in place (rebindable,
-  /// param_inserts), otherwise verbatim with the binding recorded for
-  /// exact-value matching only (unrebindable_inserts) — a plan whose
-  /// constants cannot be proven to descend from the query's is never
-  /// rebound. Replaces the band-compatible rebindable variant (or the
-  /// equal-values exact variant); distinct bands accumulate as variants
-  /// under one key, bounded by the LRU budgets. Epoch-refusal as Insert().
-  void InsertParam(const Key& key, const catalog::Catalog& catalog,
-                   const ParamInfo& info, const Plan& plan);
+  /// Stores the winner for `key`, optimized with `info`'s binding; refused
+  /// (skipped_inserts) when the catalog moved past key.epoch. A zero-slot
+  /// plan is stored verbatim. Otherwise its constants are matched back to
+  /// the slots (algebra::SlotMatcher): a plan using every slot exactly and
+  /// unambiguously is stored with markers in place (param_inserts), any
+  /// other verbatim for this binding only (unrebindable_inserts), so a plan
+  /// is never rebound unless its constants provably descend from the
+  /// query's. Replaces the band-compatible rebindable variant or the
+  /// equal-values verbatim one; distinct bands accumulate under one key.
+  void Insert(const Key& key, const catalog::Catalog& catalog,
+              const ParamInfo& info, const Plan& plan);
 
   PlanCacheStats stats() const;
 
@@ -208,12 +192,11 @@ class PlanCache {
     uint64_t epoch = 0;
     Plan plan;
     size_t bytes = 0;  ///< Approximate retained size of this entry.
-    /// Skeleton entry (InsertParam): invisible to exact Probe().
-    bool is_param = false;
     /// Plan tree carries markers; hits rebind the probe's constants.
     bool rebindable = false;
-    /// The binding the plan was optimized for (slot order). Rebindable
-    /// entries keep it for diagnostics; exact-only entries match on it.
+    /// The binding the plan was optimized for (slot order; empty for an
+    /// exact key). Rebindable entries keep it for diagnostics; verbatim
+    /// entries match on it.
     std::vector<algebra::Scalar> values;
     /// ParamSelectivity of `values` at insert time (guard band anchor).
     double guard_est = 1.0;

@@ -4,8 +4,9 @@
 #
 # Checks: --help exits 0 and documents the flag surface; unknown flags
 # are named on stderr and exit 2 (the usage error code); invalid flag
-# values exit 2; every value flag also takes --flag=VALUE; a flag the run
-# mode ignores is named on stderr, has no effect, and still exits 0.
+# values exit 2; every value flag also takes --flag=VALUE; a repeated
+# query is served from the plan cache; a flag the run mode ignores is
+# named on stderr, has no effect, and still exits 0.
 
 if(NOT DEFINED PRAIRIE_OPT)
   message(FATAL_ERROR "pass -DPRAIRIE_OPT=<path to prairie_opt>")
@@ -98,6 +99,16 @@ function(expect_mentions text)
     endif()
   endforeach()
 endfunction()
+
+# A repeated query is served from the plan cache in either mode. Q1 has no
+# constants to strip and Q5 has three, so under --param-cache Q5's final
+# round is served by rebinding its skeleton entry.
+foreach(args "--query;1;--plan-cache" "--query;5;--plan-cache"
+        "--query;5;--param-cache")
+  check_run(0 ${args} --repeat 2)
+  expect_mentions("${last_out}" "plan served from the cache")
+endforeach()
+expect_mentions("${last_out}" "1 rebound hits")
 
 set(out_dir "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_codes.out")
 file(REMOVE_RECURSE "${out_dir}")

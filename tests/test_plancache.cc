@@ -198,7 +198,7 @@ TEST_F(PlanCacheTest, InsertIsRefusedWhenCatalogMovedPastTheEpoch) {
   // The catalog moves between fingerprinting and insert — the plan may
   // reflect mixed state and must not be stored.
   w.catalog.BumpVersion();
-  cache.Insert(key, w.catalog, Plan{});
+  cache.Insert(key, w.catalog, {}, Plan{});
   EXPECT_EQ(cache.stats().inserts, 0u);
   EXPECT_EQ(cache.stats().skipped_inserts, 1u);
   EXPECT_EQ(cache.size(), 0u);
@@ -268,27 +268,43 @@ TEST_F(PlanCacheTest, LruEvictsOldestUnderEntryBudget) {
   for (int i = 0; i < 3; ++i) {
     ws.push_back(MakeQ(1, 2, static_cast<uint64_t>(20 + i)));
     keys.push_back(PlanCache::MakeKey(*ws[i].query, 0, ws[i].catalog, &store));
-    cache.Insert(keys[i], ws[i].catalog, Plan{});
+    cache.Insert(keys[i], ws[i].catalog, {}, Plan{});
   }
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
 
   // The first-inserted key was least recently used and is gone.
   Plan hit;
-  EXPECT_FALSE(cache.Probe(keys[0], ws[0].catalog, &hit));
-  EXPECT_TRUE(cache.Probe(keys[1], ws[1].catalog, &hit));
-  EXPECT_TRUE(cache.Probe(keys[2], ws[2].catalog, &hit));
+  EXPECT_FALSE(cache.Probe(keys[0], ws[0].catalog, {}, &hit));
+  EXPECT_TRUE(cache.Probe(keys[1], ws[1].catalog, {}, &hit));
+  EXPECT_TRUE(cache.Probe(keys[2], ws[2].catalog, {}, &hit));
 
   // Probing refreshes recency: touch key 1 so key 2 becomes the LRU
   // victim of the next insert.
-  EXPECT_TRUE(cache.Probe(keys[1], ws[1].catalog, &hit));
+  EXPECT_TRUE(cache.Probe(keys[1], ws[1].catalog, {}, &hit));
   workload::Workload w3 = MakeQ(1, 2, 40);
   const PlanCache::Key k3 = PlanCache::MakeKey(*w3.query, 0, w3.catalog,
                                                &store);
-  cache.Insert(k3, w3.catalog, Plan{});
-  EXPECT_FALSE(cache.Probe(keys[2], ws[2].catalog, &hit));
-  EXPECT_TRUE(cache.Probe(keys[1], ws[1].catalog, &hit));
-  EXPECT_TRUE(cache.Probe(k3, w3.catalog, &hit));
+  cache.Insert(k3, w3.catalog, {}, Plan{});
+  EXPECT_FALSE(cache.Probe(keys[2], ws[2].catalog, {}, &hit));
+  EXPECT_TRUE(cache.Probe(keys[1], ws[1].catalog, {}, &hit));
+  EXPECT_TRUE(cache.Probe(k3, w3.catalog, {}, &hit));
+}
+
+TEST_F(PlanCacheTest, EntryBudgetBelowShardCountBoundsTotalEntries) {
+  DescriptorStore store(&rules_->algebra->properties(), StoreMode::kSerial);
+  PlanCacheOptions copt;  // default shard count
+  copt.max_entries = 2;
+  PlanCache cache(&store, copt);
+
+  for (int i = 0; i < 40; ++i) {
+    workload::Workload w = MakeQ(1, 2, static_cast<uint64_t>(100 + i));
+    const PlanCache::Key key =
+        PlanCache::MakeKey(*w.query, 0, w.catalog, &store);
+    cache.Insert(key, w.catalog, {}, Plan{});
+  }
+  EXPECT_EQ(cache.stats().inserts, 40u);
+  EXPECT_LE(cache.size(), 2u);
 }
 
 TEST_F(PlanCacheTest, ByteBudgetBoundsRetainedSize) {
@@ -303,7 +319,7 @@ TEST_F(PlanCacheTest, ByteBudgetBoundsRetainedSize) {
     workload::Workload w = MakeQ(1, 2, static_cast<uint64_t>(60 + i));
     const PlanCache::Key key =
         PlanCache::MakeKey(*w.query, 0, w.catalog, &store);
-    cache.Insert(key, w.catalog, Plan{});
+    cache.Insert(key, w.catalog, {}, Plan{});
   }
   EXPECT_GT(cache.stats().evictions, 0u);
   EXPECT_LE(cache.bytes(), 2048u);
@@ -485,31 +501,94 @@ TEST_F(ParameterizedCacheTest, DisabledParamCacheLeavesExactPathUntouched) {
   EXPECT_EQ(stats.sensitivity_rejects, 0u);
 }
 
-TEST_F(ParameterizedCacheTest, SkeletonEntriesInvisibleToExactProbes) {
+TEST_F(ParameterizedCacheTest, ZeroSlotEntriesServeBothCacheModes) {
+  // Q1 has no strippable constants, so under param_cache it keys on its
+  // own tree with zero slots — the key exact mode builds. One entry then
+  // serves both modes, whichever inserted it.
+  workload::Workload w = MakeQ(1, 2, 27);
+  ASSERT_EQ(algebra::ParameterizeQuery(*w.query).skeleton, nullptr);
+  Optimizer ref(rules_.get(), &w.catalog, {});
+  auto ref_plan = ref.Optimize(*w.query);
+  ASSERT_TRUE(ref_plan.ok());
+
+  for (const bool exact_inserts : {true, false}) {
+    DescriptorStore store(&rules_->algebra->properties(), StoreMode::kSerial);
+    PlanCache cache(&store);
+    OptimizerOptions exact;
+    exact.plan_cache = &cache;
+    OptimizerOptions param = exact;
+    param.param_cache = true;
+
+    Optimizer cold(rules_.get(), &w.catalog, exact_inserts ? exact : param,
+                   &store);
+    ASSERT_TRUE(cold.Optimize(*w.query).ok());
+    EXPECT_FALSE(cold.stats().plan_from_cache);
+    Optimizer warm(rules_.get(), &w.catalog, exact_inserts ? param : exact,
+                   &store);
+    auto warm_plan = warm.Optimize(*w.query);
+    ASSERT_TRUE(warm_plan.ok());
+    EXPECT_TRUE(warm.stats().plan_from_cache) << exact_inserts;
+    EXPECT_EQ(warm.stats().cache_param_hits, 0u);
+    EXPECT_EQ(warm_plan->cost, ref_plan->cost);
+    EXPECT_TRUE(warm_plan->root->ToExpr(*rules_->algebra)
+                    ->Equals(*ref_plan->root->ToExpr(*rules_->algebra)));
+
+    // Zero-slot traffic never moves the parameterized counters.
+    const PlanCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.inserts, 1u);
+    EXPECT_EQ(stats.param_hits, 0u);
+    EXPECT_EQ(stats.param_inserts, 0u);
+    EXPECT_EQ(stats.unrebindable_inserts, 0u);
+    EXPECT_EQ(stats.sensitivity_rejects, 0u);
+  }
+}
+
+TEST_F(ParameterizedCacheTest, ExactModeNeverServesSkeletonEntries) {
   DescriptorStore store(&rules_->algebra->properties(), StoreMode::kSerial);
   PlanCache cache(&store);
+  OptimizerOptions exact;
+  exact.plan_cache = &cache;
+  OptimizerOptions param = exact;
+  param.param_cache = true;
+
   workload::Workload w = MakeQ(5, 2, 27);
+  Optimizer cold(rules_.get(), &w.catalog, param, &store);
+  ASSERT_TRUE(cold.Optimize(*w.query).ok());
+  ASSERT_EQ(cache.stats().param_inserts, 1u);
+
   algebra::ParameterizedQuery pq = algebra::ParameterizeQuery(*w.query);
   ASSERT_NE(pq.skeleton, nullptr);
+  std::vector<algebra::Scalar> values;
+  for (const algebra::ParamSlot& slot : pq.slots) {
+    const int64_t domain =
+        std::max<int64_t>(1, w.catalog.DistinctValues(slot.attr));
+    const int64_t* original = std::get_if<int64_t>(&slot.value.v);
+    ASSERT_NE(original, nullptr);
+    values.push_back(algebra::Scalar::Int((*original + 1) % domain));
+  }
+  algebra::ExprPtr variant = algebra::BindQuery(*pq.skeleton, values);
+  ASSERT_NE(variant, nullptr);
 
-  const PlanCache::Key key =
-      PlanCache::MakeKey(*pq.skeleton, 0, w.catalog, &store);
-  PlanCache::ParamInfo info;
-  info.slots = pq.slots;
-  cache.InsertParam(key, w.catalog, info, Plan{});
-  ASSERT_EQ(cache.size(), 1u);
+  // Exact mode keys on the constant-bearing tree, which no skeleton key
+  // matches: the variant misses rather than being served a rebound plan.
+  Optimizer probe(rules_.get(), &w.catalog, exact, &store);
+  auto fresh = probe.Optimize(*variant);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_FALSE(probe.stats().plan_from_cache);
+  EXPECT_EQ(probe.stats().cache_param_hits, 0u);
+  EXPECT_EQ(cache.stats().param_hits, 0u);
 
-  // The exact probe must not serve the skeleton entry even though the key
-  // bytes match...
-  Plan hit;
-  EXPECT_FALSE(cache.Probe(key, w.catalog, &hit));
-
-  // ...and an exact insert under the same key coexists rather than
-  // replacing it; each probe flavor sees only its own entry.
-  cache.Insert(key, w.catalog, Plan{});
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.Probe(key, w.catalog, &hit));
-  EXPECT_TRUE(cache.ProbeParam(key, w.catalog, info, &hit));
+  // The skeleton entry still serves parameterized probes of the variant.
+  Optimizer warm(rules_.get(), &w.catalog, param, &store);
+  auto warm_plan = warm.Optimize(*variant);
+  ASSERT_TRUE(warm_plan.ok());
+  EXPECT_TRUE(warm.stats().plan_from_cache);
+  EXPECT_EQ(warm.stats().cache_param_hits, 1u);
+  // Descriptors included: the rebound plan carries the variant's constants.
+  EXPECT_EQ(warm_plan->cost, fresh->cost);
+  EXPECT_TRUE(warm_plan->root->ToExpr(*rules_->algebra)
+                  ->Equals(*fresh->root->ToExpr(*rules_->algebra)));
 }
 
 TEST_F(ParameterizedCacheTest, SensitivityGuardRejectsOutOfBandBindings) {
@@ -528,7 +607,7 @@ TEST_F(ParameterizedCacheTest, SensitivityGuardRejectsOutOfBandBindings) {
   PlanCache::ParamInfo selective;
   selective.slots = pq.slots;
   selective.guard_est = 0.01;
-  cache.InsertParam(key, w.catalog, selective, *plan);
+  cache.Insert(key, w.catalog, selective, *plan);
   ASSERT_EQ(cache.stats().param_inserts, 1u);
 
   // Same skeleton, wildly different estimated selectivity: the guard must
@@ -538,29 +617,29 @@ TEST_F(ParameterizedCacheTest, SensitivityGuardRejectsOutOfBandBindings) {
   Plan hit;
   bool dropped_stale = false;
   bool guard_rejected = false;
-  EXPECT_FALSE(cache.ProbeParam(key, w.catalog, broad, &hit, &dropped_stale,
+  EXPECT_FALSE(cache.Probe(key, w.catalog, broad, &hit, &dropped_stale,
                                 &guard_rejected));
   EXPECT_TRUE(guard_rejected);
   EXPECT_EQ(cache.stats().sensitivity_rejects, 1u);
 
   // Fresh optimization under the rejected binding populates a per-band
   // variant; afterwards both bands are served.
-  cache.InsertParam(key, w.catalog, broad, *plan);
+  cache.Insert(key, w.catalog, broad, *plan);
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.ProbeParam(key, w.catalog, broad, &hit));
-  EXPECT_TRUE(cache.ProbeParam(key, w.catalog, selective, &hit));
+  EXPECT_TRUE(cache.Probe(key, w.catalog, broad, &hit));
+  EXPECT_TRUE(cache.Probe(key, w.catalog, selective, &hit));
 
   // A nearby estimate (within the 4x band) is served by the variant.
   PlanCache::ParamInfo nearby = selective;
   nearby.guard_est = 0.02;
-  EXPECT_TRUE(cache.ProbeParam(key, w.catalog, nearby, &hit));
+  EXPECT_TRUE(cache.Probe(key, w.catalog, nearby, &hit));
 
   // Band 0 disables the guard entirely.
   PlanCacheOptions open_opts;
   open_opts.param_band = 0;
   PlanCache open_cache(&store, open_opts);
-  open_cache.InsertParam(key, w.catalog, selective, *plan);
-  EXPECT_TRUE(open_cache.ProbeParam(key, w.catalog, broad, &hit));
+  open_cache.Insert(key, w.catalog, selective, *plan);
+  EXPECT_TRUE(open_cache.Probe(key, w.catalog, broad, &hit));
 }
 
 TEST_F(ParameterizedCacheTest, UnattributablePlanConstantsFallBackToExact) {
@@ -583,20 +662,20 @@ TEST_F(ParameterizedCacheTest, UnattributablePlanConstantsFallBackToExact) {
   info.slots[0].value = algebra::Scalar::Int(*original + 1000);
   const PlanCache::Key key =
       PlanCache::MakeKey(*pq.skeleton, 0, w.catalog, &store);
-  cache.InsertParam(key, w.catalog, info, *plan);
+  cache.Insert(key, w.catalog, info, *plan);
   EXPECT_EQ(cache.stats().unrebindable_inserts, 1u);
   EXPECT_EQ(cache.stats().param_inserts, 0u);
 
   // The exact-only entry serves precisely its own binding...
   Plan hit;
-  EXPECT_TRUE(cache.ProbeParam(key, w.catalog, info, &hit));
+  EXPECT_TRUE(cache.Probe(key, w.catalog, info, &hit));
   EXPECT_EQ(Render(hit), Render(*plan));
 
   // ...and never a different one (an unrebindable plan must not be bent
   // to fresh constants).
   PlanCache::ParamInfo other = info;
   other.slots[1].value = algebra::Scalar::Int(12345);
-  EXPECT_FALSE(cache.ProbeParam(key, w.catalog, other, &hit));
+  EXPECT_FALSE(cache.Probe(key, w.catalog, other, &hit));
 
   // Ambiguous slots (two indistinguishable comparison shapes) are equally
   // unrebindable: binding could swap their constants.
@@ -604,7 +683,7 @@ TEST_F(ParameterizedCacheTest, UnattributablePlanConstantsFallBackToExact) {
   ambiguous.slots = pq.slots;
   ambiguous.slots.push_back(pq.slots[0]);
   EXPECT_TRUE(algebra::SlotMatcher(ambiguous.slots).ambiguous());
-  cache.InsertParam(key, w.catalog, ambiguous, *plan);
+  cache.Insert(key, w.catalog, ambiguous, *plan);
   EXPECT_EQ(cache.stats().unrebindable_inserts, 2u);
 }
 
@@ -624,7 +703,7 @@ TEST_F(ParameterizedCacheTest, ByteBudgetCoversParameterizedEntries) {
     info.slots = pq.slots;
     const PlanCache::Key key =
         PlanCache::MakeKey(*pq.skeleton, 0, w.catalog, &store);
-    cache.InsertParam(key, w.catalog, info, Plan{});
+    cache.Insert(key, w.catalog, info, Plan{});
   }
   // Parameterized entries charge their skeleton key AND parameter vector
   // against the byte budget; eviction holds the cache under it.
@@ -640,10 +719,10 @@ TEST_F(ParameterizedCacheTest, ByteBudgetCoversParameterizedEntries) {
       PlanCache::MakeKey(*pq.skeleton, 0, w.catalog, &store);
   PlanCache cache_exact(&store, PlanCacheOptions{});
   PlanCache cache_param(&store, PlanCacheOptions{});
-  cache_exact.Insert(key, w.catalog, Plan{});
+  cache_exact.Insert(key, w.catalog, {}, Plan{});
   PlanCache::ParamInfo info;
   info.slots = pq.slots;
-  cache_param.InsertParam(key, w.catalog, info, Plan{});
+  cache_param.Insert(key, w.catalog, info, Plan{});
   EXPECT_GT(cache_param.bytes(), cache_exact.bytes());
 }
 

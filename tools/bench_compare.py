@@ -17,13 +17,13 @@ Usage:
 
 --tolerance-for overrides the gate for one bench (the record's "bench"
 field), and may repeat. This exists for benches whose families span very
-different magnitudes: BENCH_plancache mixes multi-second cold searches
+different magnitudes: BENCH_serving mixes multi-second cold searches
 with microsecond warm probes, and the warm side needs a far looser
 relative gate than the default — e.g.
 
-    --tolerance 0.10 --tolerance-for plancache=300
+    --tolerance 0.10 --tolerance-for serving=300
 
-gates most benches at +10% but allows plancache families 4x.
+gates most benches at +10% but allows serving families 4x.
 
 --update refreshes the baseline snapshots from the given results instead
 of comparing (run on a quiet machine, then commit the changed files).
