@@ -5,7 +5,7 @@
 // with bench_util's TimePairs (interleaved back-to-back pairs whose time
 // ratios cancel host load and frequency drift):
 //   metrics  Optimize with a VolcanoMetrics bundle over a private registry
-//            (counters flushed per query, rule latencies sampled 1-in-16).
+//            (every counter flushed once per query from the stats ledger).
 //   trace    Optimize into a full-detail RingBufferSink.
 //   exec     execute the winning plan with an ExecStats collector wrapping
 //            every operator (rows counted, Next() timed 1-in-64).
@@ -17,8 +17,8 @@
 // medians printed alongside still wander a few percent under host load.
 //
 // Self-checks (exit non-zero on failure):
-//   - the metrics bundle's counters equal the engine stats summed over the
-//     metered runs (queries, trans attempts, trans firings, plans costed);
+//   - the metrics bundle's query count and every counter row equal the
+//     engine stats summed over the metered runs;
 //   - the rule profile built from the trace counts every trans firing
 //     (checked when the ring dropped nothing);
 //   - instrumented execution is SameResult with plain execution, the root
@@ -33,6 +33,7 @@
 //   PRAIRIE_OVERHEAD_REPEATS  timed pairs per query and layer  (def 13)
 //   PRAIRIE_OVERHEAD_TOL      overhead gate, percent           (def 2)
 
+#include <array>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -60,6 +61,7 @@ using prairie::exec::Row;
 using prairie::volcano::DiagTrigger;
 using prairie::volcano::Optimizer;
 using prairie::volcano::OptimizerOptions;
+using prairie::volcano::VolcanoMetrics;
 
 constexpr int kJoins = 2;
 // Executable base-class sizes: the default workload's classes of up to
@@ -89,8 +91,8 @@ int main() {
 
   // Private registry: the counter check needs series that start at zero.
   prairie::common::MetricsRegistry registry;
-  const prairie::volcano::VolcanoMetrics metrics =
-      prairie::volcano::VolcanoMetrics::ForRuleSet(&registry, rules);
+  const VolcanoMetrics metrics = VolcanoMetrics::ForRegistry(&registry);
+  const auto rows = VolcanoMetrics::CounterRows();
 
   prairie::exec::ExecutorRegistry executors;
   if (auto st = prairie::opt::RegisterStandardExecutors(&executors);
@@ -125,9 +127,7 @@ int main() {
   prairie::bench::JsonWriter json("overhead");
   std::vector<double> pooled[kNumLayers];
   uint64_t want_queries = 0;
-  uint64_t want_trans_attempts = 0;
-  uint64_t want_trans_fired = 0;
-  uint64_t want_plans_costed = 0;
+  std::array<uint64_t, VolcanoMetrics::kNumCounters> want_rows{};
   size_t recorded_events = 0;
   bool ok = true;
 
@@ -175,9 +175,9 @@ int main() {
     auto metered = [&]() {
       return optimize(metered_opt, [&](const Optimizer& o, double, double) {
         ++want_queries;
-        want_trans_attempts += o.stats().trans_attempts;
-        want_trans_fired += o.stats().trans_fired;
-        want_plans_costed += o.stats().plans_costed;
+        for (size_t i = 0; i < rows.size(); ++i) {
+          want_rows[i] += rows[i].read(o.stats());
+        }
       });
     };
 
@@ -308,26 +308,18 @@ int main() {
 
   // The bundle's counters against the engine stats of every metered run:
   // the per-query flush must not lose or double-count.
-  struct CounterCheck {
-    const char* name;
-    uint64_t got;
-    uint64_t want;
+  const auto check = [&](const char* name, uint64_t got, uint64_t want) {
+    if (got == want) return;
+    std::fprintf(stderr,
+                 "bench_overhead: FAILED — counter %s is %llu, engine stats "
+                 "sum to %llu\n",
+                 name, static_cast<unsigned long long>(got),
+                 static_cast<unsigned long long>(want));
+    ok = false;
   };
-  const CounterCheck counter_checks[] = {
-      {"queries", metrics.queries->Value(), want_queries},
-      {"trans_attempts", metrics.trans_attempts->Value(), want_trans_attempts},
-      {"trans_fired", metrics.trans_fired->Value(), want_trans_fired},
-      {"plans_costed", metrics.plans_costed->Value(), want_plans_costed},
-  };
-  for (const CounterCheck& c : counter_checks) {
-    if (c.got != c.want) {
-      std::fprintf(stderr,
-                   "bench_overhead: FAILED — counter %s is %llu, engine "
-                   "stats sum to %llu\n",
-                   c.name, static_cast<unsigned long long>(c.got),
-                   static_cast<unsigned long long>(c.want));
-      ok = false;
-    }
+  check("prairie_queries_total", metrics.queries->Value(), want_queries);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    check(rows[i].name, metrics.counters[i]->Value(), want_rows[i]);
   }
   if (recorded_events == 0) {
     std::fprintf(stderr,

@@ -203,7 +203,7 @@ int main() {
     for (int jobs : {1, 2, 4, 8}) {
       prairie::common::MetricsRegistry registry;
       prairie::volcano::VolcanoMetrics metrics =
-          prairie::volcano::VolcanoMetrics::ForRuleSet(&registry, rules);
+          prairie::volcano::VolcanoMetrics::ForRegistry(&registry);
       BatchOptions options;
       options.jobs = jobs;
       options.optimizer.param_cache = s->param_cache;

@@ -12,9 +12,8 @@
 //   * Off: passing a null ExecStats* builds the plain tree.
 //   * Enabled: Open/Close are timed exactly (they run once per operator);
 //     Next is counted on every call but *timed* only one call in
-//     kNextSamplePeriod — the same sampling discipline as
-//     VolcanoMetrics::kLatencySamplePeriod, at a coarser 1-in-64 period —
-//     so the per-row overhead is a counter increment, not two clock reads.
+//     kNextSamplePeriod (64), so the per-row overhead is a counter
+//     increment, not two clock reads.
 //
 // Timestamps use the TraceNowNs() steady-clock domain, so EmitTrace()
 // merges execution spans into the same Chrome/Perfetto timeline as the
@@ -135,10 +134,8 @@ class ExecStats {
 /// instrumented plan is result-identical to a plain one.
 class InstrumentedIterator final : public Iterator {
  public:
-  /// Time one Next() call in this many (power of two). Coarser than the
-  /// optimizer's 1-in-16 VolcanoMetrics::kLatencySamplePeriod because the
-  /// executor's Next() runs orders of magnitude more often than rule
-  /// firings, and a steady-clock read costs tens of ns on VM hosts: at
+  /// Time one Next() call in this many (power of two). Next() runs once
+  /// per row, and a steady-clock read costs tens of ns on VM hosts: at
   /// 1-in-64 the two reads amortize to well under the per-row budget of
   /// bench_overhead's executor-stats gate.
   static constexpr uint64_t kNextSamplePeriod = 64;

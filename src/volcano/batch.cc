@@ -61,6 +61,8 @@ std::vector<BatchResult> BatchOptimizer::OptimizeAll(
       sinks.push_back(std::make_unique<common::RingBufferSink>(sink_capacity));
     }
   }
+  const algebra::DescriptorStore::CounterSnapshot store_before =
+      store_->Counters();
   auto worker = [&](int wid) {
     OptimizerOptions opt = options_.optimizer;
     common::RingBufferSink* sink =
@@ -136,8 +138,13 @@ std::vector<BatchResult> BatchOptimizer::OptimizeAll(
             });
   // Post-barrier batch metrics. Per-query counters were already flushed by
   // each worker's optimizers (same bundle, sharded counters: no
-  // contention); here only the batch-level shape is recorded.
+  // contention), except a concurrent store's interning traffic: each
+  // query's delta of it includes the other workers', so it is added here,
+  // once, along with the batch-level shape.
   if (const VolcanoMetrics* mm = options_.optimizer.metrics) {
+    if (store_->concurrent()) {
+      mm->AddStoreTraffic(store_before, store_->Counters());
+    }
     if (mm->batch_runs != nullptr) mm->batch_runs->Inc();
     if (mm->batch_worker_merges != nullptr) {
       mm->batch_worker_merges->Inc(static_cast<uint64_t>(workers));

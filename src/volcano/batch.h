@@ -55,8 +55,8 @@ struct BatchOptions {
   /// is `plan_cache`: workers probe only the batch's own cache. The
   /// `metrics` bundle, by contrast, IS honored and shared by every worker:
   /// its counters/histograms are per-thread sharded, so concurrent flushes
-  /// do not contend; batch_runs/batch_worker_merges are bumped after the
-  /// join barrier.
+  /// do not contend; batch_runs/batch_worker_merges, and a concurrent
+  /// store's interning traffic, are added after the join barrier.
   OptimizerOptions optimizer;
   /// > 0: construct a plan cache (sized to this many entries) over the
   /// shared store and hand it to every worker — repeated queries across

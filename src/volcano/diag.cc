@@ -157,8 +157,8 @@ std::string DiagService::SlowLogRecord(DiagTrigger trigger,
       ",\"optimize\":" +
       FormatDouble(static_cast<double>(optimize_ns) / 1e6) +
       ",\"exec\":" + FormatDouble(static_cast<double>(exec_ns) / 1e6) + "}";
-  // Top-k rule latencies (needs attempt spans, i.e. TraceDetail::kFull;
-  // coarse slices yield an empty list).
+  // Top-k rules by self time (needs attempt spans, i.e.
+  // TraceDetail::kFull; coarse slices yield an empty list).
   out += ",\"top_rules\":[";
   if (options_.rules != nullptr && !diag.trace_slice.empty()) {
     const RuleProfile profile =
@@ -171,7 +171,7 @@ std::string DiagService::SlowLogRecord(DiagTrigger trigger,
     }
     std::sort(rows.begin(), rows.end(),
               [](const RuleProfileRow* a, const RuleProfileRow* b) {
-                return a->total_ns > b->total_ns;
+                return a->self_ns > b->self_ns;
               });
     if (rows.size() > 3) rows.resize(3);
     bool first = true;
@@ -180,8 +180,8 @@ std::string DiagService::SlowLogRecord(DiagTrigger trigger,
       first = false;
       out += "{\"name\":\"" + common::JsonEscape(r->name) +
              "\",\"attempts\":" + std::to_string(r->attempts) +
-             ",\"total_us\":" +
-             FormatDouble(static_cast<double>(r->total_ns) / 1e3) + "}";
+             ",\"self_us\":" +
+             FormatDouble(static_cast<double>(r->self_ns) / 1e3) + "}";
     }
   }
   out += "]";

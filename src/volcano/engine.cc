@@ -49,14 +49,8 @@ Optimizer::Optimizer(const RuleSet* rules, const catalog::Catalog* catalog,
   stats_.trans_matched.assign(rules_->trans_rules.size(), 0);
   stats_.impl_matched.assign(rules_->impl_rules.size(), 0);
   // Snapshot the store counters before this optimizer interns anything:
-  // RecordStoreStats() reports deltas against these, so a shared store
-  // does not inflate per-query interning stats with other queries'
-  // traffic.
-  const algebra::DescriptorStore::CounterSnapshot snap =
-      memo_->store()->Counters();
-  store_size0_ = snap.size;
-  store_lookups0_ = snap.lookups;
-  store_hits0_ = snap.hits;
+  // RecordLedger() reports deltas against these.
+  store0_ = memo_->store()->Counters();
   if (options_.trace != nullptr) trace_tid_ = common::TraceThreadId();
 }
 
@@ -88,16 +82,17 @@ BindingView Optimizer::MakeBinding(int num_slots) {
   return bv;
 }
 
-void Optimizer::RecordStoreStats() {
+void Optimizer::RecordLedger() {
+  stats_.memo = memo_->tallies();
   // Deltas since construction, not the store-global totals: under a
   // shared (batch) store the global counters include every other worker's
   // interning. The delta is exact for a private or sequentially shared
   // store and a close approximation under truly concurrent workers.
   const algebra::DescriptorStore::CounterSnapshot snap =
       memo_->store()->Counters();
-  stats_.desc_interned = snap.size - store_size0_;
-  stats_.desc_lookups = snap.lookups - store_lookups0_;
-  stats_.desc_hits = snap.hits - store_hits0_;
+  stats_.desc_interned = snap.size - store0_.size;
+  stats_.desc_lookups = snap.lookups - store0_.lookups;
+  stats_.desc_hits = snap.hits - store0_.hits;
 }
 
 Result<Plan> Optimizer::Optimize(const algebra::Expr& tree,
@@ -106,6 +101,7 @@ Result<Plan> Optimizer::Optimize(const algebra::Expr& tree,
   const VolcanoMetrics* mm = options_.metrics;
   const uint64_t t0 = mm != nullptr ? common::TraceNowNs() : 0;
   Result<Plan> result = OptimizeCached(tree, NormalizeReq(required));
+  RecordLedger();
   if (mm != nullptr) {
     if (mm->query_latency_ns != nullptr) {
       mm->query_latency_ns->Observe(common::TraceNowNs() - t0);
@@ -167,22 +163,12 @@ Result<Plan> Optimizer::OptimizeCached(const algebra::Expr& tree,
   bool guard_rejected = false;
   const bool found = cache->Probe(key, *catalog_, pinfo, &hit,
                                   &dropped_stale, &guard_rejected);
+  if (mm != nullptr && mm->plan_cache_probe_ns != nullptr) {
+    mm->plan_cache_probe_ns->Observe(common::TraceNowNs() - p0);
+  }
   ++stats_.cache_probes;
   if (guard_rejected) ++stats_.cache_param_rejects;
   if (dropped_stale) ++stats_.cache_stale_drops;
-  if (mm != nullptr) {
-    if (mm->plan_cache_probe_ns != nullptr) {
-      mm->plan_cache_probe_ns->Observe(common::TraceNowNs() - p0);
-    }
-    const auto inc = [](common::Counter* c) {
-      if (c != nullptr) c->Inc();
-    };
-    if (found) inc(mm->plan_cache_hits);
-    else inc(mm->plan_cache_misses);
-    if (found && parameterized) inc(mm->plan_cache_param_hits);
-    if (guard_rejected) inc(mm->plan_cache_param_rejects);
-    if (dropped_stale) inc(mm->plan_cache_stale);
-  }
   if (found) {
     ++stats_.cache_hits;
     if (parameterized) ++stats_.cache_param_hits;
@@ -191,7 +177,6 @@ Result<Plan> Optimizer::OptimizeCached(const algebra::Expr& tree,
     // report a previous query's derivation.
     explain_root_ = -1;
     explain_req_ = algebra::kInvalidDescriptorId;
-    RecordStoreStats();  // fingerprint interning traffic (all hits)
     return hit;
   }
   // Always optimize the ORIGINAL tree — the skeleton was only the key.
@@ -200,12 +185,8 @@ Result<Plan> Optimizer::OptimizeCached(const algebra::Expr& tree,
   // would serve the truncated plan to future unbudgeted queries.
   if (result.ok() && !stats_.budget_exhausted) {
     cache->Insert(key, *catalog_, pinfo, result.ValueOrDie());
-    if (mm != nullptr) {
-      if (mm->plan_cache_inserts != nullptr) mm->plan_cache_inserts->Inc();
-      if (parameterized && mm->plan_cache_param_inserts != nullptr) {
-        mm->plan_cache_param_inserts->Inc();
-      }
-    }
+    ++stats_.cache_inserts;
+    if (parameterized) ++stats_.cache_param_inserts;
   }
   return result;
 }
@@ -251,7 +232,6 @@ Result<Plan> Optimizer::OptimizeImpl(const algebra::Expr& tree,
   explain_req_ = ReqId(req);
   stats_.groups = memo_->NumGroups();
   stats_.mexprs = memo_->NumExprs();
-  RecordStoreStats();
   if (!w.has_plan) {
     return Status::OptimizeError(
         "no access plan found for '" + tree.ToString(*rules_->algebra) +
@@ -284,7 +264,7 @@ Result<size_t> Optimizer::ExpandOnly(const algebra::Expr& tree) {
   }
   stats_.groups = memo_->NumGroups();
   stats_.mexprs = memo_->NumExprs();
-  RecordStoreStats();
+  RecordLedger();
   FlushMetrics();
   return stats_.groups;
 }
@@ -864,23 +844,18 @@ void Optimizer::TraceInstantSlow(common::TraceEventKind kind, GroupId gid,
 
 void Optimizer::TraceSpan::Begin(Optimizer* opt, common::TraceEventKind kind,
                                  GroupId gid, int rule,
-                                 algebra::DescriptorId desc, bool traced) {
+                                 algebra::DescriptorId desc) {
   opt_ = opt;
-  traced_ = traced;
   kind_ = kind;
   gid_ = gid;
   rule_ = rule;
   desc_ = desc;
   start_ns_ = common::TraceNowNs();
-  // The nesting depth is a property of the trace stream; metrics-only
-  // spans leave it untouched so traces look identical with metrics on.
-  if (traced_) ++opt_->trace_depth_;
+  ++opt_->trace_depth_;
 }
 
 void Optimizer::TraceSpan::End() {
   const uint64_t dur_ns = common::TraceNowNs() - start_ns_;
-  if (hist_ != nullptr) hist_->Observe(dur_ns);
-  if (!traced_) return;
   --opt_->trace_depth_;
   common::TraceEvent e;
   e.kind = kind_;
@@ -898,174 +873,145 @@ void Optimizer::TraceSpan::End() {
 // Observability: aggregate metrics
 // ---------------------------------------------------------------------------
 
-VolcanoMetrics VolcanoMetrics::ForRuleSet(common::MetricsRegistry* registry,
-                                          const RuleSet& rules) {
+namespace {
+
+using Stats = OptimizerStats;
+
+// The engine's exported counters: each row is a series and the ledger
+// quantity it accumulates. A new counter is one OptimizerStats field and
+// one row here.
+constexpr VolcanoMetrics::CounterRow kCounterRows[] = {
+    // Search.
+    {"prairie_trans_attempts_total",
+     "Trans-rule binding condition evaluations",
+     [](const Stats& s) -> uint64_t { return s.trans_attempts; }},
+    {"prairie_trans_fired_total",
+     "New logical expressions generated by trans rules",
+     [](const Stats& s) -> uint64_t { return s.trans_fired; }},
+    {"prairie_impl_attempts_total", "Impl-rule firings attempted",
+     [](const Stats& s) -> uint64_t { return s.impl_attempts; }},
+    {"prairie_enforcer_attempts_total", "Enforcer applications attempted",
+     [](const Stats& s) -> uint64_t { return s.enforcer_attempts; }},
+    {"prairie_plans_costed_total", "Physical alternatives fully costed",
+     [](const Stats& s) -> uint64_t { return s.plans_costed; }},
+    {"prairie_winners_selected_total",
+     "(group, requirement) winners memoized",
+     [](const Stats& s) -> uint64_t { return s.winners_selected; }},
+    {"prairie_prunes_total", "Branch-and-bound cuts",
+     [](const Stats& s) -> uint64_t { return s.prunes; }},
+    {"prairie_cycle_guard_hits_total",
+     "Cyclic (group, requirement) searches refused",
+     [](const Stats& s) -> uint64_t { return s.cycle_guard_hits; }},
+    // Memo.
+    {"prairie_memo_groups_created_total", "Memo equivalence classes created",
+     [](const Stats& s) -> uint64_t { return s.memo.groups_created; }},
+    {"prairie_memo_groups_merged_total", "Memo equivalence-class merges",
+     [](const Stats& s) -> uint64_t { return s.memo.groups_merged; }},
+    {"prairie_memo_exprs_inserted_total",
+     "Multi-expressions added to the memo",
+     [](const Stats& s) -> uint64_t { return s.memo.exprs_inserted; }},
+    {"prairie_memo_exprs_deduped_total",
+     "Insert attempts resolved to an existing expr",
+     [](const Stats& s) -> uint64_t { return s.memo.exprs_deduped; }},
+    // Interning.
+    {"prairie_intern_hits_total",
+     "Descriptor-interning probes that found an existing descriptor",
+     [](const Stats& s) -> uint64_t { return s.desc_hits; }, true},
+    {"prairie_intern_misses_total",
+     "Descriptor-interning probes that appended a new descriptor",
+     [](const Stats& s) -> uint64_t {
+       return s.desc_lookups - s.desc_hits;
+     },
+     true},
+    // Plan cache, as seen by this engine (DESIGN.md §8); cache-global
+    // figures (evictions, live entries) come from PlanCache::stats().
+    {"prairie_plan_cache_hits_total", "Queries served from the plan cache",
+     [](const Stats& s) -> uint64_t { return s.cache_hits; }},
+    {"prairie_plan_cache_misses_total",
+     "Plan-cache probes that fell through to the search",
+     [](const Stats& s) -> uint64_t {
+       return s.cache_probes - s.cache_hits;
+     }},
+    {"prairie_plan_cache_inserts_total", "Winning plans stored in the cache",
+     [](const Stats& s) -> uint64_t { return s.cache_inserts; }},
+    {"prairie_plan_cache_stale_total",
+     "Stale (epoch-mismatched) cache entries dropped on probe",
+     [](const Stats& s) -> uint64_t { return s.cache_stale_drops; }},
+    {"prairie_plan_cache_param_hits_total",
+     "Queries served by rebinding a parameterized skeleton entry",
+     [](const Stats& s) -> uint64_t { return s.cache_param_hits; }},
+    {"prairie_plan_cache_param_rejects_total",
+     "Parameterized probes the selectivity guard band turned away",
+     [](const Stats& s) -> uint64_t { return s.cache_param_rejects; }},
+    {"prairie_plan_cache_param_inserts_total",
+     "Winning plans stored under a parameterized skeleton key",
+     [](const Stats& s) -> uint64_t { return s.cache_param_inserts; }},
+};
+static_assert(std::size(kCounterRows) == VolcanoMetrics::kNumCounters);
+
+void Add(common::Counter* c, uint64_t delta) {
+  if (c != nullptr && delta != 0) c->Inc(delta);
+}
+
+}  // namespace
+
+std::span<const VolcanoMetrics::CounterRow, VolcanoMetrics::kNumCounters>
+VolcanoMetrics::CounterRows() {
+  return kCounterRows;
+}
+
+VolcanoMetrics VolcanoMetrics::ForRegistry(common::MetricsRegistry* registry) {
   VolcanoMetrics m;
   if (registry == nullptr) return m;
   m.queries = registry->GetCounter("prairie_queries_total",
                                    "Optimize() calls completed");
-  m.trans_attempts =
-      registry->GetCounter("prairie_trans_attempts_total",
-                           "Trans-rule binding condition evaluations");
-  m.trans_fired = registry->GetCounter(
-      "prairie_trans_fired_total",
-      "New logical expressions generated by trans rules");
-  m.impl_attempts = registry->GetCounter("prairie_impl_attempts_total",
-                                         "Impl-rule firings attempted");
-  m.enforcer_attempts = registry->GetCounter(
-      "prairie_enforcer_attempts_total", "Enforcer applications attempted");
-  m.plans_costed = registry->GetCounter(
-      "prairie_plans_costed_total", "Physical alternatives fully costed");
-  m.winners_selected =
-      registry->GetCounter("prairie_winners_selected_total",
-                           "(group, requirement) winners memoized");
-  m.prunes = registry->GetCounter("prairie_prunes_total",
-                                  "Branch-and-bound cuts");
-  m.cycle_guard_hits =
-      registry->GetCounter("prairie_cycle_guard_hits_total",
-                           "Cyclic (group, requirement) searches refused");
-  m.memo_groups_created = registry->GetCounter(
-      "prairie_memo_groups_created_total", "Memo equivalence classes created");
-  m.memo_groups_merged = registry->GetCounter(
-      "prairie_memo_groups_merged_total", "Memo equivalence-class merges");
-  m.memo_exprs_inserted =
-      registry->GetCounter("prairie_memo_exprs_inserted_total",
-                           "Multi-expressions added to the memo");
-  m.memo_exprs_deduped =
-      registry->GetCounter("prairie_memo_exprs_deduped_total",
-                           "Insert attempts resolved to an existing expr");
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    m.counters[i] =
+        registry->GetCounter(kCounterRows[i].name, kCounterRows[i].help);
+  }
   m.memo_arena_bytes = registry->GetGauge(
       "prairie_memo_arena_bytes",
       "Arena bytes backing the memo's group table and expression lists");
-  m.intern_hits =
-      registry->GetCounter("prairie_intern_hits_total",
-                           "Descriptor-interning probes that found an "
-                           "existing descriptor");
-  m.intern_misses = registry->GetCounter(
-      "prairie_intern_misses_total",
-      "Descriptor-interning probes that appended a new descriptor");
   m.batch_runs = registry->GetCounter("prairie_batch_runs_total",
                                       "BatchOptimizer::OptimizeAll calls");
   m.batch_worker_merges = registry->GetCounter(
       "prairie_batch_worker_merges_total",
       "Per-worker trace/stat streams merged after a batch barrier");
-  m.plan_cache_hits = registry->GetCounter(
-      "prairie_plan_cache_hits_total", "Queries served from the plan cache");
-  m.plan_cache_misses = registry->GetCounter(
-      "prairie_plan_cache_misses_total",
-      "Plan-cache probes that fell through to the search");
-  m.plan_cache_inserts = registry->GetCounter(
-      "prairie_plan_cache_inserts_total", "Winning plans stored in the cache");
-  m.plan_cache_stale = registry->GetCounter(
-      "prairie_plan_cache_stale_total",
-      "Stale (epoch-mismatched) cache entries dropped on probe");
-  m.plan_cache_param_hits = registry->GetCounter(
-      "prairie_plan_cache_param_hits_total",
-      "Queries served by rebinding a parameterized skeleton entry");
-  m.plan_cache_param_rejects = registry->GetCounter(
-      "prairie_plan_cache_param_rejects_total",
-      "Parameterized probes the selectivity guard band turned away");
-  m.plan_cache_param_inserts = registry->GetCounter(
-      "prairie_plan_cache_param_inserts_total",
-      "Winning plans stored under a parameterized skeleton key");
   m.query_latency_ns = registry->GetHistogram(
       "prairie_query_latency_ns", "Per-query optimization wall time (ns)");
   m.plan_cache_probe_ns = registry->GetHistogram(
       "prairie_plan_cache_probe_ns",
       "Plan-cache key build + probe wall time (ns)");
-  const auto rule_hist = [registry](const std::string& name,
-                                    const char* cls) {
-    return registry->GetHistogram(
-        "prairie_rule_latency_ns",
-        "Sampled per-attempt rule latency (ns)",
-        {{"rule", name}, {"class", cls}});
-  };
-  m.trans_latency_ns.reserve(rules.trans_rules.size());
-  for (const TransRule& r : rules.trans_rules) {
-    m.trans_latency_ns.push_back(rule_hist(r.name, "trans"));
-  }
-  m.impl_latency_ns.reserve(rules.impl_rules.size());
-  for (const ImplRule& r : rules.impl_rules) {
-    m.impl_latency_ns.push_back(rule_hist(r.name, "impl"));
-  }
-  m.enforcer_latency_ns.reserve(rules.enforcers.size());
-  for (const Enforcer& e : rules.enforcers) {
-    m.enforcer_latency_ns.push_back(rule_hist(e.name, "enforcer"));
-  }
   return m;
 }
 
-common::Histogram* Optimizer::SampledLatency(common::TraceEventKind kind,
-                                             int rule) {
-  const VolcanoMetrics* mm = options_.metrics;
-  if (mm == nullptr || rule < 0) return nullptr;
-  const std::vector<common::Histogram*>* per_rule = nullptr;
-  switch (kind) {
-    case common::TraceEventKind::kTransAttempt:
-      per_rule = &mm->trans_latency_ns;
-      break;
-    case common::TraceEventKind::kImplAttempt:
-      per_rule = &mm->impl_latency_ns;
-      break;
-    case common::TraceEventKind::kEnforcerAttempt:
-      per_rule = &mm->enforcer_latency_ns;
-      break;
-    default:
-      return nullptr;
+void VolcanoMetrics::AddStoreTraffic(
+    const algebra::DescriptorStore::CounterSnapshot& before,
+    const algebra::DescriptorStore::CounterSnapshot& after) const {
+  OptimizerStats delta;
+  delta.desc_lookups = after.lookups - before.lookups;
+  delta.desc_hits = after.hits - before.hits;
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    if (kCounterRows[i].store_traffic) {
+      Add(counters[i], kCounterRows[i].read(delta));
+    }
   }
-  if (static_cast<size_t>(rule) >= per_rule->size()) return nullptr;
-  common::Histogram* h = (*per_rule)[static_cast<size_t>(rule)];
-  if (h == nullptr) return nullptr;
-  // 1-in-N sampling: the cost of observing an attempt is the two clock
-  // reads around it, not the shard increment; sampling keeps the
-  // per-attempt overhead inside bench_overhead's 2% metrics gate.
-  ++metrics_tick_;
-  return metrics_tick_ % VolcanoMetrics::kLatencySamplePeriod == 0 ? h
-                                                                   : nullptr;
 }
 
 void Optimizer::FlushMetrics() {
   const VolcanoMetrics* mm = options_.metrics;
   if (mm == nullptr) return;
-  const auto add = [](common::Counter* c, uint64_t delta) {
-    if (c != nullptr && delta != 0) c->Inc(delta);
-  };
-  MetricsMark& mark = metrics_mark_;
-  add(mm->trans_attempts, stats_.trans_attempts - mark.trans_attempts);
-  add(mm->trans_fired, stats_.trans_fired - mark.trans_fired);
-  add(mm->impl_attempts, stats_.impl_attempts - mark.impl_attempts);
-  add(mm->enforcer_attempts,
-      stats_.enforcer_attempts - mark.enforcer_attempts);
-  add(mm->plans_costed, stats_.plans_costed - mark.plans_costed);
-  add(mm->winners_selected,
-      stats_.winners_selected - mark.winners_selected);
-  add(mm->prunes, stats_.prunes - mark.prunes);
-  add(mm->cycle_guard_hits,
-      stats_.cycle_guard_hits - mark.cycle_guard_hits);
-  add(mm->intern_hits, stats_.desc_hits - mark.desc_hits);
-  add(mm->intern_misses, (stats_.desc_lookups - stats_.desc_hits) -
-                             (mark.desc_lookups - mark.desc_hits));
-  const MemoTallies t = memo_->tallies();
-  if (mm->memo_arena_bytes != nullptr) {
-    mm->memo_arena_bytes->Set(static_cast<int64_t>(t.arena_bytes));
+  // A concurrent store's interning traffic is added once per batch.
+  const bool store_rows = !memo_->store()->concurrent();
+  for (size_t i = 0; i < VolcanoMetrics::kNumCounters; ++i) {
+    if (kCounterRows[i].store_traffic && !store_rows) continue;
+    const uint64_t now = kCounterRows[i].read(stats_);
+    Add(mm->counters[i], now - flushed_[i]);
+    flushed_[i] = now;
   }
-  add(mm->memo_groups_created,
-      t.groups_created - mark.memo.groups_created);
-  add(mm->memo_groups_merged, t.groups_merged - mark.memo.groups_merged);
-  add(mm->memo_exprs_inserted,
-      t.exprs_inserted - mark.memo.exprs_inserted);
-  add(mm->memo_exprs_deduped, t.exprs_deduped - mark.memo.exprs_deduped);
-  mark.trans_attempts = stats_.trans_attempts;
-  mark.trans_fired = stats_.trans_fired;
-  mark.impl_attempts = stats_.impl_attempts;
-  mark.enforcer_attempts = stats_.enforcer_attempts;
-  mark.plans_costed = stats_.plans_costed;
-  mark.winners_selected = stats_.winners_selected;
-  mark.prunes = stats_.prunes;
-  mark.cycle_guard_hits = stats_.cycle_guard_hits;
-  mark.desc_lookups = stats_.desc_lookups;
-  mark.desc_hits = stats_.desc_hits;
-  mark.memo = t;
+  if (mm->memo_arena_bytes != nullptr) {
+    mm->memo_arena_bytes->Set(static_cast<int64_t>(stats_.memo.arena_bytes));
+  }
 }
 
 std::string Optimizer::RenderExpr(const MExpr& m) const {

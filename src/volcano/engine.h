@@ -10,13 +10,16 @@
 
 #pragma once
 
+#include <array>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "algebra/descriptor_store.h"
 #include "catalog/catalog.h"
 #include "common/function_ref.h"
 #include "common/hash.h"
@@ -29,49 +32,43 @@
 namespace prairie::volcano {
 
 class PlanCache;
+struct OptimizerStats;
 
 /// \brief Registry-backed series the search engine writes (aggregate
 /// observability; the per-event companion is the trace stream). All
 /// members are borrowed from a MetricsRegistry and may individually be
-/// null (skipped). Build one bundle per rule set with ForRuleSet() and
-/// share it across any number of optimizers and batches — counters are
-/// sharded per thread, so concurrent workers do not contend.
+/// null (skipped). Build one bundle with ForRegistry() and share it across
+/// any number of optimizers and batches — counters are sharded per thread,
+/// so concurrent workers do not contend.
 ///
-/// Write discipline: counters are flushed once per query (deltas of the
-/// engine's existing per-query stats and memo tallies — zero hot-path
-/// cost); per-rule attempt latencies are sampled 1 in
-/// kLatencySamplePeriod attempts, bounding the extra clock reads that
-/// would otherwise dominate sub-millisecond searches.
+/// Write discipline: the engine's counters are a view of its per-query
+/// ledger, OptimizerStats. Each row of CounterRows() names one series and
+/// the ledger quantity it accumulates; at the end of each query the
+/// optimizer adds every row's change since its previous flush. Nothing is
+/// written on the search's hot path.
 struct VolcanoMetrics {
-  // Flushed at the end of each Optimize()/ExpandOnly() call.
-  common::Counter* queries = nullptr;          ///< Optimize() calls.
-  common::Counter* trans_attempts = nullptr;
-  common::Counter* trans_fired = nullptr;
-  common::Counter* impl_attempts = nullptr;
-  common::Counter* enforcer_attempts = nullptr;
-  common::Counter* plans_costed = nullptr;
-  common::Counter* winners_selected = nullptr;
-  common::Counter* prunes = nullptr;
-  common::Counter* cycle_guard_hits = nullptr;
-  common::Counter* memo_groups_created = nullptr;
-  common::Counter* memo_groups_merged = nullptr;
-  common::Counter* memo_exprs_inserted = nullptr;
-  common::Counter* memo_exprs_deduped = nullptr;
-  common::Counter* intern_hits = nullptr;    ///< DescriptorStore hits.
-  common::Counter* intern_misses = nullptr;  ///< DescriptorStore misses.
+  /// \brief One exported counter: its series and the ledger quantity it
+  /// accumulates.
+  struct CounterRow {
+    const char* name;
+    const char* help;
+    uint64_t (*read)(const OptimizerStats&);
+    /// Interning traffic of the descriptor store. A concurrent store's
+    /// counters mix every worker's interning into each query's delta, so
+    /// for such a store these rows are added once per batch
+    /// (AddStoreTraffic) instead of per query.
+    bool store_traffic = false;
+  };
+  static constexpr size_t kNumCounters = 21;
+  /// The table: search, memo, intern and plan-cache counters, in that order.
+  static std::span<const CounterRow, kNumCounters> CounterRows();
+
+  /// counters[i] accumulates CounterRows()[i].
+  std::array<common::Counter*, kNumCounters> counters{};
+  common::Counter* queries = nullptr;  ///< Optimize() calls.
   // Bumped by BatchOptimizer after its join barrier.
   common::Counter* batch_runs = nullptr;           ///< OptimizeAll calls.
   common::Counter* batch_worker_merges = nullptr;  ///< Worker streams merged.
-  // Plan-cache traffic as seen by this engine (DESIGN.md §8); cache-global
-  // figures (evictions, total live entries) come from PlanCache::stats().
-  common::Counter* plan_cache_hits = nullptr;    ///< Queries served cached.
-  common::Counter* plan_cache_misses = nullptr;  ///< Probes that searched.
-  common::Counter* plan_cache_inserts = nullptr;  ///< Plans stored.
-  common::Counter* plan_cache_stale = nullptr;  ///< Stale entries dropped.
-  /// Parameterized-cache traffic (OptimizerOptions::param_cache).
-  common::Counter* plan_cache_param_hits = nullptr;  ///< Rebound hits.
-  common::Counter* plan_cache_param_rejects = nullptr;  ///< Guard rejects.
-  common::Counter* plan_cache_param_inserts = nullptr;  ///< Skeletons stored.
   /// Arena bytes backing the last flushed memo's groups and expression
   /// lists (a gauge: each query's flush overwrites it with the memo it
   /// searched, so it tracks the most recent search's footprint).
@@ -81,19 +78,15 @@ struct VolcanoMetrics {
   /// Plan-cache key-build + probe wall time in nanoseconds (every probe;
   /// this is the entire warm-hit cost).
   common::Histogram* plan_cache_probe_ns = nullptr;
-  /// Per-rule attempt latencies in nanoseconds, indexed like the rule
-  /// set's trans_rules/impl_rules/enforcers vectors (sampled).
-  std::vector<common::Histogram*> trans_latency_ns;
-  std::vector<common::Histogram*> impl_latency_ns;
-  std::vector<common::Histogram*> enforcer_latency_ns;
 
-  /// One attempt in this many gets its latency observed.
-  static constexpr uint32_t kLatencySamplePeriod = 16;
+  /// Registers the full bundle (prairie_* series) in `registry`.
+  static VolcanoMetrics ForRegistry(common::MetricsRegistry* registry);
 
-  /// Registers the full bundle (prairie_* series; per-rule histograms are
-  /// labelled {rule=<name>, class=trans|impl|enforcer}) in `registry`.
-  static VolcanoMetrics ForRuleSet(common::MetricsRegistry* registry,
-                                   const RuleSet& rules);
+  /// Adds the store_traffic rows' change between two snapshots of one
+  /// concurrent store (BatchOptimizer, once per batch).
+  void AddStoreTraffic(
+      const algebra::DescriptorStore::CounterSnapshot& before,
+      const algebra::DescriptorStore::CounterSnapshot& after) const;
 };
 
 /// \brief Tuning knobs of one optimization run.
@@ -117,9 +110,9 @@ struct OptimizerOptions {
   /// within bench_overhead's 2% gate.
   common::TraceDetail trace_detail = common::TraceDetail::kFull;
   /// Aggregate metrics bundle (borrowed; must outlive the optimizer). Null
-  /// disables metrics: counters cost nothing (they flush per query), and
-  /// the per-attempt sampling check is one branch. Unlike trace sinks, one
-  /// bundle is safely shared by concurrent batch workers.
+  /// disables metrics; either way the search itself writes nothing to it
+  /// (counters flush per query). Unlike trace sinks, one bundle is safely
+  /// shared by concurrent batch workers.
   const VolcanoMetrics* metrics = nullptr;
   /// Shared plan cache (borrowed; must outlive the optimizer). Null
   /// disables caching — the classic search-every-query path, with zero
@@ -150,7 +143,9 @@ struct OptimizerOptions {
   size_t group_budget = 0;
 };
 
-/// \brief Counters reported by the experiments (Table 5, Figure 14).
+/// \brief The optimizer's per-query ledger: the counters reported by the
+/// experiments (Table 5, Figure 14) and exported by VolcanoMetrics. The
+/// counters accumulate over every call on one optimizer.
 struct OptimizerStats {
   size_t groups = 0;         ///< Equivalence classes after optimization.
   size_t mexprs = 0;         ///< Logical multi-expressions.
@@ -162,7 +157,12 @@ struct OptimizerStats {
   size_t winners_selected = 0;   ///< (group, requirement) winners memoized.
   size_t prunes = 0;             ///< Branch-and-bound cuts.
   size_t cycle_guard_hits = 0;   ///< Cyclic (group, requirement) searches.
-  /// Descriptor-interning traffic (the memo's DescriptorStore).
+  /// The memo's tallies as of the end of the last call.
+  MemoTallies memo;
+  /// Descriptor-interning traffic (the memo's DescriptorStore) since this
+  /// optimizer was constructed. Exact for a private or sequentially shared
+  /// store; approximate under concurrent workers, whose interning lands in
+  /// the same store counters at the same time.
   size_t desc_interned = 0;    ///< Distinct descriptors hash-consed.
   uint64_t desc_lookups = 0;   ///< Interning probes.
   uint64_t desc_hits = 0;      ///< Probes that found an existing descriptor.
@@ -175,6 +175,8 @@ struct OptimizerStats {
   size_t cache_stale_drops = 0;  ///< Hits discarded because the entry's
                                  ///< descriptors no longer resolve (store
                                  ///< mismatch after eviction/rebuild).
+  size_t cache_inserts = 0;        ///< Searched plans offered to the cache.
+  size_t cache_param_inserts = 0;  ///< Of those, under a skeleton key.
   /// True when the last Optimize() answer came from the plan cache (the
   /// memo then holds no search to explain or dump).
   bool plan_from_cache = false;
@@ -297,45 +299,35 @@ class Optimizer {
   /// returned id (id equality <=> requirement equality, no collision guard).
   algebra::DescriptorId ReqId(const algebra::Descriptor& req);
   BindingView MakeBinding(int num_slots);
-  void RecordStoreStats();
-
-  /// The per-rule latency histogram to observe for this attempt, or null
-  /// (metrics off, unknown rule, or this attempt not sampled).
-  common::Histogram* SampledLatency(common::TraceEventKind kind, int rule);
-  /// Adds the deltas of stats/memo tallies/store counters since the last
-  /// flush into the registry counters (end of each query).
+  /// Brings the ledger's memo tallies and store deltas up to date (end of
+  /// each Optimize()/ExpandOnly() call).
+  void RecordLedger();
+  /// Adds every counter row's change since the last flush to the registry
+  /// (end of each query).
   void FlushMetrics();
 
+  /// True when the trace sink takes events of `kind`.
+  bool Traced(common::TraceEventKind kind) const {
+    return options_.trace != nullptr &&
+           (options_.trace_detail == common::TraceDetail::kFull ||
+            common::IsCoarseKind(kind));
+  }
   /// Emits an instant trace event; a null sink costs one branch.
   void TraceInstant(common::TraceEventKind kind, GroupId gid, int rule,
                     algebra::DescriptorId desc, double cost) {
-    if (options_.trace != nullptr &&
-        (options_.trace_detail == common::TraceDetail::kFull ||
-         common::IsCoarseKind(kind))) {
-      TraceInstantSlow(kind, gid, rule, desc, cost);
-    }
+    if (Traced(kind)) TraceInstantSlow(kind, gid, rule, desc, cost);
   }
   void TraceInstantSlow(common::TraceEventKind kind, GroupId gid, int rule,
                         algebra::DescriptorId desc, double cost);
 
-  /// RAII span serving both observability layers: when the optimizer has a
-  /// trace sink it emits one span event (with duration and nesting depth)
-  /// at destruction; when metrics are on and this attempt is sampled, the
-  /// same duration is observed into the per-rule latency histogram — one
-  /// pair of clock reads feeds both. Inert (no clock read, nothing
-  /// emitted) when neither consumer is active.
+  /// RAII trace span: when the sink takes `kind` it emits one span event
+  /// (with duration and nesting depth) at destruction. Inert (no clock
+  /// read, nothing emitted) otherwise.
   class TraceSpan {
    public:
     TraceSpan(Optimizer* opt, common::TraceEventKind kind, GroupId gid,
               int rule, algebra::DescriptorId desc) {
-      const bool traced =
-          opt->options_.trace != nullptr &&
-          (opt->options_.trace_detail == common::TraceDetail::kFull ||
-           common::IsCoarseKind(kind));
-      hist_ = opt->SampledLatency(kind, rule);
-      if (traced || hist_ != nullptr) {
-        Begin(opt, kind, gid, rule, desc, traced);
-      }
+      if (opt->Traced(kind)) Begin(opt, kind, gid, rule, desc);
     }
     TraceSpan(const TraceSpan&) = delete;
     TraceSpan& operator=(const TraceSpan&) = delete;
@@ -345,12 +337,10 @@ class Optimizer {
 
    private:
     void Begin(Optimizer* opt, common::TraceEventKind kind, GroupId gid,
-               int rule, algebra::DescriptorId desc, bool traced);
+               int rule, algebra::DescriptorId desc);
     void End();
 
     Optimizer* opt_ = nullptr;
-    common::Histogram* hist_ = nullptr;
-    bool traced_ = false;
     common::TraceEventKind kind_ = common::TraceEventKind::kGroupExpand;
     GroupId gid_ = -1;
     int rule_ = -1;
@@ -385,34 +375,16 @@ class Optimizer {
   uint64_t deadline_ns_ = 0;
   size_t group_budget_ = 0;
   uint32_t budget_tick_ = 0;
-  /// Store-counter snapshots taken at construction: RecordStoreStats()
-  /// reports deltas, so per-query interning stats stay per-query even when
-  /// the store is shared across a batch (exact for private/sequential use,
-  /// approximate under truly concurrent workers).
-  size_t store_size0_ = 0;
-  uint64_t store_lookups0_ = 0;
-  uint64_t store_hits0_ = 0;
+  /// Store counters at construction: RecordLedger() reports deltas, so a
+  /// store shared across a batch does not inflate one query's interning
+  /// stats with the traffic of queries before it.
+  algebra::DescriptorStore::CounterSnapshot store0_;
   /// Tracing state: emitting thread id (cached) and current span depth.
   uint32_t trace_tid_ = 0;
   int trace_depth_ = 0;
-  /// Metrics state: the attempt tick driving 1-in-N latency sampling, and
-  /// the per-counter values already flushed to the registry (FlushMetrics
-  /// adds only deltas, so repeated Optimize() calls never double-count).
-  uint32_t metrics_tick_ = 0;
-  struct MetricsMark {
-    size_t trans_attempts = 0;
-    size_t trans_fired = 0;
-    size_t impl_attempts = 0;
-    size_t enforcer_attempts = 0;
-    size_t plans_costed = 0;
-    size_t winners_selected = 0;
-    size_t prunes = 0;
-    size_t cycle_guard_hits = 0;
-    uint64_t desc_lookups = 0;
-    uint64_t desc_hits = 0;
-    MemoTallies memo;
-  };
-  MetricsMark metrics_mark_;
+  /// Each counter row's value as of the last flush (FlushMetrics adds only
+  /// the change, so repeated Optimize() calls never double-count).
+  std::array<uint64_t, VolcanoMetrics::kNumCounters> flushed_{};
   /// Root of the last Optimize()/ExpandOnly() call and its interned
   /// requirement id — the entry point of ExplainWinner().
   GroupId explain_root_ = -1;

@@ -19,18 +19,56 @@ size_t RuleProfile::TotalTransFired() const {
 
 namespace {
 
+// The self time of every span event (0 for instants): its duration minus
+// the durations of the spans it most directly encloses. Per thread, spans
+// are visited in start order, an enclosing span before the spans it
+// contains (the longer first on equal starts); a stack holds the spans
+// still open at the visited span's start, and its top encloses it.
+std::vector<uint64_t> SelfTimes(const std::vector<TraceEvent>& events) {
+  std::vector<size_t> spans;
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (common::IsSpanKind(events[i].kind)) spans.push_back(i);
+  }
+  std::sort(spans.begin(), spans.end(), [&](size_t a, size_t b) {
+    const TraceEvent& x = events[a];
+    const TraceEvent& y = events[b];
+    if (x.tid != y.tid) return x.tid < y.tid;
+    if (x.ts_ns != y.ts_ns) return x.ts_ns < y.ts_ns;
+    return x.dur_ns > y.dur_ns;
+  });
+  const auto end_ns = [&](size_t i) {
+    return events[i].ts_ns + events[i].dur_ns;
+  };
+  std::vector<uint64_t> self(events.size(), 0);
+  std::vector<size_t> open;
+  for (size_t i : spans) {
+    const TraceEvent& e = events[i];
+    while (!open.empty() && (events[open.back()].tid != e.tid ||
+                             end_ns(open.back()) <= e.ts_ns)) {
+      open.pop_back();
+    }
+    self[i] = e.dur_ns;
+    if (!open.empty()) {
+      uint64_t& parent = self[open.back()];
+      parent -= std::min(parent, e.dur_ns);
+    }
+    open.push_back(i);
+  }
+  return self;
+}
+
 void Accumulate(std::vector<RuleProfileRow>* rows, int rule,
-                const TraceEvent& e) {
+                uint64_t self_ns) {
   if (rule < 0 || static_cast<size_t>(rule) >= rows->size()) return;
   RuleProfileRow& row = (*rows)[static_cast<size_t>(rule)];
   ++row.attempts;
-  row.total_ns += e.dur_ns;
-  row.max_ns = std::max(row.max_ns, e.dur_ns);
+  row.self_ns += self_ns;
+  row.max_ns = std::max(row.max_ns, self_ns);
 }
 
 void AppendSection(const char* title, const std::vector<RuleProfileRow>& rows,
                    std::string* out) {
-  // Sort by cumulative latency so the expensive rules lead.
+  // Sort by cumulative self time so the expensive rules lead.
   std::vector<const RuleProfileRow*> order;
   for (const RuleProfileRow& r : rows) {
     if (r.attempts > 0) order.push_back(&r);
@@ -38,18 +76,18 @@ void AppendSection(const char* title, const std::vector<RuleProfileRow>& rows,
   if (order.empty()) return;
   std::sort(order.begin(), order.end(),
             [](const RuleProfileRow* a, const RuleProfileRow* b) {
-              return a->total_ns > b->total_ns;
+              return a->self_ns > b->self_ns;
             });
   size_t width = 4;
   for (const RuleProfileRow* r : order) width = std::max(width, r->name.size());
   *out += common::StringPrintf("%s\n  %-*s %10s %10s %12s %12s\n", title,
                                static_cast<int>(width), "rule", "attempts",
-                               "fired", "total_us", "max_us");
+                               "fired", "self_us", "max_us");
   for (const RuleProfileRow* r : order) {
     *out += common::StringPrintf(
         "  %-*s %10zu %10zu %12.1f %12.1f\n", static_cast<int>(width),
         r->name.c_str(), r->attempts, r->fired,
-        static_cast<double>(r->total_ns) / 1e3,
+        static_cast<double>(r->self_ns) / 1e3,
         static_cast<double>(r->max_ns) / 1e3);
   }
 }
@@ -89,16 +127,18 @@ RuleProfile BuildRuleProfile(const std::vector<TraceEvent>& events,
   }
   p.events = events.size();
   p.dropped = dropped;
-  for (const TraceEvent& e : events) {
+  const std::vector<uint64_t> self = SelfTimes(events);
+  for (size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
     switch (e.kind) {
       case TraceEventKind::kTransAttempt:
-        Accumulate(&p.trans, e.rule, e);
+        Accumulate(&p.trans, e.rule, self[i]);
         break;
       case TraceEventKind::kImplAttempt:
-        Accumulate(&p.impl, e.rule, e);
+        Accumulate(&p.impl, e.rule, self[i]);
         break;
       case TraceEventKind::kEnforcerAttempt:
-        Accumulate(&p.enforcers, e.rule, e);
+        Accumulate(&p.enforcers, e.rule, self[i]);
         break;
       case TraceEventKind::kTransFire:
         if (e.rule >= 0 && static_cast<size_t>(e.rule) < p.trans.size()) {

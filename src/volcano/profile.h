@@ -1,7 +1,7 @@
 // Consumers of the optimizer's trace-event stream (observability layer):
 //
 //   * BuildRuleProfile — aggregates the stream into per-rule attempt/firing
-//     counts and latencies (the "where does optimization time go" view).
+//     counts and self times (the "where does optimization time go" view).
 //   * WriteChromeTrace — exports the stream in Chrome trace_event JSON, the
 //     format chrome://tracing and Perfetto load directly.
 //
@@ -20,13 +20,16 @@
 
 namespace prairie::volcano {
 
-/// \brief Aggregated activity of one rule (or enforcer).
+/// \brief Aggregated activity of one rule (or enforcer). Times are self
+/// times: an attempt span's duration minus the spans nested directly in
+/// it, so an impl rule's row leaves out the optimization of its inputs and
+/// the rows of one search add up to at most its wall time.
 struct RuleProfileRow {
   std::string name;
   size_t attempts = 0;   ///< Attempt spans observed.
   size_t fired = 0;      ///< Trans: expressions added. Impl: plans costed.
-  uint64_t total_ns = 0; ///< Cumulative attempt-span latency.
-  uint64_t max_ns = 0;   ///< Longest single attempt.
+  uint64_t self_ns = 0;  ///< Cumulative attempt self time.
+  uint64_t max_ns = 0;   ///< Longest single attempt's self time.
 };
 
 /// \brief Per-rule profile derived from one trace-event stream.
@@ -42,13 +45,16 @@ struct RuleProfile {
   size_t TotalTransFired() const;
 
   /// Human-readable table (one section per rule class), rules sorted by
-  /// cumulative latency; rules never attempted are omitted.
+  /// cumulative self time; rules never attempted are omitted.
   std::string ToTable() const;
 };
 
-/// Aggregates `events` against the rule names of `rules`. `dropped` is the
-/// emitting sink's drop count (RingBufferSink::dropped()); it is carried
-/// into the profile so consumers can flag an incomplete stream.
+/// Aggregates `events` against the rule names of `rules`. Spans nest per
+/// emitting thread (`tid`); any event order is accepted, a sink's
+/// end-of-span order and BatchOptimizer's start-ordered merge alike.
+/// `dropped` is the emitting sink's drop count (RingBufferSink::dropped());
+/// it is carried into the profile so consumers can flag an incomplete
+/// stream.
 RuleProfile BuildRuleProfile(const std::vector<common::TraceEvent>& events,
                              const RuleSet& rules, size_t dropped = 0);
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <map>
@@ -211,6 +212,12 @@ class OodbFixture : public ::testing::Test {
     return std::move(*w);
   }
 
+  /// The plan with every node's descriptor: PhysNode::ToString names only
+  /// the algorithms, so a plan rebound with a wrong constant would match.
+  std::string Render(const volcano::Plan& plan) const {
+    return plan.root->ToExpr(*rules_->algebra)->TreeString(*rules_->algebra);
+  }
+
   std::shared_ptr<volcano::RuleSet> rules_;
 };
 
@@ -267,7 +274,7 @@ TEST_F(BatchOptimizerTest, ParallelPlansMatchSerialOptimizer) {
     auto plan = opt.Optimize(*w.query);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     ref_cost.push_back(plan->cost);
-    ref_plan.push_back(plan->root->ToString(*rules_->algebra));
+    ref_plan.push_back(Render(*plan));
   }
 
   std::vector<volcano::BatchQuery> queries;
@@ -291,7 +298,7 @@ TEST_F(BatchOptimizerTest, ParallelPlansMatchSerialOptimizer) {
           << results[i].plan.status().ToString();
       EXPECT_EQ(results[i].plan->cost, ref_cost[i])
           << "jobs=" << jobs << " Q" << (i + 1);
-      EXPECT_EQ(results[i].plan->root->ToString(*rules_->algebra), ref_plan[i])
+      EXPECT_EQ(Render(*results[i].plan), ref_plan[i])
           << "jobs=" << jobs << " Q" << (i + 1);
       EXPECT_GT(results[i].stats.groups, 0u);
       EXPECT_GE(results[i].seconds, 0.0);
@@ -415,43 +422,96 @@ TEST(MetricsRegistryTest, SnapshotsRaceWithWriters) {
   EXPECT_EQ(snap.sum, 100 * counter->Value());
 }
 
-TEST(MetricsRegistryTest, SharedBundleAcrossBatchWorkers) {
-  auto prairie_rules = opt::BuildOodbPrairie();
-  ASSERT_TRUE(prairie_rules.ok());
-  auto rules = p2v::Translate(*prairie_rules, nullptr);
-  ASSERT_TRUE(rules.ok());
-  common::MetricsRegistry registry;
-  volcano::VolcanoMetrics metrics =
-      volcano::VolcanoMetrics::ForRuleSet(&registry, **rules);
-  constexpr int kQueries = 8;
+// Eight queries (Q3 at 2 joins, seeds 1..8: one shape, eight catalogs) for
+// the batch metrics tests.
+struct MetricsBatchInput {
+  std::shared_ptr<volcano::RuleSet> rules;
   std::vector<workload::Workload> workloads;
-  for (int i = 0; i < kQueries; ++i) {
-    workload::QuerySpec spec =
-        workload::PaperQuery(3, 2, static_cast<uint64_t>(i + 1));
-    auto w = workload::MakeWorkload(*(*rules)->algebra, spec);
-    ASSERT_TRUE(w.ok());
-    workloads.push_back(std::move(*w));
-  }
   std::vector<volcano::BatchQuery> queries;
-  for (const auto& w : workloads) {
-    queries.push_back(volcano::BatchQuery{w.query.get(), &w.catalog});
+};
+
+MetricsBatchInput MakeMetricsBatchInput() {
+  MetricsBatchInput in;
+  auto prairie_rules = opt::BuildOodbPrairie();
+  EXPECT_TRUE(prairie_rules.ok());
+  auto rules = p2v::Translate(*prairie_rules, nullptr);
+  EXPECT_TRUE(rules.ok());
+  in.rules = std::move(*rules);
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    auto w = workload::MakeWorkload(*in.rules->algebra,
+                                    workload::PaperQuery(3, 2, seed));
+    EXPECT_TRUE(w.ok());
+    in.workloads.push_back(std::move(*w));
   }
+  for (const auto& w : in.workloads) {
+    in.queries.push_back(volcano::BatchQuery{w.query.get(), &w.catalog});
+  }
+  return in;
+}
+
+TEST(MetricsRegistryTest, SharedBundleAcrossBatchWorkers) {
+  const MetricsBatchInput in = MakeMetricsBatchInput();
+  common::MetricsRegistry registry;
+  const volcano::VolcanoMetrics metrics =
+      volcano::VolcanoMetrics::ForRegistry(&registry);
   volcano::BatchOptions options;
   options.jobs = 4;
   options.optimizer.metrics = &metrics;
-  volcano::BatchOptimizer batch(rules->get(), options);
-  auto results = batch.OptimizeAll(queries);
-  size_t want_trans_attempts = 0;
-  for (const auto& r : results) {
-    ASSERT_TRUE(r.plan.ok());
-    want_trans_attempts += r.stats.trans_attempts;
+  options.optimizer.param_cache = true;
+  options.plan_cache_entries = 4096;
+  volcano::BatchOptimizer batch(in.rules.get(), options);
+  const auto rows = volcano::VolcanoMetrics::CounterRows();
+  std::array<uint64_t, volcano::VolcanoMetrics::kNumCounters> want{};
+  // Two batches over one cache: the second is served from it.
+  for (int round = 0; round < 2; ++round) {
+    for (const volcano::BatchResult& r : batch.OptimizeAll(in.queries)) {
+      ASSERT_TRUE(r.plan.ok());
+      for (size_t i = 0; i < rows.size(); ++i) want[i] += rows[i].read(r.stats);
+    }
   }
   // Every worker flushed into the same sharded series; the merge must be
-  // exact once the batch barrier has passed.
-  EXPECT_EQ(metrics.queries->Value(), static_cast<uint64_t>(kQueries));
-  EXPECT_EQ(metrics.trans_attempts->Value(), want_trans_attempts);
-  EXPECT_EQ(metrics.batch_runs->Value(), 1u);
-  EXPECT_EQ(metrics.batch_worker_merges->Value(), 4u);
+  // exact once the batch barrier has passed. The interning rows come from
+  // the shared concurrent store's own counters.
+  const DescriptorStore::CounterSnapshot store =
+      batch.shared_store()->Counters();
+  volcano::OptimizerStats store_stats;
+  store_stats.desc_lookups = store.lookups;
+  store_stats.desc_hits = store.hits;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(metrics.counters[i]->Value(),
+              rows[i].store_traffic ? rows[i].read(store_stats) : want[i])
+        << rows[i].name;
+  }
+  EXPECT_EQ(registry.GetCounter("prairie_plan_cache_hits_total")->Value(),
+            in.queries.size());
+  EXPECT_EQ(metrics.queries->Value(), 2 * in.queries.size());
+  EXPECT_EQ(metrics.batch_runs->Value(), 2u);
+  EXPECT_EQ(metrics.batch_worker_merges->Value(), 8u);
+}
+
+TEST(MetricsRegistryTest, InternSeriesMatchSharedStore) {
+  // Under a concurrent store each query's delta of the store's counters
+  // includes the other workers' interning, so per-query flushes counted
+  // the store's traffic several times over.
+  const MetricsBatchInput in = MakeMetricsBatchInput();
+  common::MetricsRegistry registry;
+  const volcano::VolcanoMetrics metrics =
+      volcano::VolcanoMetrics::ForRegistry(&registry);
+  volcano::BatchOptions options;
+  options.jobs = 4;
+  options.optimizer.metrics = &metrics;
+  volcano::BatchOptimizer batch(in.rules.get(), options);
+  for (const volcano::BatchResult& r : batch.OptimizeAll(in.queries)) {
+    ASSERT_TRUE(r.plan.ok());
+  }
+  const DescriptorStore& store = *batch.shared_store();
+  ASSERT_TRUE(store.concurrent());
+  const uint64_t hits =
+      registry.GetCounter("prairie_intern_hits_total")->Value();
+  const uint64_t misses =
+      registry.GetCounter("prairie_intern_misses_total")->Value();
+  EXPECT_EQ(misses, store.size());
+  EXPECT_EQ(hits + misses, store.lookups());
 }
 
 // ---------------------------------------------------------------------------
@@ -476,7 +536,7 @@ TEST_F(PlanCacheConcurrencyTest, SharedCacheUnderProbesInsertsAndEpochBumps) {
     auto plan = opt.Optimize(*w.query);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     ref_cost.push_back(plan->cost);
-    ref_plan.push_back(plan->root->ToString(*rules_->algebra));
+    ref_plan.push_back(Render(*plan));
   }
 
   std::vector<volcano::BatchQuery> queries;
@@ -504,8 +564,7 @@ TEST_F(PlanCacheConcurrencyTest, SharedCacheUnderProbesInsertsAndEpochBumps) {
             << results[i].plan.status().ToString();
         EXPECT_EQ(results[i].plan->cost, ref_cost[i])
             << "round " << round << " query " << i;
-        EXPECT_EQ(results[i].plan->root->ToString(*rules_->algebra),
-                  ref_plan[i])
+        EXPECT_EQ(Render(*results[i].plan), ref_plan[i])
             << "round " << round << " query " << i;
       }
     }
@@ -582,7 +641,7 @@ TEST_F(ParameterizedCacheTest, RacingReboundProbesServeCorrectPlans) {
     auto plan = ref.Optimize(*bound);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     ref_cost.push_back(plan->cost);
-    ref_plan.push_back(plan->root->ToString(*rules_->algebra));
+    ref_plan.push_back(Render(*plan));
     variants.push_back(std::move(bound));
   }
 
@@ -604,8 +663,7 @@ TEST_F(ParameterizedCacheTest, RacingReboundProbesServeCorrectPlans) {
           << results[i].plan.status().ToString();
       EXPECT_EQ(results[i].plan->cost, ref_cost[i])
           << "round " << round << " variant " << i;
-      EXPECT_EQ(results[i].plan->root->ToString(*rules_->algebra),
-                ref_plan[i])
+      EXPECT_EQ(Render(*results[i].plan), ref_plan[i])
           << "round " << round << " variant " << i;
     }
   }

@@ -53,8 +53,10 @@ class PlanCacheTest : public ::testing::Test {
     return std::move(*w);
   }
 
+  /// The plan with every node's descriptor: PhysNode::ToString names only
+  /// the algorithms, so a plan rebound with a wrong constant would match.
   std::string Render(const Plan& plan) {
-    return plan.root->ToString(*rules_->algebra);
+    return plan.root->ToExpr(*rules_->algebra)->TreeString(*rules_->algebra);
   }
 
   std::shared_ptr<volcano::RuleSet> rules_;

@@ -206,7 +206,7 @@ const Flag kFlags[] = {
     {"--trace", kValue, kAll, "FILE", "write the search trace as Chrome JSON",
      [](Settings& s, const char* v) { s.trace_path = v; return true; }},
     {"--profile-rules", kSwitch, kAll, "",
-     "print the per-rule attempt/latency table",
+     "print the per-rule attempt/self-time table",
      [](Settings& s, const char*) { s.profile_rules = true; return true; }},
     {"--explain", kSwitch, kSingle, "", "print winning-plan provenance",
      [](Settings& s, const char*) { s.explain = true; return true; }},
@@ -842,18 +842,18 @@ int main(int argc, char** argv) {
   if (!volcano_rules.ok()) return Fail(volcano_rules.status());
   const volcano::RuleSet& rule_set = **volcano_rules;
 
-  // The metrics bundle registers every series (per-rule histograms need the
-  // rule names) once, up front, for whichever consumer asked: --metrics,
-  // the --timeseries scraper or the diagnostics. Batch workers flush into
-  // the same sharded counters without contention.
+  // The metrics bundle registers every series once, up front, for
+  // whichever consumer asked: --metrics, the --timeseries scraper or the
+  // diagnostics. Batch workers flush into the same sharded counters
+  // without contention.
   const bool diag_requested = s.slow_ms > 0 || s.slow_p99 > 0 ||
                               s.qerror_limit > 0 || !s.slow_log_path.empty() ||
                               !s.diag_dir.empty();
   volcano::VolcanoMetrics metrics;
   if (!s.metrics_path.empty() || !s.timeseries_path.empty() ||
       diag_requested) {
-    metrics = volcano::VolcanoMetrics::ForRuleSet(
-        common::MetricsRegistry::Global(), rule_set);
+    metrics =
+        volcano::VolcanoMetrics::ForRegistry(common::MetricsRegistry::Global());
     s.options.metrics = &metrics;
   }
 
