@@ -9,9 +9,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <tuple>
 
 #include "catalog/catalog.h"
 #include "common/metrics.h"
+#include "common/strings.h"
 #include "common/trace.h"
 #include "optimizers/oodb.h"
 #include "p2v/translator.h"
@@ -904,31 +906,30 @@ TEST_F(ObservabilityTest, StoreStatsAreDeltasUnderASharedStore) {
   EXPECT_EQ(a_interned + b.stats().desc_interned, store.size());
 }
 
+/// Compares `got` against the committed golden file, or rewrites the
+/// golden when PRAIRIE_REGEN_GOLDEN is set (run from a checkout so the
+/// source tree is writable, then commit the diff).
+void CheckGolden(const std::string& got, const std::string& name) {
+  const std::string path = std::string(PRAIRIE_TEST_DIR "/golden/") + name;
+  if (std::getenv("PRAIRIE_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::out | std::ios::trunc);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << got;
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path
+                         << " (regenerate with PRAIRIE_REGEN_GOLDEN=1)";
+  std::ostringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(got, want.str())
+      << "output drifted from " << path
+      << " (regenerate with PRAIRIE_REGEN_GOLDEN=1 and review the diff)";
+}
+
 // Memo inspector: DOT/JSON dumps of the finished search space.
 
-class InspectorTest : public MicroOptimizer {
- protected:
-  /// Compares `got` against the committed golden file, or rewrites the
-  /// golden when PRAIRIE_REGEN_GOLDEN is set (run from a checkout so the
-  /// source tree is writable, then commit the diff).
-  static void CheckGolden(const std::string& got, const std::string& name) {
-    const std::string path = std::string(PRAIRIE_TEST_DIR "/golden/") + name;
-    if (std::getenv("PRAIRIE_REGEN_GOLDEN") != nullptr) {
-      std::ofstream out(path, std::ios::out | std::ios::trunc);
-      ASSERT_TRUE(out.good()) << "cannot write " << path;
-      out << got;
-      return;
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << "missing golden file " << path
-                           << " (regenerate with PRAIRIE_REGEN_GOLDEN=1)";
-    std::ostringstream want;
-    want << in.rdbuf();
-    EXPECT_EQ(got, want.str())
-        << "memo dump drifted from " << path
-        << " (regenerate with PRAIRIE_REGEN_GOLDEN=1 and review the diff)";
-  }
-};
+class InspectorTest : public MicroOptimizer {};
 
 TEST_F(InspectorTest, GoldenDotAndJsonDumps) {
   // Deterministic micro search: serial store, fixed costs, no
@@ -1007,6 +1008,50 @@ TEST_F(InspectorTest, WriteMemoDumpPicksFormatByExtension) {
   std::string first_line;
   ASSERT_TRUE(std::getline(dot, first_line));
   EXPECT_EQ(first_line, "digraph memo {");
+}
+
+// Search-count golden: the interpreted OODB rule set's search statistics
+// and plans (descriptors included) on Q1-Q8 at 3 joins and on Q1 over the
+// three join-graph shapes. An engine change that keeps the search the same
+// keeps this file byte-identical; `bindings` counts every trans-rule
+// binding the closure enumerated, fired or skipped as a re-fire.
+TEST(SearchCountGolden, OodbPaperQueriesAndJoinShapes) {
+  auto prairie_rules = opt::BuildOodbPrairie();
+  ASSERT_TRUE(prairie_rules.ok());
+  auto rules = p2v::Translate(*prairie_rules, nullptr);
+  ASSERT_TRUE(rules.ok());
+  const Algebra& alg = *(*rules)->algebra;
+  std::vector<std::pair<std::string, workload::QuerySpec>> cases;
+  for (int q = 1; q <= 8; ++q) {
+    cases.emplace_back("Q" + std::to_string(q) + " joins=3",
+                       workload::PaperQuery(q, 3, 1));
+  }
+  const std::tuple<const char*, workload::JoinShape, int> shapes[] = {
+      {"chain", workload::JoinShape::kChain, 11},
+      {"star", workload::JoinShape::kStar, 7},
+      {"clique", workload::JoinShape::kClique, 5}};
+  for (const auto& [name, shape, joins] : shapes) {
+    workload::QuerySpec spec = workload::PaperQuery(1, joins, 1);
+    spec.shape = shape;
+    cases.emplace_back(
+        "Q1 joins=" + std::to_string(joins) + " shape=" + name, spec);
+  }
+  std::string got;
+  for (const auto& [name, spec] : cases) {
+    auto w = workload::MakeWorkload(alg, spec);
+    ASSERT_TRUE(w.ok()) << name;
+    Optimizer o(rules->get(), &w->catalog);
+    auto plan = o.Optimize(*w->query);
+    ASSERT_TRUE(plan.ok()) << name << ": " << plan.status().ToString();
+    const OptimizerStats& s = o.stats();
+    got += common::StringPrintf(
+        "%s: groups=%zu mexprs=%zu trans_fired=%zu impl_attempts=%zu "
+        "plans_costed=%zu desc_interned=%zu bindings=%zu cost=%.4f\n",
+        name.c_str(), s.groups, s.mexprs, s.trans_fired, s.impl_attempts,
+        s.plans_costed, s.desc_interned, s.trans_attempts, plan->cost);
+    got += plan->root->ToExpr(alg)->TreeString(alg);
+  }
+  CheckGolden(got, "search_counts.txt");
 }
 
 TEST_F(ObservabilityTest, MetricsCountersMatchStatsAcrossQueries) {
