@@ -414,6 +414,32 @@ Status Optimizer::MatchChildren(const PatNode& pat,
 
 Status Optimizer::FireBinding(GroupId gid, const TransRule& rule,
                               size_t rule_idx, const MatchBinding& binding) {
+  // Fire each binding once. The key holds everything a firing reads: the
+  // rule, the target group, each stream variable's canonical group and
+  // each matched expression's full descriptor (DESIGN.md §6.1).
+  const size_t num_streams = binding.streams.size();
+  uint32_t* key = fired_.Stage(2 + num_streams + binding.op_nodes.size());
+  key[0] = static_cast<uint32_t>(rule_idx);
+  key[1] = static_cast<uint32_t>(memo_->Find(gid));
+  for (size_t v = 0; v < num_streams; ++v) {
+    const GroupId g = binding.streams[v].first;
+    key[2 + v] = static_cast<uint32_t>(g < 0 ? g : memo_->Find(g));
+  }
+  uint32_t* op_args = key + 2 + num_streams;
+  for (size_t i = 0; i < binding.op_nodes.size(); ++i) {
+    const auto [g, ei] = binding.op_nodes[i].second;
+    const Group& grp = memo_->group(g);
+    if (ei >= static_cast<int>(grp.exprs.size())) {
+      ++stats_.trans_attempts;
+      return Status::OK();  // Expression moved by a merge; binding is stale.
+    }
+    op_args[i] =
+        static_cast<uint32_t>(grp.exprs[static_cast<size_t>(ei)].args);
+  }
+  if (!fired_.InsertStaged()) {
+    ++stats_.trans_refires_skipped;
+    return Status::OK();
+  }
   ++stats_.trans_attempts;
   // Identity key of the source expression the pattern's root matched —
   // recorded as the new expression's provenance (indexes go stale under
@@ -431,20 +457,16 @@ Status Optimizer::FireBinding(GroupId gid, const TransRule& rule,
   BindingView bv = MakeBinding(rule.num_slots);
   bv.streams.assign(binding.streams.size(), -1);
   const algebra::DescriptorStore* store = memo_->store();
-  for (size_t v = 0; v < binding.streams.size(); ++v) {
+  for (size_t v = 0; v < num_streams; ++v) {
     auto [g, slot] = binding.streams[v];
     if (g < 0) continue;
     bv.streams[v] = g;
     if (slot >= 0) bv.slots[static_cast<size_t>(slot)] =
         store->Get(memo_->group(g).stream_desc);
   }
-  for (const auto& [slot, loc] : binding.op_nodes) {
-    const Group& grp = memo_->group(loc.first);
-    if (loc.second >= static_cast<int>(grp.exprs.size())) {
-      return Status::OK();  // Expression moved by a merge; binding is stale.
-    }
-    bv.slots[static_cast<size_t>(slot)] =
-        store->Get(grp.exprs[static_cast<size_t>(loc.second)].args);
+  for (size_t i = 0; i < binding.op_nodes.size(); ++i) {
+    bv.slots[static_cast<size_t>(binding.op_nodes[i].first)] =
+        store->Get(static_cast<algebra::DescriptorId>(op_args[i]));
   }
   if (rule.condition != nullptr) {
     PRAIRIE_ASSIGN_OR_RETURN(bool ok, rule.condition(bv));
@@ -885,6 +907,9 @@ constexpr VolcanoMetrics::CounterRow kCounterRows[] = {
     {"prairie_trans_attempts_total",
      "Trans-rule binding condition evaluations",
      [](const Stats& s) -> uint64_t { return s.trans_attempts; }},
+    {"prairie_trans_refires_skipped_total",
+     "Trans-rule bindings skipped because the same binding already fired",
+     [](const Stats& s) -> uint64_t { return s.trans_refires_skipped; }},
     {"prairie_trans_fired_total",
      "New logical expressions generated by trans rules",
      [](const Stats& s) -> uint64_t { return s.trans_fired; }},

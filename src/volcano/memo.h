@@ -8,6 +8,19 @@
 // argument-property slice of the descriptor, child groups); physical and
 // cost properties are excluded, as in Volcano.
 //
+// Known limitation — stale index keys: a merge re-indexes only the losing
+// group's expressions. An expression elsewhere whose child group was
+// merged away keeps the key it was indexed under (hashed on the old child
+// id), so FindDup misses a later insert of the same expression over the
+// canonical child, and one group ends up holding both. After optimizing
+// Q7 at 3 joins, 1,614 of 5,942 live expressions match another expression
+// of their group on op, arg_key and canonical children (Q1 at 3 joins: 4
+// of 32; Q1 on a 12-class chain: 220 of 816). Each duplicate starts with
+// an empty `applied` set and re-applies every rule; the engine's
+// fired-binding set skips most of what those applications enumerate.
+// Re-indexing on merge would change the memo's counts, so it is left for
+// a change that may.
+//
 // Descriptors are hash-consed: the memo owns a DescriptorStore and every
 // expression/stream/requirement descriptor is a dense DescriptorId with
 // id-equality <=> value-equality. Expression identity compares the interned

@@ -84,12 +84,18 @@ TEST_P(EmittedVsInterpreted, SamePlansSameSearch) {
   EXPECT_NEAR(pi.cost, pe.cost, 1e-9 * std::max(1.0, pi.cost))
       << " interpreted " << pi.root->ToString(*interpreted->algebra)
       << "\n emitted     " << pe.root->ToString(*emitted->algebra);
-  EXPECT_EQ(oi.stats().groups, oe.stats().groups);
-  EXPECT_EQ(oi.stats().mexprs, oe.stats().mexprs);
-  EXPECT_EQ(oi.stats().plans_costed, oe.stats().plans_costed);
-  // Identical plan shapes (compare rendered trees via op names).
-  EXPECT_EQ(pi.root->ToString(*interpreted->algebra),
-            pe.root->ToString(*emitted->algebra));
+  const volcano::OptimizerStats& si = oi.stats();
+  const volcano::OptimizerStats& se = oe.stats();
+  EXPECT_EQ(si.groups, se.groups);
+  EXPECT_EQ(si.mexprs, se.mexprs);
+  EXPECT_EQ(si.trans_fired, se.trans_fired);
+  EXPECT_EQ(si.trans_attempts, se.trans_attempts);
+  EXPECT_EQ(si.plans_costed, se.plans_costed);
+  // Identical plans, descriptors included.
+  const algebra::Algebra& ai = *interpreted->algebra;
+  const algebra::Algebra& ae = *emitted->algebra;
+  EXPECT_EQ(pi.root->ToExpr(ai)->TreeString(ai),
+            pe.root->ToExpr(ae)->TreeString(ae));
 }
 
 INSTANTIATE_TEST_SUITE_P(

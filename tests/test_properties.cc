@@ -182,8 +182,20 @@ TEST_P(CostEquivalence, GeneratedEqualsHandCoded) {
         << "indexes=" << with_indexes << "\n generated "
         << pg.root->ToString(*OodbGenerated()->algebra) << "\n hand      "
         << ph.root->ToString(*OodbHand()->algebra);
-    // Both search the same logical space.
-    EXPECT_EQ(og.stats().groups, oh.stats().groups);
+    // Both run the same search and pick the same plan, descriptors
+    // included.
+    const volcano::OptimizerStats& sg = og.stats();
+    const volcano::OptimizerStats& sh = oh.stats();
+    EXPECT_EQ(sg.groups, sh.groups);
+    EXPECT_EQ(sg.mexprs, sh.mexprs);
+    EXPECT_EQ(sg.trans_fired, sh.trans_fired);
+    EXPECT_EQ(sg.trans_attempts, sh.trans_attempts);
+    EXPECT_EQ(sg.plans_costed, sh.plans_costed);
+    const algebra::Algebra& ag = *OodbGenerated()->algebra;
+    const algebra::Algebra& ah = *OodbHand()->algebra;
+    EXPECT_EQ(pg.root->ToExpr(ag)->TreeString(ag),
+              ph.root->ToExpr(ah)->TreeString(ah))
+        << "indexes=" << with_indexes;
   }
 }
 

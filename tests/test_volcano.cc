@@ -1048,10 +1048,94 @@ TEST(SearchCountGolden, OodbPaperQueriesAndJoinShapes) {
         "%s: groups=%zu mexprs=%zu trans_fired=%zu impl_attempts=%zu "
         "plans_costed=%zu desc_interned=%zu bindings=%zu cost=%.4f\n",
         name.c_str(), s.groups, s.mexprs, s.trans_fired, s.impl_attempts,
-        s.plans_costed, s.desc_interned, s.trans_attempts, plan->cost);
+        s.plans_costed, s.desc_interned,
+        s.trans_attempts + s.trans_refires_skipped, plan->cost);
     got += plan->root->ToExpr(alg)->TreeString(alg);
   }
   CheckGolden(got, "search_counts.txt");
+}
+
+TEST(SearchCountGolden, Q7FiresEachBindingOnce) {
+  // Of the 80,379 bindings Q7 at 3 joins enumerates, 32,349 repeat one
+  // that already fired (same rule, target group, descriptors and canonical
+  // stream groups) and are skipped before any descriptor is copied.
+  auto prairie_rules = opt::BuildOodbPrairie();
+  ASSERT_TRUE(prairie_rules.ok());
+  auto rules = p2v::Translate(*prairie_rules, nullptr);
+  ASSERT_TRUE(rules.ok());
+  auto w = workload::MakeWorkload(*(*rules)->algebra,
+                                  workload::PaperQuery(7, 3, 1));
+  ASSERT_TRUE(w.ok());
+  Optimizer o(rules->get(), &w->catalog);
+  ASSERT_TRUE(o.Optimize(*w->query).ok());
+  EXPECT_EQ(o.stats().trans_attempts + o.stats().trans_refires_skipped,
+            80379u);
+  EXPECT_LE(o.stats().trans_attempts, 48030u);
+}
+
+// The fired-binding set on synthetic keys: tag t has length 2 + t % 5.
+std::vector<uint32_t> SyntheticKey(uint32_t tag, uint32_t n) {
+  std::vector<uint32_t> key(2 + tag % 5, n);
+  key[0] = tag;
+  key.back() = n * 7919u + tag;
+  return key;
+}
+
+bool InsertKey(FiredBindingSet* set, const std::vector<uint32_t>& key) {
+  std::copy(key.begin(), key.end(), set->Stage(key.size()));
+  return set->InsertStaged();
+}
+
+TEST(FiredBindingSetTest, EmptySetAllocatesNothing) {
+  FiredBindingSet set;
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_EQ(set.bytes(), 0u);
+}
+
+TEST(FiredBindingSetTest, FindsEveryKeyAcrossGrowthAndChunks) {
+  // 20,000 keys of up to 6 words outgrow the first table many times over
+  // and fill several storage chunks.
+  FiredBindingSet set;
+  constexpr uint32_t kKeys = 20000;
+  for (uint32_t n = 0; n < kKeys; ++n) {
+    ASSERT_TRUE(InsertKey(&set, SyntheticKey(n % 17, n))) << n;
+  }
+  EXPECT_EQ(set.size(), kKeys);
+  const size_t bytes = set.bytes();
+  EXPECT_GT(bytes, 0u);
+  for (uint32_t n = 0; n < kKeys; ++n) {
+    ASSERT_FALSE(InsertKey(&set, SyntheticKey(n % 17, n))) << n;
+  }
+  // Rejected keys leave nothing behind.
+  EXPECT_EQ(set.size(), kKeys);
+  EXPECT_EQ(set.bytes(), bytes);
+  // A key differing from a stored one in any single word is new.
+  std::vector<uint32_t> key = SyntheticKey(4, 4);
+  for (size_t i = 1; i < key.size(); ++i) {
+    std::vector<uint32_t> other = key;
+    other[i] ^= 1u << 20;
+    EXPECT_TRUE(InsertKey(&set, other)) << i;
+  }
+}
+
+TEST(FiredBindingSetTest, KeysLongerThanAChunkGetTheirOwn) {
+  FiredBindingSet set;
+  std::vector<uint32_t> long_key(10000, 3);
+  long_key[0] = 0;
+  EXPECT_TRUE(InsertKey(&set, long_key));
+  EXPECT_FALSE(InsertKey(&set, long_key));
+  long_key[9999] = 4;
+  EXPECT_TRUE(InsertKey(&set, long_key));
+  // Short keys after a rejected long one stay addressable.
+  EXPECT_FALSE(InsertKey(&set, long_key));
+  for (uint32_t n = 0; n < 5000; ++n) {
+    ASSERT_TRUE(InsertKey(&set, SyntheticKey(1 + n % 4, n))) << n;
+  }
+  for (uint32_t n = 0; n < 5000; ++n) {
+    ASSERT_FALSE(InsertKey(&set, SyntheticKey(1 + n % 4, n))) << n;
+  }
+  EXPECT_FALSE(InsertKey(&set, long_key));
+  EXPECT_EQ(set.size(), 5002u);
 }
 
 TEST_F(ObservabilityTest, MetricsCountersMatchStatsAcrossQueries) {

@@ -5,9 +5,11 @@ Every bench binary writes one JSON object per line to BENCH_<name>.json
 (fields: bench, family, wall_us, groups, mexprs, intern_hit_rate). This
 tool diffs fresh results against the snapshots committed under
 bench/baselines/ and exits non-zero when any family's wall time regressed
-by more than --tolerance. Tolerances accept either form: values <= 1 are
-fractions (0.10 means +10%), values > 1 are percentages (10 also means
-+10%).
+by more than --tolerance, or when a family's search-space counts (groups,
+mexprs) differ from its baseline record at all: those are deterministic
+counts, not timings, so any change means the search changed. Tolerances
+accept either form: values <= 1 are fractions (0.10 means +10%), values
+> 1 are percentages (10 also means +10%).
 
 Usage:
     tools/bench_compare.py [--baseline-dir bench/baselines]
@@ -29,7 +31,8 @@ gates most benches at +10% but allows serving families 4x.
 of comparing (run on a quiet machine, then commit the changed files).
 
 Exit codes: 0 all families within tolerance; 1 at least one wall-time
-regression beyond --tolerance; 2 no regression, but some measured family
+regression beyond --tolerance or one search-space count that differs from
+its baseline; 2 no regression, but some measured family
 has no baseline entry (the snapshot is stale — rerun with --update and
 commit it). Families present only in the baseline are reported but never
 fail the check: CI runs some benches in a reduced configuration.
@@ -42,8 +45,12 @@ import shutil
 import sys
 
 
+# Deterministic search-space counts a family must reproduce exactly.
+COUNT_FIELDS = ("groups", "mexprs")
+
+
 def load_records(path):
-    """Returns {(bench, family): wall_us}; the last record of a key wins."""
+    """Returns {(bench, family): record}; the last record of a key wins."""
     records = {}
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
@@ -55,7 +62,8 @@ def load_records(path):
             except json.JSONDecodeError as e:
                 raise SystemExit(f"{path}:{line_no}: bad JSON: {e}")
             try:
-                records[(obj["bench"], obj["family"])] = float(obj["wall_us"])
+                obj["wall_us"] = float(obj["wall_us"])
+                records[(obj["bench"], obj["family"])] = obj
             except KeyError as e:
                 raise SystemExit(f"{path}:{line_no}: missing field {e}")
     return records
@@ -136,12 +144,20 @@ def main():
                   f"(run with --update)")
 
         for key in sorted(current.keys() & baseline.keys()):
-            cur, base = current[key], baseline[key]
+            tag = f"{key[0]}/{key[1]}"
+            for field in COUNT_FIELDS:
+                if field not in baseline[key] or field not in current[key]:
+                    continue
+                want, got = baseline[key][field], current[key][field]
+                if got != want:
+                    line = f"{tag}: {field} {want} -> {got} (must match)"
+                    regressions.append(line)
+                    print(f"FAIL  {line}")
+            cur, base = current[key]["wall_us"], baseline[key]["wall_us"]
             if base <= 0:
                 continue
             tolerance = overrides.get(key[0], default_tolerance)
             delta = cur / base - 1.0
-            tag = f"{key[0]}/{key[1]}"
             line = (f"{tag}: {fmt_us(base)} -> {fmt_us(cur)} "
                     f"({delta:+.1%}, gate +{tolerance:.0%})")
             if delta > tolerance:
@@ -151,8 +167,8 @@ def main():
                 print(f"ok    {line}")
 
     if regressions:
-        print(f"\n{len(regressions)} regression(s) beyond tolerance:",
-              file=sys.stderr)
+        print(f"\n{len(regressions)} regression(s) beyond tolerance or "
+              f"count mismatch(es):", file=sys.stderr)
         for line in regressions:
             print(f"  {line}", file=sys.stderr)
         return 1
