@@ -446,16 +446,13 @@ Status Optimizer::FireBinding(GroupId gid, const TransRule& rule,
   // merges; interned keys do not).
   algebra::DescriptorId src_key = algebra::kInvalidDescriptorId;
   if (!binding.op_nodes.empty()) {
-    const auto& loc = binding.op_nodes.front().second;
-    const Group& sg = memo_->group(loc.first);
-    if (loc.second >= 0 && loc.second < static_cast<int>(sg.exprs.size())) {
-      src_key = sg.exprs[static_cast<size_t>(loc.second)].arg_key;
-    }
+    const auto [g, ei] = binding.op_nodes.front().second;
+    src_key = memo_->group(g).exprs[static_cast<size_t>(ei)].arg_key;
   }
   TraceSpan span(this, common::TraceEventKind::kTransAttempt, memo_->Find(gid),
                  static_cast<int>(rule_idx), src_key);
   BindingView bv = MakeBinding(rule.num_slots);
-  bv.streams.assign(binding.streams.size(), -1);
+  bv.streams.assign(num_streams, -1);
   const algebra::DescriptorStore* store = memo_->store();
   for (size_t v = 0; v < num_streams; ++v) {
     auto [g, slot] = binding.streams[v];

@@ -25,6 +25,13 @@ uint32_t* FiredBindingSet::Stage(size_t len) {
   // A key starts within the first kChunkWords words of its chunk, which
   // its offset can address, and ends inside the chunk.
   if (chunk_used_ >= kChunkWords || chunk_used_ + len > chunk_words_) {
+    if (chunks_.size() == kMaxChunks) {
+      // Offsets are exhausted: stop recording. Every later key counts as
+      // new, so its binding fires, as it would without the set.
+      full_ = true;
+      overflow_.resize(len);
+      return overflow_.data();
+    }
     chunk_words_ = std::max(kChunkWords, len);
     chunks_.emplace_back(new uint32_t[chunk_words_]);
     chunk_used_ = 0;
@@ -37,6 +44,7 @@ uint32_t* FiredBindingSet::Stage(size_t len) {
 }
 
 bool FiredBindingSet::InsertStaged() {
+  if (full_) return true;
   const uint32_t* key = KeyAt(staged_);
   // Load factor at most 3/4.
   if ((size_ + 1) * 4 > capacity_ * 3) Grow();

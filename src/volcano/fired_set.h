@@ -34,7 +34,8 @@ class FiredBindingSet {
   uint32_t* Stage(size_t len);
 
   /// Adds the staged key and returns true, or returns false (keeping
-  /// nothing) when an equal key is already present.
+  /// nothing) when an equal key is already present. Once 16 GiB of keys
+  /// are stored, every later key is reported new and not stored.
   bool InsertStaged();
 
   /// Keys in the set.
@@ -45,6 +46,8 @@ class FiredBindingSet {
  private:
   /// Words per chunk; a longer key gets a chunk of its own.
   static constexpr size_t kChunkWords = size_t{1} << 12;
+  /// Chunks 32-bit offsets can address, kEmpty excluded (16 GiB of keys).
+  static constexpr size_t kMaxChunks = (size_t{1} << 20) - 1;
   static constexpr uint32_t kEmpty = UINT32_MAX;
 
   const uint32_t* KeyAt(uint32_t offset) const {
@@ -56,13 +59,17 @@ class FiredBindingSet {
   void Grow();
 
   /// Key storage. A key's offset is its chunk index times kChunkWords plus
-  /// its position in the chunk, so offsets address at most 2^32 - 1 words.
+  /// its position in the chunk.
   std::vector<std::unique_ptr<uint32_t[]>> chunks_;
   size_t chunk_words_ = 0;  ///< Capacity of chunks_.back().
   size_t chunk_used_ = 0;   ///< Words of chunks_.back() holding keys.
   size_t chunk_bytes_ = 0;
   uint32_t staged_ = kEmpty;  ///< Offset of the staged key.
   size_t staged_len_ = 0;
+  /// Set once kMaxChunks chunks are full; later keys are staged in
+  /// overflow_ and never stored.
+  bool full_ = false;
+  std::vector<uint32_t> overflow_;
   /// Open-addressing table of key offsets (kEmpty: free); capacity_ is a
   /// power of two, or 0 before the first key.
   std::unique_ptr<uint32_t[]> slots_;

@@ -18,8 +18,8 @@
 // of 32; Q1 on a 12-class chain: 220 of 816). Each duplicate starts with
 // an empty `applied` set and re-applies every rule; the engine's
 // fired-binding set skips most of what those applications enumerate.
-// Re-indexing on merge would change the memo's counts, so it is left for
-// a change that may.
+// Re-indexing the parents on merge would remove the duplicates, and
+// change the memo's counts.
 //
 // Descriptors are hash-consed: the memo owns a DescriptorStore and every
 // expression/stream/requirement descriptor is a dense DescriptorId with

@@ -1014,7 +1014,7 @@ TEST_F(InspectorTest, WriteMemoDumpPicksFormatByExtension) {
 // and plans (descriptors included) on Q1-Q8 at 3 joins and on Q1 over the
 // three join-graph shapes. An engine change that keeps the search the same
 // keeps this file byte-identical; `bindings` counts every trans-rule
-// binding the closure enumerated, fired or skipped as a re-fire.
+// binding the closure enumerated, attempted or skipped as a re-fire.
 TEST(SearchCountGolden, OodbPaperQueriesAndJoinShapes) {
   auto prairie_rules = opt::BuildOodbPrairie();
   ASSERT_TRUE(prairie_rules.ok());
@@ -1044,6 +1044,8 @@ TEST(SearchCountGolden, OodbPaperQueriesAndJoinShapes) {
     auto plan = o.Optimize(*w->query);
     ASSERT_TRUE(plan.ok()) << name << ": " << plan.status().ToString();
     const OptimizerStats& s = o.stats();
+    // Repeats of a binding that already fired are skipped, not attempted.
+    if (name == "Q7 joins=3") EXPECT_LE(s.trans_attempts, 48030u);
     got += common::StringPrintf(
         "%s: groups=%zu mexprs=%zu trans_fired=%zu impl_attempts=%zu "
         "plans_costed=%zu desc_interned=%zu bindings=%zu cost=%.4f\n",
@@ -1053,24 +1055,6 @@ TEST(SearchCountGolden, OodbPaperQueriesAndJoinShapes) {
     got += plan->root->ToExpr(alg)->TreeString(alg);
   }
   CheckGolden(got, "search_counts.txt");
-}
-
-TEST(SearchCountGolden, Q7FiresEachBindingOnce) {
-  // Of the 80,379 bindings Q7 at 3 joins enumerates, 32,349 repeat one
-  // that already fired (same rule, target group, descriptors and canonical
-  // stream groups) and are skipped before any descriptor is copied.
-  auto prairie_rules = opt::BuildOodbPrairie();
-  ASSERT_TRUE(prairie_rules.ok());
-  auto rules = p2v::Translate(*prairie_rules, nullptr);
-  ASSERT_TRUE(rules.ok());
-  auto w = workload::MakeWorkload(*(*rules)->algebra,
-                                  workload::PaperQuery(7, 3, 1));
-  ASSERT_TRUE(w.ok());
-  Optimizer o(rules->get(), &w->catalog);
-  ASSERT_TRUE(o.Optimize(*w->query).ok());
-  EXPECT_EQ(o.stats().trans_attempts + o.stats().trans_refires_skipped,
-            80379u);
-  EXPECT_LE(o.stats().trans_attempts, 48030u);
 }
 
 // The fired-binding set on synthetic keys: tag t has length 2 + t % 5.
@@ -1086,16 +1070,12 @@ bool InsertKey(FiredBindingSet* set, const std::vector<uint32_t>& key) {
   return set->InsertStaged();
 }
 
-TEST(FiredBindingSetTest, EmptySetAllocatesNothing) {
-  FiredBindingSet set;
-  EXPECT_EQ(set.size(), 0u);
-  EXPECT_EQ(set.bytes(), 0u);
-}
-
 TEST(FiredBindingSetTest, FindsEveryKeyAcrossGrowthAndChunks) {
-  // 20,000 keys of up to 6 words outgrow the first table many times over
-  // and fill several storage chunks.
+  // Nothing is allocated before the first key (an optimizer that never
+  // fires pays nothing). 20,000 keys of up to 6 words then outgrow the
+  // first table many times over and fill several storage chunks.
   FiredBindingSet set;
+  EXPECT_EQ(set.bytes(), 0u);
   constexpr uint32_t kKeys = 20000;
   for (uint32_t n = 0; n < kKeys; ++n) {
     ASSERT_TRUE(InsertKey(&set, SyntheticKey(n % 17, n))) << n;
