@@ -17,7 +17,7 @@
 // of their group on op, arg_key and canonical children (Q1 at 3 joins: 4
 // of 32; Q1 on a 12-class chain: 220 of 816). Each duplicate starts with
 // an empty `applied` set and re-applies every rule; the engine's
-// fired-binding set skips most of what those applications enumerate.
+// fired-binding set skips each binding that repeats one already fired.
 // Re-indexing the parents on merge would remove the duplicates, and
 // change the memo's counts.
 //
