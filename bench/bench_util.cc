@@ -87,44 +87,74 @@ void JsonWriter::RecordRaw(const std::string& family, double wall_us,
   std::fflush(f_);
 }
 
-Measurement MeasureQuery(const volcano::RuleSet& rules, int qnum,
-                         int num_joins, int num_seeds, int repeats) {
-  Measurement m;
-  double total = 0;
-  int points = 0;
+namespace {
+
+/// Times one optimization of `w` by a fresh optimizer and records its
+/// search statistics in `m`. Returns the wall time in seconds, or -1 with
+/// `m->status` set on failure.
+double TimeOptimize(const volcano::RuleSet& rules, const workload::Workload& w,
+                    Measurement* m) {
+  common::Stopwatch sw;
+  volcano::Optimizer optimizer(&rules, &w.catalog);
+  auto plan = optimizer.Optimize(*w.query);
+  const double t = sw.ElapsedSeconds();
+  if (!plan.ok()) {
+    m->status = plan.status();
+    return -1;
+  }
+  m->cost = plan->cost;
+  m->groups = optimizer.stats().groups;
+  m->mexprs = optimizer.stats().mexprs;
+  m->intern_hit_rate = optimizer.stats().InternHitRate();
+  m->trans_matched = optimizer.stats().NumTransMatched();
+  m->impl_matched = optimizer.stats().NumImplMatched();
+  return t;
+}
+
+}  // namespace
+
+std::vector<Measurement> MeasureInterleaved(
+    std::span<const volcano::RuleSet* const> rules, int qnum, int num_joins,
+    int num_seeds, int repeats) {
+  const size_t k = rules.size();
+  std::vector<Measurement> out(k);
+  std::vector<double> total(k, 0.0);
   for (int seed = 1; seed <= num_seeds; ++seed) {
-    workload::QuerySpec spec =
+    const workload::QuerySpec spec =
         workload::PaperQuery(qnum, num_joins, static_cast<uint64_t>(seed));
-    auto w = workload::MakeWorkload(*rules.algebra, spec);
-    if (!w.ok()) {
-      m.status = w.status();
-      return m;
+    std::vector<workload::Workload> ws;
+    ws.reserve(k);
+    for (size_t d = 0; d < k; ++d) {
+      auto w = workload::MakeWorkload(*rules[d]->algebra, spec);
+      if (!w.ok()) {
+        out[d].status = w.status();
+        return out;
+      }
+      ws.push_back(std::move(*w));
     }
     // Per instance: minimum over repeats (robust against scheduler
-    // noise); across instances: the mean, as in the paper.
-    double best = 0;
+    // noise); across instances: the mean, as in the paper. Each round
+    // runs every rule set once, starting one further along each time, so
+    // a slow phase of the host lands on all of them alike.
+    std::vector<double> best(k, -1.0);
     for (int rep = 0; rep < repeats; ++rep) {
-      common::Stopwatch sw;
-      volcano::Optimizer optimizer(&rules, &w->catalog);
-      auto plan = optimizer.Optimize(*w->query);
-      double t = sw.ElapsedSeconds();
-      if (rep == 0 || t < best) best = t;
-      if (!plan.ok()) {
-        m.status = plan.status();
-        return m;
+      for (size_t j = 0; j < k; ++j) {
+        const size_t d = (static_cast<size_t>(seed + rep) + j) % k;
+        const double t = TimeOptimize(*rules[d], ws[d], &out[d]);
+        if (t < 0) return out;
+        if (best[d] < 0 || t < best[d]) best[d] = t;
       }
-      m.cost = plan->cost;
-      m.groups = optimizer.stats().groups;
-      m.mexprs = optimizer.stats().mexprs;
-      m.intern_hit_rate = optimizer.stats().InternHitRate();
-      m.trans_matched = optimizer.stats().NumTransMatched();
-      m.impl_matched = optimizer.stats().NumImplMatched();
     }
-    total += best;
-    ++points;
+    for (size_t d = 0; d < k; ++d) total[d] += best[d];
   }
-  m.seconds = total / points;
-  return m;
+  for (size_t d = 0; d < k; ++d) out[d].seconds = total[d] / num_seeds;
+  return out;
+}
+
+Measurement MeasureQuery(const volcano::RuleSet& rules, int qnum,
+                         int num_joins, int num_seeds, int repeats) {
+  const volcano::RuleSet* const one[] = {&rules};
+  return MeasureInterleaved(one, qnum, num_joins, num_seeds, repeats)[0];
 }
 
 void RunFigure(const std::string& title, const OptimizerPair& pair, int qa,
@@ -132,7 +162,8 @@ void RunFigure(const std::string& title, const OptimizerPair& pair, int qa,
                JsonWriter* json) {
   std::printf("%s\n", title.c_str());
   std::printf(
-      "(mean per-query optimization time over 5 cardinality seeds;\n"
+      "(mean per-query optimization time over 5 cardinality seeds, the\n"
+      " three deployments timed in rotating interleaved rounds;\n"
       " 'interp' = P2V with interpreted actions, 'emitted' = P2V-generated\n"
       " C++ compiled at build time, 'hand' = hand-coded Volcano)\n\n");
   std::printf("%7s |", "#joins");
@@ -159,9 +190,13 @@ void RunFigure(const std::string& title, const OptimizerPair& pair, int qa,
       if (probe.ok() && probe.seconds < 0.25) repeats = std::max(repeats, 3);
       if (repeats < 1) repeats = 1;
       if (repeats > 200) repeats = 200;
-      Measurement mi = MeasureQuery(*pair.generated, q, n, 5, repeats);
-      Measurement me = MeasureQuery(*pair.emitted, q, n, 5, repeats);
-      Measurement mh = MeasureQuery(*pair.hand, q, n, 5, repeats);
+      const volcano::RuleSet* const deployments[] = {
+          pair.generated.get(), pair.emitted.get(), pair.hand.get()};
+      const std::vector<Measurement> ms =
+          MeasureInterleaved(deployments, q, n, 5, repeats);
+      const Measurement& mi = ms[0];
+      const Measurement& me = ms[1];
+      const Measurement& mh = ms[2];
       if (!mi.ok() || !me.ok() || !mh.ok()) {
         std::printf(" %11s %11s %11s %7s |", "exhausted", "-", "-", "-");
         alive = false;

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,9 +86,17 @@ class JsonWriter {
 /// Optimizes query `qnum` (paper numbering Q1..Q8) at `num_joins`,
 /// averaging over `num_seeds` cardinality seeds. `repeats` re-optimizes
 /// each instance to stabilize sub-millisecond timings (the paper looped
-/// 3000x for the same reason).
+/// 3000x for the same reason); an instance's time is its minimum.
 Measurement MeasureQuery(const volcano::RuleSet& rules, int qnum,
                          int num_joins, int num_seeds = 5, int repeats = 1);
+
+/// MeasureQuery for several rule sets at once, element i measuring
+/// `rules[i]`. Every (seed, repetition) round optimizes the instance once
+/// per rule set, back to back, and the round's first rule set rotates, so
+/// drift in host speed is shared instead of landing on one of them.
+std::vector<Measurement> MeasureInterleaved(
+    std::span<const volcano::RuleSet* const> rules, int qnum, int num_joins,
+    int num_seeds, int repeats);
 
 /// Prints one figure: per-N mean optimization times for two queries under
 /// both optimizers, in a paper-style table. Points whose previous N

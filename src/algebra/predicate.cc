@@ -1,6 +1,7 @@
 #include "algebra/predicate.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/strings.h"
 
@@ -96,27 +97,28 @@ std::string Term::ToString() const {
   }
 }
 
+Predicate::~Predicate() {
+  delete referenced_.load(std::memory_order_acquire);
+}
+
+std::shared_ptr<Predicate> Predicate::Make(Kind kind) {
+  auto p = std::make_shared<Predicate>(Token{});
+  p->kind_ = kind;
+  return p;
+}
+
 PredicateRef Predicate::True() {
-  static const PredicateRef kTrue = [] {
-    auto p = std::shared_ptr<Predicate>(new Predicate());
-    p->kind_ = Kind::kTrue;
-    return p;
-  }();
+  static const PredicateRef kTrue = Make(Kind::kTrue);
   return kTrue;
 }
 
 PredicateRef Predicate::False() {
-  static const PredicateRef kFalse = [] {
-    auto p = std::shared_ptr<Predicate>(new Predicate());
-    p->kind_ = Kind::kFalse;
-    return p;
-  }();
+  static const PredicateRef kFalse = Make(Kind::kFalse);
   return kFalse;
 }
 
 PredicateRef Predicate::Cmp(CmpOp op, Term left, Term right) {
-  auto p = std::shared_ptr<Predicate>(new Predicate());
-  p->kind_ = Kind::kCmp;
+  auto p = Make(Kind::kCmp);
   p->cmp_op_ = op;
   p->left_ = std::move(left);
   p->right_ = std::move(right);
@@ -134,53 +136,65 @@ PredicateRef Predicate::EqAttrs(Attr left, Attr right) {
 }
 
 PredicateRef Predicate::And(std::vector<PredicateRef> children) {
-  std::vector<PredicateRef> flat;
-  for (PredicateRef& c : children) {
-    if (c == nullptr || c->is_true()) continue;
-    if (c->kind() == Kind::kAnd) {
-      for (const PredicateRef& g : c->children()) flat.push_back(g);
-    } else {
-      flat.push_back(std::move(c));
+  // Flattening concatenates each child's conjuncts. When every child is
+  // its own single conjunct the input is already flat and is kept.
+  size_t count = 0;
+  bool flat = true;
+  for (const PredicateRef& c : children) {
+    const std::span<const PredicateRef> cs = Conjuncts(c);
+    count += cs.size();
+    flat = flat && cs.size() == 1 && cs.data() == &c;
+  }
+  std::vector<PredicateRef> conj;
+  if (flat) {
+    conj = std::move(children);
+  } else {
+    conj.reserve(count);
+    for (const PredicateRef& c : children) {
+      const std::span<const PredicateRef> cs = Conjuncts(c);
+      conj.insert(conj.end(), cs.begin(), cs.end());
     }
   }
-  if (flat.empty()) return True();
-  if (flat.size() == 1) return flat[0];
+  if (conj.empty()) return True();
+  if (conj.size() == 1) return conj[0];
   // Canonical conjunct order (by structural hash): conjunctions assembled
   // along different rule-derivation paths must compare equal so the memo
-  // deduplicates the expressions that carry them.
-  std::stable_sort(flat.begin(), flat.end(),
-                   [](const PredicateRef& a, const PredicateRef& b) {
-                     return a->Hash() < b->Hash();
-                   });
-  auto p = std::shared_ptr<Predicate>(new Predicate());
-  p->kind_ = Kind::kAnd;
-  p->children_ = std::move(flat);
+  // deduplicates the expressions that carry them. Conjunctions are short,
+  // so a stable insertion sort does the job without std::stable_sort's
+  // scratch buffer; both give the one stable order.
+  for (size_t i = 1; i < conj.size(); ++i) {
+    for (size_t j = i; j > 0 && conj[j]->Hash() < conj[j - 1]->Hash(); --j) {
+      std::swap(conj[j], conj[j - 1]);
+    }
+  }
+  auto p = Make(Kind::kAnd);
+  p->children_ = std::move(conj);
   return p;
 }
 
 PredicateRef Predicate::Or(std::vector<PredicateRef> children) {
   if (children.empty()) return False();
   if (children.size() == 1) return children[0];
-  auto p = std::shared_ptr<Predicate>(new Predicate());
-  p->kind_ = Kind::kOr;
+  auto p = Make(Kind::kOr);
   p->children_ = std::move(children);
   return p;
 }
 
 PredicateRef Predicate::Not(PredicateRef child) {
-  auto p = std::shared_ptr<Predicate>(new Predicate());
-  p->kind_ = Kind::kNot;
+  auto p = Make(Kind::kNot);
   p->children_.push_back(std::move(child));
   return p;
 }
 
-AttrList Predicate::ReferencedAttrs() const {
-  AttrList out;
+const AttrList& Predicate::ReferencedAttrs() const {
+  if (const AttrList* cached = referenced_.load(std::memory_order_acquire)) {
+    return *cached;
+  }
+  auto fresh = std::make_unique<AttrList>();
+  AttrList& out = *fresh;
   switch (kind_) {
     case Kind::kCmp:
-      if (left_.is_attr() && !Contains(out, left_.attr)) {
-        out.push_back(left_.attr);
-      }
+      if (left_.is_attr()) out.push_back(left_.attr);
       if (right_.is_attr() && !Contains(out, right_.attr)) {
         out.push_back(right_.attr);
       }
@@ -188,14 +202,25 @@ AttrList Predicate::ReferencedAttrs() const {
     case Kind::kAnd:
     case Kind::kOr:
     case Kind::kNot:
+      // Each child's set is duplicate-free, so sorting the concatenation
+      // and dropping repeats is the sorted union.
       for (const PredicateRef& c : children_) {
-        out = UnionAttrs(out, c->ReferencedAttrs());
+        const AttrList& sub = c->ReferencedAttrs();
+        out.insert(out.end(), sub.begin(), sub.end());
       }
+      std::sort(out.begin(), out.end());
+      out.erase(std::unique(out.begin(), out.end()), out.end());
       break;
     default:
       break;
   }
-  return out;
+  const AttrList* expected = nullptr;
+  if (referenced_.compare_exchange_strong(expected, fresh.get(),
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+    return *fresh.release();
+  }
+  return *expected;  // Another thread published first; ours is freed.
 }
 
 std::vector<std::string> Predicate::ReferencedClasses() const {
@@ -208,29 +233,10 @@ std::vector<std::string> Predicate::ReferencedClasses() const {
   return out;
 }
 
-std::vector<PredicateRef> Predicate::Conjuncts() const {
-  std::vector<PredicateRef> out;
-  if (kind_ == Kind::kTrue) return out;
-  if (kind_ == Kind::kAnd) {
-    for (const PredicateRef& c : children_) {
-      auto sub = c->Conjuncts();
-      out.insert(out.end(), sub.begin(), sub.end());
-    }
-    return out;
-  }
-  // A non-AND predicate is its own conjunct; rebuild a ref to this node.
-  // Conjuncts() is only called through PredicateRef, so shared_from_this
-  // semantics are emulated by cloning comparison leaves.
-  if (kind_ == Kind::kCmp) {
-    out.push_back(Cmp(cmp_op_, left_, right_));
-  } else if (kind_ == Kind::kFalse) {
-    out.push_back(False());
-  } else if (kind_ == Kind::kNot) {
-    out.push_back(Not(children_[0]));
-  } else if (kind_ == Kind::kOr) {
-    out.push_back(Or(children_));
-  }
-  return out;
+std::span<const PredicateRef> Conjuncts(const PredicateRef& p) {
+  if (p == nullptr || p->is_true()) return {};
+  if (p->kind() == Predicate::Kind::kAnd) return p->children();
+  return {&p, 1};
 }
 
 bool Predicate::IsEquiJoin() const {
@@ -325,9 +331,13 @@ bool PredEquals(const PredicateRef& a, const PredicateRef& b) {
 }
 
 PredicateRef PredAnd(const PredicateRef& a, const PredicateRef& b) {
+  // Passes And() the flattened conjuncts, so it keeps the vector as is.
+  const std::span<const PredicateRef> ca = Conjuncts(a);
+  const std::span<const PredicateRef> cb = Conjuncts(b);
   std::vector<PredicateRef> parts;
-  if (a) parts.push_back(a);
-  if (b) parts.push_back(b);
+  parts.reserve(ca.size() + cb.size());
+  parts.insert(parts.end(), ca.begin(), ca.end());
+  parts.insert(parts.end(), cb.begin(), cb.end());
   return Predicate::And(std::move(parts));
 }
 

@@ -2,7 +2,9 @@
 //
 // Predicates are immutable trees shared via PredicateRef. Constants inside
 // predicates are scalars (bool/int/real/string); structured Values never
-// nest inside predicates, which keeps the two types acyclic.
+// nest inside predicates, which keeps the two types acyclic. Each node
+// caches its hash and its referenced-attribute set on first use; both
+// caches are atomic because batch-optimizer threads share the trees.
 
 #pragma once
 
@@ -10,6 +12,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -87,8 +90,15 @@ struct Term {
 
 /// \brief An immutable boolean expression tree over attribute comparisons.
 class Predicate {
+  struct Token {};  // Keeps construction inside the factories below.
+
  public:
   enum class Kind { kTrue, kFalse, kCmp, kAnd, kOr, kNot };
+
+  explicit Predicate(Token) {}
+  Predicate(const Predicate&) = delete;
+  Predicate& operator=(const Predicate&) = delete;
+  ~Predicate();
 
   static PredicateRef True();
   static PredicateRef False();
@@ -98,7 +108,8 @@ class Predicate {
   /// Convenience: attr = attr (an equi-join predicate).
   static PredicateRef EqAttrs(Attr left, Attr right);
   /// Conjunction; flattens nested ANDs and drops TRUE children. An empty
-  /// list yields TRUE.
+  /// list yields TRUE, a single remaining child is returned as is, and an
+  /// AND node's children are never ANDs or TRUE.
   static PredicateRef And(std::vector<PredicateRef> children);
   static PredicateRef Or(std::vector<PredicateRef> children);
   static PredicateRef Not(PredicateRef child);
@@ -112,15 +123,14 @@ class Predicate {
   const Term& right() const { return right_; }
   const std::vector<PredicateRef>& children() const { return children_; }
 
-  /// All attributes referenced anywhere in the tree (first-occurrence order).
-  AttrList ReferencedAttrs() const;
+  /// All attributes referenced anywhere in the tree, computed on the first
+  /// call and cached in the node. A comparison lists its attribute sides
+  /// left then right (a repeat once); an AND, OR or NOT lists the sorted
+  /// union of its children's sets; TRUE and FALSE list none.
+  const AttrList& ReferencedAttrs() const;
 
   /// All class / range-variable names referenced.
   std::vector<std::string> ReferencedClasses() const;
-
-  /// Splits a top-level conjunction into its conjuncts (a non-AND predicate
-  /// is its own single conjunct; TRUE yields an empty list).
-  std::vector<PredicateRef> Conjuncts() const;
 
   /// True for a single attr-op-attr comparison with CmpOp::kEq.
   bool IsEquiJoin() const;
@@ -133,7 +143,7 @@ class Predicate {
   std::string ToString() const;
 
  private:
-  Predicate() = default;
+  static std::shared_ptr<Predicate> Make(Kind kind);
 
   Kind kind_ = Kind::kTrue;
   CmpOp cmp_op_ = CmpOp::kEq;
@@ -143,7 +153,18 @@ class Predicate {
   // shared across batch-optimizer threads, which may race to fill the
   // cache; both writers store the same value, so relaxed ordering is fine.
   mutable std::atomic<uint64_t> hash_{0};
+  // Lazily built ReferencedAttrs(), owned by the node. A racing thread
+  // that loses the publishing exchange frees its copy; acquire/release
+  // make the winner's list visible to every reader.
+  mutable std::atomic<const AttrList*> referenced_{nullptr};
 };
+
+/// The top-level conjuncts of `p`, borrowed from it: an AND's own children,
+/// nothing for TRUE (or a null ref), and `p` itself for any other
+/// predicate. Nothing is allocated; the span points into `*p` or at `p`,
+/// so it must not outlive `p` or a write to the ref it was read from.
+std::span<const PredicateRef> Conjuncts(const PredicateRef& p);
+std::span<const PredicateRef> Conjuncts(PredicateRef&&) = delete;
 
 /// Structural equality that treats null refs as TRUE.
 bool PredEquals(const PredicateRef& a, const PredicateRef& b);

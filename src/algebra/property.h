@@ -75,6 +75,14 @@ class Descriptor {
   /// Sets by id without type checking (hot path inside the engine).
   void SetUnchecked(PropertyId id, Value v) { values_[id] = std::move(v); }
 
+  /// Makes this the empty descriptor of `schema` (every annotation Null),
+  /// reusing the value storage: no allocation once it has the capacity.
+  void Reset(const PropertySchema* schema) {
+    schema_ = schema;
+    values_.assign(schema == nullptr ? 0 : static_cast<size_t>(schema->size()),
+                   Value());
+  }
+
   /// Sets by name with a type check against the declaration; Null is always
   /// accepted (an unset annotation).
   common::Status Set(const std::string& name, Value v);

@@ -1,6 +1,7 @@
 #include "algebra/value.h"
 
 #include <algorithm>
+#include <iterator>
 #include <mutex>
 #include <unordered_map>
 
@@ -38,8 +39,28 @@ bool Contains(const AttrList& list, const Attr& attr) {
   return std::find(list.begin(), list.end(), attr) != list.end();
 }
 
+namespace {
+
+bool StrictlySorted(const AttrList& list) {
+  return std::adjacent_find(list.begin(), list.end(),
+                            [](const Attr& x, const Attr& y) {
+                              return !(x < y);
+                            }) == list.end();
+}
+
+}  // namespace
+
 AttrList UnionAttrs(const AttrList& a, const AttrList& b) {
-  AttrList out = a;
+  AttrList out;
+  // Unions of unions are the common case, and their inputs are already
+  // canonical: one merge pass yields exactly what the general path would.
+  if (StrictlySorted(a) && StrictlySorted(b)) {
+    out.reserve(a.size() + b.size());
+    std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                   std::back_inserter(out));
+    return out;
+  }
+  out = a;
   for (const Attr& attr : b) {
     if (!Contains(out, attr)) out.push_back(attr);
   }

@@ -44,7 +44,10 @@ using AttrList = std::vector<Attr>;
 /// True if `list` contains `attr`.
 bool Contains(const AttrList& list, const Attr& attr);
 
-/// Set-union of two attribute lists, preserving first-occurrence order.
+/// Set-union of two attribute lists in sorted (canonical) order. `b`
+/// contributes each attribute `a` lacks once; a repeat inside `a` is kept.
+/// Two strictly sorted inputs merge in one pass; others are copied and
+/// sorted, with the same result.
 AttrList UnionAttrs(const AttrList& a, const AttrList& b);
 
 /// True if every attribute of `subset` occurs in `superset`.

@@ -1,7 +1,9 @@
 #include "core/action.h"
 
+#include <array>
 #include <cmath>
 #include <functional>
+#include <span>
 
 #include "common/strings.h"
 #include "core/helpers.h"
@@ -68,10 +70,12 @@ ActionExprPtr ActionExpr::Desc(int desc_slot) {
 }
 
 ActionExprPtr ActionExpr::Call(std::string fn,
-                               std::vector<ActionExprPtr> args) {
+                               std::vector<ActionExprPtr> args,
+                               const Helper* helper) {
   auto e = std::shared_ptr<ActionExpr>(new ActionExpr());
   e->kind_ = Kind::kCall;
   e->fn_ = std::move(fn);
+  e->helper_ = helper;
   e->args_ = std::move(args);
   return e;
 }
@@ -274,14 +278,25 @@ Result<EvalResult> Eval(const ActionExpr& expr, const EvalContext& ctx) {
       if (ctx.helpers == nullptr) {
         return Status::RuleError("no helper registry in evaluation context");
       }
-      std::vector<EvalResult> args;
-      args.reserve(expr.args().size());
-      for (const ActionExprPtr& a : expr.args()) {
-        PRAIRIE_ASSIGN_OR_RETURN(EvalResult r, Eval(*a, ctx));
-        args.push_back(std::move(r));
+      // Arguments evaluate into a stack array; only a call with more
+      // arguments than it holds (a variadic min/max) uses the heap.
+      constexpr size_t kInlineArgs = 6;
+      const size_t n = expr.args().size();
+      std::array<EvalResult, kInlineArgs> inline_args;
+      std::vector<EvalResult> heap_args;
+      EvalResult* args = inline_args.data();
+      if (n > kInlineArgs) {
+        heap_args.resize(n);
+        args = heap_args.data();
       }
-      PRAIRIE_ASSIGN_OR_RETURN(Value v,
-                               ctx.helpers->Invoke(expr.fn(), args, ctx));
+      for (size_t i = 0; i < n; ++i) {
+        PRAIRIE_ASSIGN_OR_RETURN(args[i], Eval(*expr.args()[i], ctx));
+      }
+      const std::span<const EvalResult> argv(args, n);
+      PRAIRIE_ASSIGN_OR_RETURN(
+          Value v, expr.helper() != nullptr
+                       ? expr.helper()->Call(argv, ctx)
+                       : ctx.helpers->Invoke(expr.fn(), argv, ctx));
       return EvalResult{std::move(v), nullptr, nullptr};
     }
     case ActionExpr::Kind::kBinary: {

@@ -15,24 +15,35 @@ Status HelperRegistry::Register(std::string name, int arity, HelperFn fn) {
   if (helpers_.count(name) > 0) {
     return Status::AlreadyExists("helper '" + name + "' already registered");
   }
-  helpers_.emplace(std::move(name), Helper{arity, std::move(fn)});
+  Helper h{name, arity, std::move(fn)};
+  helpers_.emplace(std::move(name), std::move(h));
   return Status::OK();
 }
 
-Result<Value> HelperRegistry::Invoke(const std::string& name,
-                                     const std::vector<EvalResult>& args,
-                                     const EvalContext& ctx) const {
+const Helper* HelperRegistry::Find(std::string_view name) const {
   auto it = helpers_.find(name);
-  if (it == helpers_.end()) {
-    return Status::NotFound("unknown helper function '" + name + "'");
-  }
-  const Helper& h = it->second;
-  if (h.arity >= 0 && static_cast<int>(args.size()) != h.arity) {
+  return it == helpers_.end() ? nullptr : &it->second;
+}
+
+Result<Value> Helper::Call(std::span<const EvalResult> args,
+                           const EvalContext& ctx) const {
+  if (arity >= 0 && static_cast<int>(args.size()) != arity) {
     return Status::InvalidArgument(common::StringPrintf(
-        "helper '%s' expects %d argument(s), got %d", name.c_str(), h.arity,
+        "helper '%s' expects %d argument(s), got %d", name.c_str(), arity,
         static_cast<int>(args.size())));
   }
-  return h.fn(args, ctx);
+  return fn(args, ctx);
+}
+
+Result<Value> HelperRegistry::Invoke(std::string_view name,
+                                     std::span<const EvalResult> args,
+                                     const EvalContext& ctx) const {
+  const Helper* h = Find(name);
+  if (h == nullptr) {
+    return Status::NotFound("unknown helper function '" + std::string(name) +
+                            "'");
+  }
+  return h->Call(args, ctx);
 }
 
 std::vector<std::string> HelperRegistry::Names() const {
@@ -45,7 +56,7 @@ std::vector<std::string> HelperRegistry::Names() const {
 
 namespace {
 
-Result<double> NumericArg(const std::vector<EvalResult>& args, size_t i,
+Result<double> NumericArg(std::span<const EvalResult> args, size_t i,
                           const char* fn) {
   if (i >= args.size() || args[i].is_desc()) {
     return Status::TypeError(std::string(fn) +
@@ -58,7 +69,7 @@ Status RegisterUnaryMath(HelperRegistry* reg, const std::string& name,
                          double (*fn)(double)) {
   return reg->Register(
       name, 1,
-      [name, fn](const std::vector<EvalResult>& args,
+      [name, fn](std::span<const EvalResult> args,
                  const EvalContext&) -> Result<Value> {
         PRAIRIE_ASSIGN_OR_RETURN(double x, NumericArg(args, 0, name.c_str()));
         return Value::Real(fn(x));
@@ -73,7 +84,7 @@ std::shared_ptr<HelperRegistry> HelperRegistry::WithBuiltins() {
   // non-positive argument yields 0 so degenerate cardinalities stay finite.
   Status st = reg->Register(
       "log", 1,
-      [](const std::vector<EvalResult>& args,
+      [](std::span<const EvalResult> args,
          const EvalContext&) -> Result<Value> {
         PRAIRIE_ASSIGN_OR_RETURN(double x, NumericArg(args, 0, "log"));
         return Value::Real(x <= 1.0 ? 0.0 : std::log(x));
@@ -86,7 +97,7 @@ std::shared_ptr<HelperRegistry> HelperRegistry::WithBuiltins() {
   st = RegisterUnaryMath(reg.get(), "abs", +[](double x) { return std::fabs(x); });
   st = reg->Register(
       "min", -1,
-      [](const std::vector<EvalResult>& args,
+      [](std::span<const EvalResult> args,
          const EvalContext&) -> Result<Value> {
         if (args.empty()) return Status::InvalidArgument("min: no arguments");
         double best = 0;
@@ -98,7 +109,7 @@ std::shared_ptr<HelperRegistry> HelperRegistry::WithBuiltins() {
       });
   st = reg->Register(
       "max", -1,
-      [](const std::vector<EvalResult>& args,
+      [](std::span<const EvalResult> args,
          const EvalContext&) -> Result<Value> {
         if (args.empty()) return Status::InvalidArgument("max: no arguments");
         double best = 0;
@@ -110,7 +121,7 @@ std::shared_ptr<HelperRegistry> HelperRegistry::WithBuiltins() {
       });
   st = reg->Register(
       "pow", 2,
-      [](const std::vector<EvalResult>& args,
+      [](std::span<const EvalResult> args,
          const EvalContext&) -> Result<Value> {
         PRAIRIE_ASSIGN_OR_RETURN(double b, NumericArg(args, 0, "pow"));
         PRAIRIE_ASSIGN_OR_RETURN(double e, NumericArg(args, 1, "pow"));

@@ -10,7 +10,9 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -18,8 +20,21 @@
 
 namespace prairie::core {
 
+/// A helper's body. `args` is a borrowed view of the evaluated arguments;
+/// it and any value it borrows live only for the call.
 using HelperFn = std::function<common::Result<algebra::Value>(
-    const std::vector<EvalResult>& args, const EvalContext& ctx)>;
+    std::span<const EvalResult> args, const EvalContext& ctx)>;
+
+/// \brief One registered helper function.
+struct Helper {
+  std::string name;
+  int arity;  ///< -1 accepts any argument count.
+  HelperFn fn;
+
+  /// Checks the argument count, then runs `fn`.
+  common::Result<algebra::Value> Call(std::span<const EvalResult> args,
+                                      const EvalContext& ctx) const;
+};
 
 /// \brief Name → function table for rule-action helper calls.
 class HelperRegistry {
@@ -27,13 +42,16 @@ class HelperRegistry {
   /// Registers a helper. `arity` of -1 accepts any argument count.
   common::Status Register(std::string name, int arity, HelperFn fn);
 
-  bool Contains(const std::string& name) const {
-    return helpers_.count(name) > 0;
-  }
+  bool Contains(std::string_view name) const { return Find(name) != nullptr; }
 
-  /// Invokes `name` with pre-evaluated arguments.
-  common::Result<algebra::Value> Invoke(const std::string& name,
-                                        const std::vector<EvalResult>& args,
+  /// The helper registered as `name`, or null. Helpers are never removed,
+  /// so the pointer stays valid for the registry's lifetime: P2V resolves
+  /// each interpreted call once this way (ActionExpr::helper()).
+  const Helper* Find(std::string_view name) const;
+
+  /// Looks `name` up and invokes it with pre-evaluated arguments.
+  common::Result<algebra::Value> Invoke(std::string_view name,
+                                        std::span<const EvalResult> args,
                                         const EvalContext& ctx) const;
 
   std::vector<std::string> Names() const;
@@ -43,11 +61,14 @@ class HelperRegistry {
   static std::shared_ptr<HelperRegistry> WithBuiltins();
 
  private:
-  struct Helper {
-    int arity;
-    HelperFn fn;
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const noexcept {
+      return std::hash<std::string_view>{}(s);
+    }
   };
-  std::unordered_map<std::string, Helper> helpers_;
+  std::unordered_map<std::string, Helper, NameHash, std::equal_to<>>
+      helpers_;
 };
 
 }  // namespace prairie::core

@@ -196,7 +196,7 @@ Status SplitEquiJoin(const PredicateRef& pred, const RowSchema& left,
                      PredicateRef* residual) {
   std::vector<PredicateRef> rest;
   if (pred != nullptr) {
-    for (const PredicateRef& c : pred->Conjuncts()) {
+    for (const PredicateRef& c : algebra::Conjuncts(pred)) {
       if (c->IsEquiJoin()) {
         int ll = left.Find(c->left().attr);
         int rr = right.Find(c->right().attr);

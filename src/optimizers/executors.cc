@@ -42,7 +42,7 @@ Result<AttrList> ReadAttrs(const PlanBuilder& b, const char* prop) {
 
 /// Extracts the constant of an "attr = const" conjunct on `attr`.
 std::optional<Datum> EqKeyFor(const PredicateRef& pred, const Attr& attr) {
-  for (const PredicateRef& c : pred->Conjuncts()) {
+  for (const PredicateRef& c : algebra::Conjuncts(pred)) {
     if (c->kind() != Predicate::Kind::kCmp ||
         c->cmp_op() != algebra::CmpOp::kEq) {
       continue;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <span>
 
 namespace prairie::opt::native {
 
@@ -15,24 +17,39 @@ using common::Status;
 
 namespace {
 
-Result<PredicateRef> AsPred(const Value& v, const char* fn) {
-  if (v.is_null()) return Predicate::True();
+// The accessors below borrow: they return pointers into the argument
+// Values (or to shared constants), which outlive the helper call.
+
+const PredicateRef& TruePred() {
+  static const PredicateRef kTrue = Predicate::True();
+  return kTrue;
+}
+
+const AttrList& NoAttrs() {
+  static const AttrList kNone;
+  return kNone;
+}
+
+/// The predicate `v` holds; null reads as TRUE.
+Result<const PredicateRef*> AsPred(const Value& v, const char* fn) {
+  if (v.is_null()) return &TruePred();
   if (v.type() != ValueType::kPred) {
     return Status::TypeError(std::string(fn) + ": expected a predicate, got " +
                              std::string(ValueTypeName(v.type())));
   }
   const PredicateRef& p = v.AsPred();
-  return p == nullptr ? Predicate::True() : p;
+  return p == nullptr ? &TruePred() : &p;
 }
 
-Result<AttrList> AsAttrs(const Value& v, const char* fn) {
-  if (v.is_null()) return AttrList{};
+/// The attribute list `v` holds; null reads as empty.
+Result<const AttrList*> AsAttrs(const Value& v, const char* fn) {
+  if (v.is_null()) return &NoAttrs();
   if (v.type() != ValueType::kAttrs) {
     return Status::TypeError(std::string(fn) +
                              ": expected an attribute list, got " +
                              std::string(ValueTypeName(v.type())));
   }
-  return v.AsAttrs();
+  return &v.AsAttrs();
 }
 
 Result<double> AsReal(const Value& v, const char* fn) {
@@ -41,11 +58,12 @@ Result<double> AsReal(const Value& v, const char* fn) {
   return r;
 }
 
-Result<std::string> AsStr(const Value& v, const char* fn) {
+/// The pooled string `v` holds.
+Result<const std::string*> AsStr(const Value& v, const char* fn) {
   if (v.is_null() || v.type() != ValueType::kString) {
     return Status::TypeError(std::string(fn) + ": expected a string");
   }
-  return v.AsString();
+  return &v.AsString();
 }
 
 Result<const catalog::Catalog*> NeedCat(const catalog::Catalog* cat,
@@ -56,22 +74,28 @@ Result<const catalog::Catalog*> NeedCat(const catalog::Catalog* cat,
   return cat;
 }
 
-void SplitConjuncts(const PredicateRef& pred, const AttrList& attrs,
-                    std::vector<PredicateRef>* over,
-                    std::vector<PredicateRef>* not_over) {
-  for (const PredicateRef& c : pred->Conjuncts()) {
-    if (algebra::IsSubset(c->ReferencedAttrs(), attrs)) {
-      over->push_back(c);
-    } else {
-      not_over->push_back(c);
-    }
-  }
+/// The conjunction of the conjuncts of `pred` that refer only to `attrs`
+/// (over) or not (!over). When every conjunct qualifies the result is
+/// `pred` itself: Predicate::And would rebuild an equal tree.
+PredicateRef ConjOver(const PredicateRef& pred, const AttrList& attrs,
+                      bool over) {
+  const std::span<const PredicateRef> cs = algebra::Conjuncts(pred);
+  const auto qualifies = [&](const PredicateRef& c) {
+    return algebra::IsSubset(c->ReferencedAttrs(), attrs) == over;
+  };
+  const size_t kept =
+      static_cast<size_t>(std::count_if(cs.begin(), cs.end(), qualifies));
+  if (kept == cs.size()) return pred;
+  std::vector<PredicateRef> keep;
+  keep.reserve(kept);
+  std::copy_if(cs.begin(), cs.end(), std::back_inserter(keep), qualifies);
+  return Predicate::And(std::move(keep));
 }
 
 /// Finds an "attr = constant" conjunct whose attribute has an index.
 bool FindIndexedEq(const PredicateRef& pred, const catalog::Catalog& cat,
                    Attr* attr, PredicateRef* eq_conjunct) {
-  for (const PredicateRef& c : pred->Conjuncts()) {
+  for (const PredicateRef& c : algebra::Conjuncts(pred)) {
     if (c->kind() != Predicate::Kind::kCmp ||
         c->cmp_op() != algebra::CmpOp::kEq) {
       continue;
@@ -96,145 +120,148 @@ bool FindIndexedEq(const PredicateRef& pred, const catalog::Catalog& cat,
 }  // namespace
 
 Result<Value> selectivity(const catalog::Catalog* cat, const Value& pred) {
-  PRAIRIE_ASSIGN_OR_RETURN(PredicateRef p, AsPred(pred, "selectivity"));
+  PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p, AsPred(pred, "selectivity"));
   PRAIRIE_ASSIGN_OR_RETURN(const catalog::Catalog* c,
                            NeedCat(cat, "selectivity"));
-  return Value::Real(catalog::EstimateSelectivity(p, *c));
+  return Value::Real(catalog::EstimateSelectivity(*p, *c));
 }
 
 Result<Value> join_card(const catalog::Catalog* cat, const Value& nl,
                         const Value& nr, const Value& pred) {
   PRAIRIE_ASSIGN_OR_RETURN(double l, AsReal(nl, "join_card"));
   PRAIRIE_ASSIGN_OR_RETURN(double r, AsReal(nr, "join_card"));
-  PRAIRIE_ASSIGN_OR_RETURN(PredicateRef p, AsPred(pred, "join_card"));
+  PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p, AsPred(pred, "join_card"));
   PRAIRIE_ASSIGN_OR_RETURN(const catalog::Catalog* c,
                            NeedCat(cat, "join_card"));
-  return Value::Real(l * r * catalog::EstimateSelectivity(p, *c));
+  return Value::Real(l * r * catalog::EstimateSelectivity(*p, *c));
 }
 
 Result<Value> union_(const catalog::Catalog*, const Value& a,
                      const Value& b) {
-  PRAIRIE_ASSIGN_OR_RETURN(AttrList x, AsAttrs(a, "union"));
-  PRAIRIE_ASSIGN_OR_RETURN(AttrList y, AsAttrs(b, "union"));
-  return Value::Attrs(algebra::UnionAttrs(x, y));
+  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* x, AsAttrs(a, "union"));
+  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* y, AsAttrs(b, "union"));
+  return Value::Attrs(algebra::UnionAttrs(*x, *y));
 }
 
 Result<Value> attrs_minus(const catalog::Catalog*, const Value& a,
                           const Value& b) {
-  PRAIRIE_ASSIGN_OR_RETURN(AttrList x, AsAttrs(a, "attrs_minus"));
-  PRAIRIE_ASSIGN_OR_RETURN(AttrList y, AsAttrs(b, "attrs_minus"));
+  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* x, AsAttrs(a, "attrs_minus"));
+  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* y, AsAttrs(b, "attrs_minus"));
   AttrList out;
-  for (const Attr& attr : x) {
-    if (!algebra::Contains(y, attr)) out.push_back(attr);
+  for (const Attr& attr : *x) {
+    if (!algebra::Contains(*y, attr)) out.push_back(attr);
   }
   return Value::Attrs(std::move(out));
 }
 
 Result<Value> attrs_subset(const catalog::Catalog*, const Value& a,
                            const Value& b) {
-  PRAIRIE_ASSIGN_OR_RETURN(AttrList x, AsAttrs(a, "attrs_subset"));
-  PRAIRIE_ASSIGN_OR_RETURN(AttrList y, AsAttrs(b, "attrs_subset"));
-  return Value::Bool(algebra::IsSubset(x, y));
+  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* x, AsAttrs(a, "attrs_subset"));
+  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* y, AsAttrs(b, "attrs_subset"));
+  return Value::Bool(algebra::IsSubset(*x, *y));
 }
 
 Result<Value> conj_over(const catalog::Catalog*, const Value& pred,
                         const Value& attrs) {
-  PRAIRIE_ASSIGN_OR_RETURN(PredicateRef p, AsPred(pred, "conj_over"));
-  PRAIRIE_ASSIGN_OR_RETURN(AttrList a, AsAttrs(attrs, "conj_over"));
-  std::vector<PredicateRef> over, rest;
-  SplitConjuncts(p, a, &over, &rest);
-  return Value::Pred(Predicate::And(std::move(over)));
+  PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p, AsPred(pred, "conj_over"));
+  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* a, AsAttrs(attrs, "conj_over"));
+  return Value::Pred(ConjOver(*p, *a, /*over=*/true));
 }
 
 Result<Value> conj_not_over(const catalog::Catalog*, const Value& pred,
                             const Value& attrs) {
-  PRAIRIE_ASSIGN_OR_RETURN(PredicateRef p, AsPred(pred, "conj_not_over"));
-  PRAIRIE_ASSIGN_OR_RETURN(AttrList a, AsAttrs(attrs, "conj_not_over"));
-  std::vector<PredicateRef> over, rest;
-  SplitConjuncts(p, a, &over, &rest);
-  return Value::Pred(Predicate::And(std::move(rest)));
+  PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p,
+                           AsPred(pred, "conj_not_over"));
+  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* a, AsAttrs(attrs, "conj_not_over"));
+  return Value::Pred(ConjOver(*p, *a, /*over=*/false));
 }
 
 Result<Value> conj_count(const catalog::Catalog*, const Value& pred) {
-  PRAIRIE_ASSIGN_OR_RETURN(PredicateRef p, AsPred(pred, "conj_count"));
-  return Value::Int(static_cast<int64_t>(p->Conjuncts().size()));
+  PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p, AsPred(pred, "conj_count"));
+  return Value::Int(static_cast<int64_t>(algebra::Conjuncts(*p).size()));
 }
 
 Result<Value> first_conjunct(const catalog::Catalog*, const Value& pred) {
-  PRAIRIE_ASSIGN_OR_RETURN(PredicateRef p, AsPred(pred, "first_conjunct"));
-  auto cs = p->Conjuncts();
-  return Value::Pred(cs.empty() ? Predicate::True() : cs[0]);
+  PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p,
+                           AsPred(pred, "first_conjunct"));
+  const std::span<const PredicateRef> cs = algebra::Conjuncts(*p);
+  return Value::Pred(cs.empty() ? TruePred() : cs[0]);
 }
 
 Result<Value> rest_conjuncts(const catalog::Catalog*, const Value& pred) {
-  PRAIRIE_ASSIGN_OR_RETURN(PredicateRef p, AsPred(pred, "rest_conjuncts"));
-  auto cs = p->Conjuncts();
-  if (cs.size() <= 1) return Value::Pred(Predicate::True());
-  cs.erase(cs.begin());
-  return Value::Pred(Predicate::And(std::move(cs)));
+  PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p,
+                           AsPred(pred, "rest_conjuncts"));
+  const std::span<const PredicateRef> cs = algebra::Conjuncts(*p);
+  if (cs.size() <= 1) return Value::Pred(TruePred());
+  return Value::Pred(
+      Predicate::And(std::vector<PredicateRef>(cs.begin() + 1, cs.end())));
 }
 
 Result<Value> pred_and(const catalog::Catalog*, const Value& a,
                        const Value& b) {
-  PRAIRIE_ASSIGN_OR_RETURN(PredicateRef x, AsPred(a, "pred_and"));
-  PRAIRIE_ASSIGN_OR_RETURN(PredicateRef y, AsPred(b, "pred_and"));
-  return Value::Pred(algebra::PredAnd(x, y));
+  PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* x, AsPred(a, "pred_and"));
+  PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* y, AsPred(b, "pred_and"));
+  return Value::Pred(algebra::PredAnd(*x, *y));
 }
 
 Result<Value> refers_both(const catalog::Catalog*, const Value& pred,
                           const Value& a, const Value& b) {
-  PRAIRIE_ASSIGN_OR_RETURN(PredicateRef p, AsPred(pred, "refers_both"));
-  PRAIRIE_ASSIGN_OR_RETURN(AttrList x, AsAttrs(a, "refers_both"));
-  PRAIRIE_ASSIGN_OR_RETURN(AttrList y, AsAttrs(b, "refers_both"));
+  PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p, AsPred(pred, "refers_both"));
+  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* x, AsAttrs(a, "refers_both"));
+  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* y, AsAttrs(b, "refers_both"));
   bool in_a = false, in_b = false;
-  for (const Attr& attr : p->ReferencedAttrs()) {
-    in_a = in_a || algebra::Contains(x, attr);
-    in_b = in_b || algebra::Contains(y, attr);
+  for (const Attr& attr : (*p)->ReferencedAttrs()) {
+    in_a = in_a || algebra::Contains(*x, attr);
+    in_b = in_b || algebra::Contains(*y, attr);
   }
   return Value::Bool(in_a && in_b);
 }
 
 Result<Value> refers_only(const catalog::Catalog*, const Value& pred,
                           const Value& attrs) {
-  PRAIRIE_ASSIGN_OR_RETURN(PredicateRef p, AsPred(pred, "refers_only"));
-  PRAIRIE_ASSIGN_OR_RETURN(AttrList a, AsAttrs(attrs, "refers_only"));
-  return Value::Bool(algebra::IsSubset(p->ReferencedAttrs(), a));
+  PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p, AsPred(pred, "refers_only"));
+  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* a, AsAttrs(attrs, "refers_only"));
+  return Value::Bool(algebra::IsSubset((*p)->ReferencedAttrs(), *a));
 }
 
 Result<Value> is_equijoinable(const catalog::Catalog*, const Value& pred) {
-  PRAIRIE_ASSIGN_OR_RETURN(PredicateRef p, AsPred(pred, "is_equijoinable"));
-  for (const PredicateRef& c : p->Conjuncts()) {
+  PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p,
+                           AsPred(pred, "is_equijoinable"));
+  for (const PredicateRef& c : algebra::Conjuncts(*p)) {
     if (c->IsEquiJoin()) return Value::Bool(true);
   }
   return Value::Bool(false);
 }
 
 Result<Value> has_index_eq(const catalog::Catalog* cat, const Value& pred) {
-  PRAIRIE_ASSIGN_OR_RETURN(PredicateRef p, AsPred(pred, "has_index_eq"));
+  PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p,
+                           AsPred(pred, "has_index_eq"));
   PRAIRIE_ASSIGN_OR_RETURN(const catalog::Catalog* c,
                            NeedCat(cat, "has_index_eq"));
-  return Value::Bool(FindIndexedEq(p, *c, nullptr, nullptr));
+  return Value::Bool(FindIndexedEq(*p, *c, nullptr, nullptr));
 }
 
 Result<Value> indexed_attr(const catalog::Catalog* cat, const Value& pred) {
-  PRAIRIE_ASSIGN_OR_RETURN(PredicateRef p, AsPred(pred, "indexed_attr"));
+  PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p,
+                           AsPred(pred, "indexed_attr"));
   PRAIRIE_ASSIGN_OR_RETURN(const catalog::Catalog* c,
                            NeedCat(cat, "indexed_attr"));
   Attr a;
   AttrList out;
-  if (FindIndexedEq(p, *c, &a, nullptr)) out.push_back(a);
+  if (FindIndexedEq(*p, *c, &a, nullptr)) out.push_back(a);
   return Value::Attrs(std::move(out));
 }
 
 Result<Value> index_eq_cost(const catalog::Catalog* cat, const Value& card,
                             const Value& pred) {
   PRAIRIE_ASSIGN_OR_RETURN(double n, AsReal(card, "index_eq_cost"));
-  PRAIRIE_ASSIGN_OR_RETURN(PredicateRef p, AsPred(pred, "index_eq_cost"));
+  PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p,
+                           AsPred(pred, "index_eq_cost"));
   PRAIRIE_ASSIGN_OR_RETURN(const catalog::Catalog* c,
                            NeedCat(cat, "index_eq_cost"));
   PredicateRef eq;
   Attr a;
-  if (!FindIndexedEq(p, *c, &a, &eq)) {
+  if (!FindIndexedEq(*p, *c, &a, &eq)) {
     return Status::RuleError(
         "index_eq_cost: predicate has no indexed equality conjunct");
   }
@@ -243,10 +270,10 @@ Result<Value> index_eq_cost(const catalog::Catalog* cat, const Value& card,
 }
 
 Result<Value> any_index(const catalog::Catalog* cat, const Value& attrs) {
-  PRAIRIE_ASSIGN_OR_RETURN(AttrList a, AsAttrs(attrs, "any_index"));
+  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* a, AsAttrs(attrs, "any_index"));
   PRAIRIE_ASSIGN_OR_RETURN(const catalog::Catalog* c,
                            NeedCat(cat, "any_index"));
-  for (const Attr& x : a) {
+  for (const Attr& x : *a) {
     if (c->HasIndexOn(x)) return Value::Bool(true);
   }
   return Value::Bool(false);
@@ -254,11 +281,12 @@ Result<Value> any_index(const catalog::Catalog* cat, const Value& attrs) {
 
 Result<Value> first_index_attr(const catalog::Catalog* cat,
                                const Value& attrs) {
-  PRAIRIE_ASSIGN_OR_RETURN(AttrList a, AsAttrs(attrs, "first_index_attr"));
+  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* a,
+                           AsAttrs(attrs, "first_index_attr"));
   PRAIRIE_ASSIGN_OR_RETURN(const catalog::Catalog* c,
                            NeedCat(cat, "first_index_attr"));
   AttrList out;
-  for (const Attr& x : a) {
+  for (const Attr& x : *a) {
     if (c->HasIndexOn(x)) {
       out.push_back(x);
       break;
@@ -268,9 +296,10 @@ Result<Value> first_index_attr(const catalog::Catalog* cat,
 }
 
 Result<Value> sort_on(const catalog::Catalog*, const Value& attrs) {
-  PRAIRIE_ASSIGN_OR_RETURN(AttrList a, AsAttrs(attrs, "sort_on"));
+  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* a, AsAttrs(attrs, "sort_on"));
   SortSpec spec;
-  for (const Attr& x : a) {
+  spec.keys.reserve(a->size());
+  for (const Attr& x : *a) {
     spec.keys.push_back(SortSpec::Key{x, /*ascending=*/true});
   }
   return Value::Sort(std::move(spec));
@@ -278,14 +307,16 @@ Result<Value> sort_on(const catalog::Catalog*, const Value& attrs) {
 
 Result<Value> side_join_attrs(const catalog::Catalog*, const Value& pred,
                               const Value& side) {
-  PRAIRIE_ASSIGN_OR_RETURN(PredicateRef p, AsPred(pred, "side_join_attrs"));
-  PRAIRIE_ASSIGN_OR_RETURN(AttrList s, AsAttrs(side, "side_join_attrs"));
+  PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p,
+                           AsPred(pred, "side_join_attrs"));
+  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* s,
+                           AsAttrs(side, "side_join_attrs"));
   AttrList out;
-  for (const PredicateRef& c : p->Conjuncts()) {
+  for (const PredicateRef& c : algebra::Conjuncts(*p)) {
     if (!c->IsEquiJoin()) continue;
-    if (algebra::Contains(s, c->left().attr)) {
+    if (algebra::Contains(*s, c->left().attr)) {
       out.push_back(c->left().attr);
-    } else if (algebra::Contains(s, c->right().attr)) {
+    } else if (algebra::Contains(*s, c->right().attr)) {
       out.push_back(c->right().attr);
     }
   }
@@ -294,27 +325,28 @@ Result<Value> side_join_attrs(const catalog::Catalog*, const Value& pred,
 
 Result<Value> is_ref_join(const catalog::Catalog* cat, const Value& pred,
                           const Value& left, const Value& right) {
-  PRAIRIE_ASSIGN_OR_RETURN(PredicateRef p, AsPred(pred, "is_ref_join"));
-  PRAIRIE_ASSIGN_OR_RETURN(AttrList l, AsAttrs(left, "is_ref_join"));
-  PRAIRIE_ASSIGN_OR_RETURN(AttrList r, AsAttrs(right, "is_ref_join"));
+  PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p, AsPred(pred, "is_ref_join"));
+  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* l, AsAttrs(left, "is_ref_join"));
+  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* r, AsAttrs(right, "is_ref_join"));
   PRAIRIE_ASSIGN_OR_RETURN(const catalog::Catalog* c,
                            NeedCat(cat, "is_ref_join"));
   // A pointer join needs one equi conjunct "l.ref = r.oid" where l.ref is
   // a reference attribute of a left class targeting the right class.
-  for (const PredicateRef& conj : p->Conjuncts()) {
+  for (const PredicateRef& conj : algebra::Conjuncts(*p)) {
     if (!conj->IsEquiJoin()) continue;
-    for (const auto& [ref_term, oid_term] :
-         {std::make_pair(conj->left(), conj->right()),
-          std::make_pair(conj->right(), conj->left())}) {
-      if (!algebra::Contains(l, ref_term.attr) ||
-          !algebra::Contains(r, oid_term.attr)) {
+    const algebra::Term* const orientations[2][2] = {
+        {&conj->left(), &conj->right()}, {&conj->right(), &conj->left()}};
+    for (const auto& [ref_term, oid_term] : orientations) {
+      if (!algebra::Contains(*l, ref_term->attr) ||
+          !algebra::Contains(*r, oid_term->attr)) {
         continue;
       }
-      const catalog::StoredFile* f = c->Find(ref_term.attr.cls);
+      const catalog::StoredFile* f = c->Find(ref_term->attr.cls);
       if (f == nullptr) continue;
-      const catalog::AttributeDef* ad = f->FindAttr(ref_term.attr.name);
+      const catalog::AttributeDef* ad = f->FindAttr(ref_term->attr.name);
       if (ad == nullptr || !ad->is_reference()) continue;
-      if (ad->ref_class == oid_term.attr.cls && oid_term.attr.name == "oid") {
+      if (ad->ref_class == oid_term->attr.cls &&
+          oid_term->attr.name == "oid") {
         return Value::Bool(true);
       }
     }
@@ -323,27 +355,29 @@ Result<Value> is_ref_join(const catalog::Catalog* cat, const Value& pred,
 }
 
 Result<Value> class_attrs(const catalog::Catalog* cat, const Value& cls) {
-  PRAIRIE_ASSIGN_OR_RETURN(std::string name, AsStr(cls, "class_attrs"));
+  PRAIRIE_ASSIGN_OR_RETURN(const std::string* name,
+                           AsStr(cls, "class_attrs"));
   PRAIRIE_ASSIGN_OR_RETURN(const catalog::Catalog* c,
                            NeedCat(cat, "class_attrs"));
-  PRAIRIE_ASSIGN_OR_RETURN(const catalog::StoredFile* f, c->Require(name));
+  PRAIRIE_ASSIGN_OR_RETURN(const catalog::StoredFile* f, c->Require(*name));
   return Value::Attrs(f->QualifiedAttrs());
 }
 
 Result<Value> class_card(const catalog::Catalog* cat, const Value& cls) {
-  PRAIRIE_ASSIGN_OR_RETURN(std::string name, AsStr(cls, "class_card"));
+  PRAIRIE_ASSIGN_OR_RETURN(const std::string* name, AsStr(cls, "class_card"));
   PRAIRIE_ASSIGN_OR_RETURN(const catalog::Catalog* c,
                            NeedCat(cat, "class_card"));
-  PRAIRIE_ASSIGN_OR_RETURN(const catalog::StoredFile* f, c->Require(name));
+  PRAIRIE_ASSIGN_OR_RETURN(const catalog::StoredFile* f, c->Require(*name));
   return Value::Real(static_cast<double>(f->cardinality()));
 }
 
 Result<Value> class_tuple_size(const catalog::Catalog* cat,
                                const Value& cls) {
-  PRAIRIE_ASSIGN_OR_RETURN(std::string name, AsStr(cls, "class_tuple_size"));
+  PRAIRIE_ASSIGN_OR_RETURN(const std::string* name,
+                           AsStr(cls, "class_tuple_size"));
   PRAIRIE_ASSIGN_OR_RETURN(const catalog::Catalog* c,
                            NeedCat(cat, "class_tuple_size"));
-  PRAIRIE_ASSIGN_OR_RETURN(const catalog::StoredFile* f, c->Require(name));
+  PRAIRIE_ASSIGN_OR_RETURN(const catalog::StoredFile* f, c->Require(*name));
   return Value::Real(static_cast<double>(f->tuple_size()));
 }
 

@@ -75,7 +75,7 @@ Status AddStandardProperties(PropertySchema* schema) {
 namespace {
 
 template <typename Fn>
-Status CheckScalars(const std::vector<EvalResult>& args, const char* name,
+Status CheckScalars(std::span<const EvalResult> args, const char* name,
                     Fn&&) {
   for (const EvalResult& a : args) {
     if (a.is_desc()) {
@@ -95,7 +95,7 @@ using Native3 = Result<Value> (*)(const catalog::Catalog*, const Value&,
 Status Reg(HelperRegistry* reg, const char* name, Native1 fn) {
   return reg->Register(
       name, 1,
-      [fn, name](const std::vector<EvalResult>& args,
+      [fn, name](std::span<const EvalResult> args,
                  const EvalContext& ctx) -> Result<Value> {
         PRAIRIE_RETURN_NOT_OK(CheckScalars(args, name, fn));
         return fn(ctx.catalog, args[0].val());
@@ -105,7 +105,7 @@ Status Reg(HelperRegistry* reg, const char* name, Native1 fn) {
 Status Reg(HelperRegistry* reg, const char* name, Native2 fn) {
   return reg->Register(
       name, 2,
-      [fn, name](const std::vector<EvalResult>& args,
+      [fn, name](std::span<const EvalResult> args,
                  const EvalContext& ctx) -> Result<Value> {
         PRAIRIE_RETURN_NOT_OK(CheckScalars(args, name, fn));
         return fn(ctx.catalog, args[0].val(), args[1].val());
@@ -115,7 +115,7 @@ Status Reg(HelperRegistry* reg, const char* name, Native2 fn) {
 Status Reg(HelperRegistry* reg, const char* name, Native3 fn) {
   return reg->Register(
       name, 3,
-      [fn, name](const std::vector<EvalResult>& args,
+      [fn, name](std::span<const EvalResult> args,
                  const EvalContext& ctx) -> Result<Value> {
         PRAIRIE_RETURN_NOT_OK(CheckScalars(args, name, fn));
         return fn(ctx.catalog, args[0].val(), args[1].val(), args[2].val());

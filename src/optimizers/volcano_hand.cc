@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <span>
 
 #include "catalog/catalog.h"
 #include "optimizers/props.h"
@@ -34,27 +36,39 @@ namespace {
 // Support functions (the hand-written C code of a Volcano rule set)
 // ---------------------------------------------------------------------------
 
-PredicateRef GetPred(const Value& v) {
+// GetPred and GetAttrs borrow from the slot value they read (or from a
+// shared constant): a result must not be used after a write to the same
+// slot property.
+
+const PredicateRef& GetPred(const Value& v) {
+  static const PredicateRef kTrue = Predicate::True();
   if (v.is_null() || v.type() != ValueType::kPred || v.AsPred() == nullptr) {
-    return Predicate::True();
+    return kTrue;
   }
   return v.AsPred();
 }
 
 double GetReal(const Value& v, double def = 0) { return v.ToReal().ValueOr(def); }
 
-AttrList GetAttrs(const Value& v) {
-  return v.is_null() ? AttrList{} : v.AsAttrs();
+const AttrList& GetAttrs(const Value& v) {
+  static const AttrList kNone;
+  return v.is_null() ? kNone : v.AsAttrs();
 }
 
+/// The conjunction of the conjuncts of `pred` that refer only to `attrs`
+/// (over) or not (!over); `pred` itself when every conjunct qualifies.
 PredicateRef ConjOver(const PredicateRef& pred, const AttrList& attrs,
                       bool over) {
+  const std::span<const PredicateRef> cs = algebra::Conjuncts(pred);
+  const auto qualifies = [&](const PredicateRef& c) {
+    return algebra::IsSubset(c->ReferencedAttrs(), attrs) == over;
+  };
+  const size_t kept =
+      static_cast<size_t>(std::count_if(cs.begin(), cs.end(), qualifies));
+  if (kept == cs.size()) return pred;
   std::vector<PredicateRef> keep;
-  for (const PredicateRef& c : pred->Conjuncts()) {
-    if (algebra::IsSubset(c->ReferencedAttrs(), attrs) == over) {
-      keep.push_back(c);
-    }
-  }
+  keep.reserve(kept);
+  std::copy_if(cs.begin(), cs.end(), std::back_inserter(keep), qualifies);
   return Predicate::And(std::move(keep));
 }
 
@@ -69,7 +83,7 @@ bool RefersBoth(const PredicateRef& pred, const AttrList& a,
 }
 
 bool IsEquijoinable(const PredicateRef& pred) {
-  for (const PredicateRef& c : pred->Conjuncts()) {
+  for (const PredicateRef& c : algebra::Conjuncts(pred)) {
     if (c->IsEquiJoin()) return true;
   }
   return false;
@@ -79,7 +93,7 @@ const Attr* FindIndexedEq(const PredicateRef& pred,
                           const catalog::Catalog& cat,
                           PredicateRef* eq_conjunct) {
   static thread_local Attr result;
-  for (const PredicateRef& c : pred->Conjuncts()) {
+  for (const PredicateRef& c : algebra::Conjuncts(pred)) {
     if (c->kind() != Predicate::Kind::kCmp ||
         c->cmp_op() != algebra::CmpOp::kEq) {
       continue;
@@ -115,7 +129,7 @@ const Attr* FirstIndexAttr(const AttrList& attrs,
 
 AttrList SideJoinAttrs(const PredicateRef& pred, const AttrList& side) {
   AttrList out;
-  for (const PredicateRef& c : pred->Conjuncts()) {
+  for (const PredicateRef& c : algebra::Conjuncts(pred)) {
     if (!c->IsEquiJoin()) continue;
     if (algebra::Contains(side, c->left().attr)) {
       out.push_back(c->left().attr);
@@ -128,6 +142,7 @@ AttrList SideJoinAttrs(const PredicateRef& pred, const AttrList& side) {
 
 SortSpec SortOn(const AttrList& attrs) {
   SortSpec spec;
+  spec.keys.reserve(attrs.size());
   for (const Attr& a : attrs) {
     spec.keys.push_back(SortSpec::Key{a, /*ascending=*/true});
   }
@@ -136,20 +151,21 @@ SortSpec SortOn(const AttrList& attrs) {
 
 bool IsRefJoin(const PredicateRef& pred, const AttrList& left,
                const AttrList& right, const catalog::Catalog& cat) {
-  for (const PredicateRef& c : pred->Conjuncts()) {
+  for (const PredicateRef& c : algebra::Conjuncts(pred)) {
     if (!c->IsEquiJoin()) continue;
-    for (const auto& [ref_term, oid_term] :
-         {std::make_pair(c->left(), c->right()),
-          std::make_pair(c->right(), c->left())}) {
-      if (!algebra::Contains(left, ref_term.attr) ||
-          !algebra::Contains(right, oid_term.attr)) {
+    const algebra::Term* const orientations[2][2] = {
+        {&c->left(), &c->right()}, {&c->right(), &c->left()}};
+    for (const auto& [ref_term, oid_term] : orientations) {
+      if (!algebra::Contains(left, ref_term->attr) ||
+          !algebra::Contains(right, oid_term->attr)) {
         continue;
       }
-      const catalog::StoredFile* f = cat.Find(ref_term.attr.cls);
+      const catalog::StoredFile* f = cat.Find(ref_term->attr.cls);
       if (f == nullptr) continue;
-      const catalog::AttributeDef* ad = f->FindAttr(ref_term.attr.name);
+      const catalog::AttributeDef* ad = f->FindAttr(ref_term->attr.name);
       if (ad == nullptr || !ad->is_reference()) continue;
-      if (ad->ref_class == oid_term.attr.cls && oid_term.attr.name == "oid") {
+      if (ad->ref_class == oid_term->attr.cls &&
+          oid_term->attr.name == "oid") {
         return true;
       }
     }
@@ -526,15 +542,16 @@ TransRule SelectSplit(const Ctx& c) {
   r.rhs = Op1(c.select, 3, Op1(c.select, 2, S(1, 0)));
   r.num_slots = 4;
   r.condition = [p](BindingView& bv) -> Result<bool> {
-    return GetPred(bv.slot(1).Get(p.selection_predicate))->Conjuncts().size() >=
-           2;
+    return algebra::Conjuncts(GetPred(bv.slot(1).Get(p.selection_predicate)))
+               .size() >= 2;
   };
   r.apply = [p](BindingView& bv) -> Status {
     PRAIRIE_RETURN_NOT_OK(NeedCatalog(bv));
-    auto cs = GetPred(bv.slot(1).Get(p.selection_predicate))->Conjuncts();
+    const std::span<const PredicateRef> cs =
+        algebra::Conjuncts(GetPred(bv.slot(1).Get(p.selection_predicate)));
     PredicateRef first = cs[0];
-    cs.erase(cs.begin());
-    PredicateRef rest = Predicate::And(std::move(cs));
+    PredicateRef rest =
+        Predicate::And(std::vector<PredicateRef>(cs.begin() + 1, cs.end()));
     bv.slot(2).SetUnchecked(p.selection_predicate, Value::Pred(first));
     bv.slot(2).SetUnchecked(p.attributes, bv.slot(0).Get(p.attributes));
     bv.slot(2).SetUnchecked(

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <initializer_list>
+#include <span>
 
 #include "core/helpers.h"
 #include "volcano/rules.h"
@@ -184,7 +185,8 @@ inline Value Unwrap(EmitCtx& c, common::Result<Value> r) {
 }
 
 /// Invokes a user helper function through the registry (fallback for
-/// helpers with no native binding).
+/// helpers with no native binding). The arguments stay in the caller's
+/// initializer list; the helper sees a span over it.
 inline Value Call(EmitCtx& c, const char* name,
                   std::initializer_list<core::EvalResult> args) {
   if (c.failed()) return Value();
@@ -198,8 +200,9 @@ inline Value Call(EmitCtx& c, const char* name,
   ctx.helpers = c.helpers;
   ctx.catalog = c.bv.catalog;
   ctx.store = c.bv.store;
-  std::vector<core::EvalResult> argv(args);
-  auto r = c.helpers->Invoke(name, argv, ctx);
+  auto r = c.helpers->Invoke(
+      name, std::span<const core::EvalResult>(args.begin(), args.size()),
+      ctx);
   if (!r.ok()) {
     c.Fail(r.status());
     return Value();

@@ -82,6 +82,21 @@ BindingView Optimizer::MakeBinding(int num_slots) {
   return bv;
 }
 
+BindingView& Optimizer::TransBinding(size_t rule_idx, size_t num_streams) {
+  if (trans_bindings_.empty()) {
+    trans_bindings_.resize(rules_->trans_rules.size());
+  }
+  BindingView& bv = trans_bindings_[rule_idx];
+  const algebra::PropertySchema* schema = &rules_->algebra->properties();
+  bv.slots.resize(static_cast<size_t>(rules_->trans_rules[rule_idx].num_slots));
+  for (Descriptor& d : bv.slots) d.Reset(schema);
+  bv.streams.assign(num_streams, -1);
+  bv.algebra = rules_->algebra.get();
+  bv.catalog = catalog_;
+  bv.store = memo_->store();
+  return bv;
+}
+
 void Optimizer::RecordLedger() {
   stats_.memo = memo_->tallies();
   // Deltas since construction, not the store-global totals: under a
@@ -451,8 +466,7 @@ Status Optimizer::FireBinding(GroupId gid, const TransRule& rule,
   }
   TraceSpan span(this, common::TraceEventKind::kTransAttempt, memo_->Find(gid),
                  static_cast<int>(rule_idx), src_key);
-  BindingView bv = MakeBinding(rule.num_slots);
-  bv.streams.assign(num_streams, -1);
+  BindingView& bv = TransBinding(rule_idx, num_streams);
   const algebra::DescriptorStore* store = memo_->store();
   for (size_t v = 0; v < num_streams; ++v) {
     auto [g, slot] = binding.streams[v];

@@ -303,6 +303,10 @@ class Optimizer {
   /// returned id (id equality <=> requirement equality, no collision guard).
   algebra::DescriptorId ReqId(const algebra::Descriptor& req);
   BindingView MakeBinding(int num_slots);
+  /// The binding buffer of trans rule `rule_idx`, emptied for one attempt:
+  /// every slot Null, `num_streams` unbound streams. Its storage is reused
+  /// from attempt to attempt, so a warm buffer allocates nothing.
+  BindingView& TransBinding(size_t rule_idx, size_t num_streams);
   /// Brings the ledger's memo tallies and store deltas up to date (end of
   /// each Optimize()/ExpandOnly() call).
   void RecordLedger();
@@ -386,6 +390,11 @@ class Optimizer {
   /// Every trans-rule binding attempted so far, keyed on what a firing
   /// reads; FireBinding skips a binding found here (DESIGN.md §6.1).
   FiredBindingSet fired_;
+  /// One binding buffer per trans rule (TransBinding), created on the
+  /// first firing. A firing never re-enters FireBinding, so an attempt
+  /// owns its rule's buffer until it returns; impl and enforcer bindings
+  /// recurse through OptimizeGroup and build fresh ones (MakeBinding).
+  std::vector<BindingView> trans_bindings_;
   /// Tracing state: emitting thread id (cached) and current span depth.
   uint32_t trace_tid_ = 0;
   int trace_depth_ = 0;

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "algebra/algebra.h"
 #include "algebra/descriptor_store.h"
 #include "algebra/expr.h"
@@ -11,12 +16,32 @@
 #include "algebra/predicate.h"
 #include "algebra/property.h"
 #include "algebra/value.h"
+#include "common/rng.h"
 
 namespace prairie::algebra {
 namespace {
 
 Attr A(const std::string& cls, const std::string& name) {
   return Attr{cls, name};
+}
+
+/// A random attribute from a pool of twelve (three classes x four names),
+/// small enough that random lists overlap and repeat.
+Attr RandomAttr(common::Rng& rng) {
+  std::string cls = "C" + std::to_string(rng.Uniform(1, 3));
+  std::string name(1, static_cast<char>('a' + rng.Uniform(0, 3)));
+  return Attr{std::move(cls), std::move(name)};
+}
+
+/// The union UnionAttrs computed before it gained its merge path: copy
+/// `a`, append what `b` adds, sort.
+AttrList ReferenceUnion(const AttrList& a, const AttrList& b) {
+  AttrList out = a;
+  for (const Attr& attr : b) {
+    if (!Contains(out, attr)) out.push_back(attr);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -90,6 +115,29 @@ TEST(AttrList, SubsetAndContains) {
   EXPECT_TRUE(Contains(big, A("C", "b")));
 }
 
+TEST(AttrList, UnionMatchesCopyAndSortOnRandomLists) {
+  // Shapes: 0 strictly sorted (the merge path), 1 sorted with repeats,
+  // 2 as drawn (unsorted, repeats), 3 strictly descending. Lengths 0..6
+  // include empty lists.
+  const auto draw = [](common::Rng& rng, int shape) {
+    AttrList out;
+    const int64_t n = rng.Uniform(0, 6);
+    for (int64_t i = 0; i < n; ++i) out.push_back(RandomAttr(rng));
+    if (shape != 2) std::sort(out.begin(), out.end());
+    if (shape == 0 || shape == 3) {
+      out.erase(std::unique(out.begin(), out.end()), out.end());
+    }
+    if (shape == 3) std::reverse(out.begin(), out.end());
+    return out;
+  };
+  common::Rng rng(22);
+  for (int i = 0; i < 4000; ++i) {
+    const AttrList a = draw(rng, i % 4);
+    const AttrList b = draw(rng, (i / 4) % 4);
+    ASSERT_EQ(UnionAttrs(a, b), ReferenceUnion(a, b)) << "case " << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Sort specs
 // ---------------------------------------------------------------------------
@@ -130,7 +178,7 @@ TEST(Predicate, AndFlattensAndDropsTrue) {
   PredicateRef p2 = Predicate::EqConst(A("C", "b"), Scalar::Int(2));
   PredicateRef nested =
       Predicate::And({Predicate::And({p1, Predicate::True()}), p2});
-  EXPECT_EQ(nested->Conjuncts().size(), 2u);
+  EXPECT_EQ(algebra::Conjuncts(nested).size(), 2u);
 }
 
 TEST(Predicate, AndIsOrderCanonical) {
@@ -179,6 +227,94 @@ TEST(Predicate, NullRefsTreatedAsTrue) {
   EXPECT_TRUE(PredAnd(nullptr, nullptr)->is_true());
   PredicateRef p = Predicate::EqConst(A("C", "a"), Scalar::Int(1));
   EXPECT_TRUE(PredAnd(p, nullptr)->Equals(*p));
+}
+
+TEST(Predicate, ConjunctsBorrowTheTreeWithoutCloning) {
+  const PredicateRef p1 = Predicate::EqConst(A("C", "a"), Scalar::Int(1));
+  const PredicateRef p2 = Predicate::EqAttrs(A("C", "b"), A("D", "c"));
+  const PredicateRef p3 = Predicate::Or({p1, p2});
+  const PredicateRef conj = Predicate::And({p1, p2, p3});
+  const std::span<const PredicateRef> cs = Conjuncts(conj);
+  ASSERT_EQ(cs.size(), 3u);
+  EXPECT_EQ(cs.data(), conj->children().data());  // The AND's own children.
+  for (const PredicateRef& leaf : {p1, p2, p3}) {
+    EXPECT_EQ(std::count(cs.begin(), cs.end(), leaf), 1) << leaf->ToString();
+  }
+  // Any other predicate is its own single conjunct: the node itself.
+  const PredicateRef negated = Predicate::Not(p1);
+  const PredicateRef no = Predicate::False();
+  for (const PredicateRef* node : {&p1, &p3, &negated, &no}) {
+    const std::span<const PredicateRef> own = Conjuncts(*node);
+    ASSERT_EQ(own.size(), 1u);
+    EXPECT_EQ(own[0].get(), node->get());
+  }
+  const PredicateRef yes = Predicate::True();
+  const PredicateRef null;
+  EXPECT_TRUE(Conjuncts(yes).empty());
+  EXPECT_TRUE(Conjuncts(null).empty());
+}
+
+/// ReferencedAttrs as computed before nodes cached it.
+AttrList ReferenceReferencedAttrs(const Predicate& p) {
+  AttrList out;
+  switch (p.kind()) {
+    case Predicate::Kind::kCmp:
+      if (p.left().is_attr() && !Contains(out, p.left().attr)) {
+        out.push_back(p.left().attr);
+      }
+      if (p.right().is_attr() && !Contains(out, p.right().attr)) {
+        out.push_back(p.right().attr);
+      }
+      break;
+    case Predicate::Kind::kAnd:
+    case Predicate::Kind::kOr:
+    case Predicate::Kind::kNot:
+      for (const PredicateRef& c : p.children()) {
+        out = ReferenceUnion(out, ReferenceReferencedAttrs(*c));
+      }
+      break;
+    default:
+      break;
+  }
+  return out;
+}
+
+/// A random predicate tree of comparisons (attribute vs. attribute or
+/// constant, either side) joined by AND, OR and NOT.
+PredicateRef RandomPredicate(common::Rng& rng, int depth) {
+  const int64_t kind = depth <= 0 ? 0 : rng.Uniform(0, 3);
+  if (kind == 0) {
+    const int64_t form = rng.Uniform(0, 2);
+    Term l = form == 2 ? Term::MakeConst(Scalar::Int(rng.Uniform(0, 9)))
+                       : Term::MakeAttr(RandomAttr(rng));
+    Term r = form == 1 ? Term::MakeConst(Scalar::Int(rng.Uniform(0, 9)))
+                       : Term::MakeAttr(RandomAttr(rng));
+    return Predicate::Cmp(form == 0 ? CmpOp::kEq : CmpOp::kLt, std::move(l),
+                          std::move(r));
+  }
+  if (kind == 3) return Predicate::Not(RandomPredicate(rng, depth - 1));
+  std::vector<PredicateRef> kids;
+  const int64_t n = rng.Uniform(1, 3);
+  for (int64_t i = 0; i < n; ++i) {
+    kids.push_back(RandomPredicate(rng, depth - 1));
+  }
+  return kind == 1 ? Predicate::And(std::move(kids))
+                   : Predicate::Or(std::move(kids));
+}
+
+TEST(Predicate, ReferencedAttrsKeepsContentsAndOrder) {
+  // A comparison lists its sides in order, unsorted; composites sort.
+  const PredicateRef cmp = Predicate::EqAttrs(A("C2", "b"), A("C1", "a"));
+  EXPECT_EQ(cmp->ReferencedAttrs(), (AttrList{A("C2", "b"), A("C1", "a")}));
+  EXPECT_EQ(Predicate::Not(cmp)->ReferencedAttrs(),
+            (AttrList{A("C1", "a"), A("C2", "b")}));
+  common::Rng rng(2026);
+  for (int i = 0; i < 500; ++i) {
+    const PredicateRef p = RandomPredicate(rng, 3);
+    const AttrList& first = p->ReferencedAttrs();
+    EXPECT_EQ(first, ReferenceReferencedAttrs(*p)) << p->ToString();
+    EXPECT_EQ(&p->ReferencedAttrs(), &first);  // Computed once, cached.
+  }
 }
 
 // ---------------------------------------------------------------------------

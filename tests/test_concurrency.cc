@@ -1,15 +1,16 @@
 // Tests for the parallel batch-optimization layer: concurrent descriptor
 // interning (canonical ids under racing threads), slice registration
-// dedup, the per-operator rule dispatch index (must hold every rule in
-// its root operator's bucket), and BatchOptimizer plan identity against
-// the single-threaded optimizer.
+// dedup, predicate caches filled by racing readers, the per-operator rule
+// dispatch index (must hold every rule in its root operator's bucket),
+// and BatchOptimizer plan identity against the single-threaded optimizer.
 //
-// Suite names (ConcurrentStoreTest / DispatchIndexTest /
-// BatchOptimizerTest) are what CI's ThreadSanitizer job selects with
-// `ctest -R`.
+// Suite names (ConcurrentStoreTest / PredicateCacheConcurrencyTest /
+// DispatchIndexTest / BatchOptimizerTest ...) are what CI's
+// ThreadSanitizer job selects with `ctest -R`.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
@@ -22,6 +23,7 @@
 #include "algebra/descriptor_store.h"
 #include "algebra/param.h"
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "common/timeseries.h"
 #include "common/trace.h"
 #include "exec/builder.h"
@@ -193,6 +195,126 @@ TEST_F(ConcurrentStoreTest, SerialModeBehavesIdentically) {
   EXPECT_EQ(serial.size(), conc.size());
   EXPECT_EQ(serial.lookups(), conc.lookups());
   EXPECT_EQ(serial.hits(), conc.hits());
+}
+
+// ---------------------------------------------------------------------------
+// Predicate caches: ReferencedAttrs() fills a per-node cache on first use
+// and Conjuncts() borrows the tree, while batch workers share the trees.
+
+/// A seeded random predicate tree over a small attribute pool. The same
+/// seed rebuilds an equal tree whose caches are still empty.
+algebra::PredicateRef RandomPredicate(common::Rng& rng, int depth) {
+  using algebra::Predicate;
+  using algebra::Term;
+  const auto attr = [&rng] {
+    std::string cls = "C" + std::to_string(rng.Uniform(1, 4));
+    std::string name(1, static_cast<char>('a' + rng.Uniform(0, 3)));
+    return Term::MakeAttr(algebra::Attr{std::move(cls), std::move(name)});
+  };
+  const int64_t kind = depth <= 0 ? 0 : rng.Uniform(0, 3);
+  if (kind == 0) {
+    Term l = attr();
+    Term r = rng.Bernoulli(0.5)
+                 ? attr()
+                 : Term::MakeConst(algebra::Scalar::Int(rng.Uniform(0, 9)));
+    return Predicate::Cmp(algebra::CmpOp::kEq, std::move(l), std::move(r));
+  }
+  if (kind == 3) return Predicate::Not(RandomPredicate(rng, depth - 1));
+  std::vector<algebra::PredicateRef> kids;
+  const int64_t n = rng.Uniform(1, 4);
+  for (int64_t i = 0; i < n; ++i) {
+    kids.push_back(RandomPredicate(rng, depth - 1));
+  }
+  return kind == 1 ? Predicate::And(std::move(kids))
+                   : Predicate::Or(std::move(kids));
+}
+
+std::vector<algebra::PredicateRef> RandomForest(uint64_t seed, int n) {
+  common::Rng rng(seed);
+  std::vector<algebra::PredicateRef> out;
+  for (int i = 0; i < n; ++i) out.push_back(RandomPredicate(rng, 3));
+  return out;
+}
+
+/// What a reader sees of one predicate: its referenced attributes and its
+/// conjuncts, rendered.
+struct PredicateView {
+  algebra::AttrList attrs;
+  std::vector<std::string> conjuncts;
+  bool operator==(const PredicateView&) const = default;
+};
+
+PredicateView ViewOf(const algebra::PredicateRef& p) {
+  PredicateView v;
+  v.attrs = p->ReferencedAttrs();
+  for (const algebra::PredicateRef& c : algebra::Conjuncts(p)) {
+    v.conjuncts.push_back(c->ToString());
+  }
+  return v;
+}
+
+TEST(PredicateCacheConcurrencyTest, ParallelReadersMatchSingleThreadedViews) {
+  constexpr int kTrees = 96;
+  constexpr int kThreads = 8;
+  constexpr uint64_t kSeed = 7;
+
+  // Three builds of one forest: `reference` is read on this thread;
+  // `shared` and `stored` start with empty caches, and `stored` reaches
+  // the readers only through a concurrent DescriptorStore.
+  const std::vector<algebra::PredicateRef> reference =
+      RandomForest(kSeed, kTrees);
+  const std::vector<algebra::PredicateRef> shared =
+      RandomForest(kSeed, kTrees);
+  const std::vector<algebra::PredicateRef> stored =
+      RandomForest(kSeed, kTrees);
+  std::vector<PredicateView> expected;
+  for (const algebra::PredicateRef& p : reference) {
+    expected.push_back(ViewOf(p));
+  }
+
+  PropertySchema schema;
+  ASSERT_TRUE(schema.Add("pred", ValueType::kPred).ok());
+  const PropertyId pred = *schema.Find("pred");
+  DescriptorStore store(&schema, StoreMode::kConcurrent);
+
+  // Per thread and tree: the address of the attribute list it was handed
+  // (every thread must get the one published list) and any mismatch.
+  std::vector<std::vector<const algebra::AttrList*>> lists(
+      kThreads, std::vector<const algebra::AttrList*>(kTrees, nullptr));
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      for (int k = 0; k < kTrees; ++k) {
+        const int i = (k + t * 11) % kTrees;
+        // Interning races on the predicate hash caches as well.
+        Descriptor d(&schema);
+        d.SetUnchecked(pred, Value::Pred(stored[static_cast<size_t>(i)]));
+        const DescriptorId id = store.Intern(d);
+        const algebra::PredicateRef& held = store.Get(id).Get(pred).AsPred();
+        const algebra::PredicateRef& mine = shared[static_cast<size_t>(i)];
+        lists[t][i] = &mine->ReferencedAttrs();
+        if (!(ViewOf(mine) == expected[i])) ++mismatches[t];
+        if (!(ViewOf(held) == expected[i])) ++mismatches[t];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+    EXPECT_EQ(lists[t], lists[0]) << "thread " << t;
+  }
+  // Structurally equal trees intern to one id per distinct predicate.
+  std::vector<DescriptorId> ids;
+  for (const algebra::PredicateRef& p : reference) {
+    Descriptor d(&schema);
+    d.SetUnchecked(pred, Value::Pred(p));
+    ids.push_back(store.Intern(d));
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  EXPECT_EQ(store.size(), ids.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -214,7 +214,7 @@ TEST(HelperRegistry, ArityChecked) {
 
 TEST(HelperRegistry, DuplicateRegistrationRejected) {
   auto reg = HelperRegistry::WithBuiltins();
-  auto fn = [](const std::vector<EvalResult>&,
+  auto fn = [](std::span<const EvalResult>,
                const EvalContext&) -> common::Result<Value> {
     return Value::Int(1);
   };

@@ -183,7 +183,7 @@ TEST(MakeWorkload, SelectionConstantsAreInDomain) {
   ASSERT_OK_AND_ASSIGN(Workload w, MakeWorkload(*Rules()->algebra, spec));
   auto sel = w.query->descriptor().Get(opt::kSelectionPredicate);
   ASSERT_TRUE(sel.ok());
-  for (const algebra::PredicateRef& c : sel->AsPred()->Conjuncts()) {
+  for (const algebra::PredicateRef& c : algebra::Conjuncts(sel->AsPred())) {
     ASSERT_TRUE(c->kind() == algebra::Predicate::Kind::kCmp);
     const algebra::Attr& attr =
         c->left().is_attr() ? c->left().attr : c->right().attr;
