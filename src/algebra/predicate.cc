@@ -107,7 +107,7 @@ std::shared_ptr<Predicate> Predicate::Make(Kind kind) {
   return p;
 }
 
-PredicateRef Predicate::True() {
+const PredicateRef& Predicate::True() {
   static const PredicateRef kTrue = Make(Kind::kTrue);
   return kTrue;
 }

@@ -100,7 +100,8 @@ class Predicate {
   Predicate& operator=(const Predicate&) = delete;
   ~Predicate();
 
-  static PredicateRef True();
+  /// The shared TRUE node; the reference is valid for the program's life.
+  static const PredicateRef& True();
   static PredicateRef False();
   static PredicateRef Cmp(CmpOp op, Term left, Term right);
   /// Convenience: attr = constant.

@@ -70,12 +70,10 @@ ActionExprPtr ActionExpr::Desc(int desc_slot) {
 }
 
 ActionExprPtr ActionExpr::Call(std::string fn,
-                               std::vector<ActionExprPtr> args,
-                               const Helper* helper) {
+                               std::vector<ActionExprPtr> args) {
   auto e = std::shared_ptr<ActionExpr>(new ActionExpr());
   e->kind_ = Kind::kCall;
   e->fn_ = std::move(fn);
-  e->helper_ = helper;
   e->args_ = std::move(args);
   return e;
 }
@@ -292,11 +290,9 @@ Result<EvalResult> Eval(const ActionExpr& expr, const EvalContext& ctx) {
       for (size_t i = 0; i < n; ++i) {
         PRAIRIE_ASSIGN_OR_RETURN(args[i], Eval(*expr.args()[i], ctx));
       }
-      const std::span<const EvalResult> argv(args, n);
       PRAIRIE_ASSIGN_OR_RETURN(
-          Value v, expr.helper() != nullptr
-                       ? expr.helper()->Call(argv, ctx)
-                       : ctx.helpers->Invoke(expr.fn(), argv, ctx));
+          Value v, ctx.helpers->Invoke(
+                       expr.fn(), std::span<const EvalResult>(args, n), ctx));
       return EvalResult{std::move(v), nullptr, nullptr};
     }
     case ActionExpr::Kind::kBinary: {

@@ -31,7 +31,6 @@ namespace prairie::core {
 
 class ActionExpr;
 using ActionExprPtr = std::shared_ptr<const ActionExpr>;
-struct Helper;
 
 /// Binary operators of the action language.
 enum class BinOp {
@@ -73,11 +72,7 @@ class ActionExpr {
   static ActionExprPtr Prop(int desc_slot, std::string property,
                             algebra::PropertyId property_id = -1);
   static ActionExprPtr Desc(int desc_slot);
-  /// `helper`, when given, is `fn` resolved in the registry the call will
-  /// run against (P2V resolves interpreted calls once, at translation);
-  /// null looks `fn` up by name at evaluation time.
-  static ActionExprPtr Call(std::string fn, std::vector<ActionExprPtr> args,
-                            const Helper* helper = nullptr);
+  static ActionExprPtr Call(std::string fn, std::vector<ActionExprPtr> args);
   static ActionExprPtr Binary(BinOp op, ActionExprPtr l, ActionExprPtr r);
   static ActionExprPtr Unary(UnOp op, ActionExprPtr e);
 
@@ -87,7 +82,6 @@ class ActionExpr {
   const std::string& property() const { return property_; }
   algebra::PropertyId property_id() const { return property_id_; }
   const std::string& fn() const { return fn_; }
-  const Helper* helper() const { return helper_; }
   const std::vector<ActionExprPtr>& args() const { return args_; }
   BinOp bin_op() const { return bin_op_; }
   UnOp un_op() const { return un_op_; }
@@ -109,7 +103,6 @@ class ActionExpr {
   std::string property_;
   algebra::PropertyId property_id_ = -1;
   std::string fn_;
-  const Helper* helper_ = nullptr;
   std::vector<ActionExprPtr> args_;
   BinOp bin_op_ = BinOp::kAdd;
   UnOp un_op_ = UnOp::kNot;

@@ -15,35 +15,24 @@ Status HelperRegistry::Register(std::string name, int arity, HelperFn fn) {
   if (helpers_.count(name) > 0) {
     return Status::AlreadyExists("helper '" + name + "' already registered");
   }
-  Helper h{name, arity, std::move(fn)};
-  helpers_.emplace(std::move(name), std::move(h));
+  helpers_.emplace(std::move(name), Helper{arity, std::move(fn)});
   return Status::OK();
 }
 
-const Helper* HelperRegistry::Find(std::string_view name) const {
-  auto it = helpers_.find(name);
-  return it == helpers_.end() ? nullptr : &it->second;
-}
-
-Result<Value> Helper::Call(std::span<const EvalResult> args,
-                           const EvalContext& ctx) const {
-  if (arity >= 0 && static_cast<int>(args.size()) != arity) {
-    return Status::InvalidArgument(common::StringPrintf(
-        "helper '%s' expects %d argument(s), got %d", name.c_str(), arity,
-        static_cast<int>(args.size())));
-  }
-  return fn(args, ctx);
-}
-
-Result<Value> HelperRegistry::Invoke(std::string_view name,
+Result<Value> HelperRegistry::Invoke(const std::string& name,
                                      std::span<const EvalResult> args,
                                      const EvalContext& ctx) const {
-  const Helper* h = Find(name);
-  if (h == nullptr) {
-    return Status::NotFound("unknown helper function '" + std::string(name) +
-                            "'");
+  auto it = helpers_.find(name);
+  if (it == helpers_.end()) {
+    return Status::NotFound("unknown helper function '" + name + "'");
   }
-  return h->Call(args, ctx);
+  const Helper& h = it->second;
+  if (h.arity >= 0 && static_cast<int>(args.size()) != h.arity) {
+    return Status::InvalidArgument(common::StringPrintf(
+        "helper '%s' expects %d argument(s), got %d", name.c_str(), h.arity,
+        static_cast<int>(args.size())));
+  }
+  return h.fn(args, ctx);
 }
 
 std::vector<std::string> HelperRegistry::Names() const {

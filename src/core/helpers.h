@@ -12,7 +12,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -25,32 +24,18 @@ namespace prairie::core {
 using HelperFn = std::function<common::Result<algebra::Value>(
     std::span<const EvalResult> args, const EvalContext& ctx)>;
 
-/// \brief One registered helper function.
-struct Helper {
-  std::string name;
-  int arity;  ///< -1 accepts any argument count.
-  HelperFn fn;
-
-  /// Checks the argument count, then runs `fn`.
-  common::Result<algebra::Value> Call(std::span<const EvalResult> args,
-                                      const EvalContext& ctx) const;
-};
-
 /// \brief Name → function table for rule-action helper calls.
 class HelperRegistry {
  public:
   /// Registers a helper. `arity` of -1 accepts any argument count.
   common::Status Register(std::string name, int arity, HelperFn fn);
 
-  bool Contains(std::string_view name) const { return Find(name) != nullptr; }
+  bool Contains(const std::string& name) const {
+    return helpers_.count(name) > 0;
+  }
 
-  /// The helper registered as `name`, or null. Helpers are never removed,
-  /// so the pointer stays valid for the registry's lifetime: P2V resolves
-  /// each interpreted call once this way (ActionExpr::helper()).
-  const Helper* Find(std::string_view name) const;
-
-  /// Looks `name` up and invokes it with pre-evaluated arguments.
-  common::Result<algebra::Value> Invoke(std::string_view name,
+  /// Invokes `name` with pre-evaluated arguments.
+  common::Result<algebra::Value> Invoke(const std::string& name,
                                         std::span<const EvalResult> args,
                                         const EvalContext& ctx) const;
 
@@ -61,14 +46,11 @@ class HelperRegistry {
   static std::shared_ptr<HelperRegistry> WithBuiltins();
 
  private:
-  struct NameHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view s) const noexcept {
-      return std::hash<std::string_view>{}(s);
-    }
+  struct Helper {
+    int arity;
+    HelperFn fn;
   };
-  std::unordered_map<std::string, Helper, NameHash, std::equal_to<>>
-      helpers_;
+  std::unordered_map<std::string, Helper> helpers_;
 };
 
 }  // namespace prairie::core

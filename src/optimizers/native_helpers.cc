@@ -20,11 +20,6 @@ namespace {
 // The accessors below borrow: they return pointers into the argument
 // Values (or to shared constants), which outlive the helper call.
 
-const PredicateRef& TruePred() {
-  static const PredicateRef kTrue = Predicate::True();
-  return kTrue;
-}
-
 const AttrList& NoAttrs() {
   static const AttrList kNone;
   return kNone;
@@ -32,13 +27,13 @@ const AttrList& NoAttrs() {
 
 /// The predicate `v` holds; null reads as TRUE.
 Result<const PredicateRef*> AsPred(const Value& v, const char* fn) {
-  if (v.is_null()) return &TruePred();
+  if (v.is_null()) return &Predicate::True();
   if (v.type() != ValueType::kPred) {
     return Status::TypeError(std::string(fn) + ": expected a predicate, got " +
                              std::string(ValueTypeName(v.type())));
   }
   const PredicateRef& p = v.AsPred();
-  return p == nullptr ? &TruePred() : &p;
+  return p == nullptr ? &Predicate::True() : &p;
 }
 
 /// The attribute list `v` holds; null reads as empty.
@@ -185,14 +180,14 @@ Result<Value> first_conjunct(const catalog::Catalog*, const Value& pred) {
   PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p,
                            AsPred(pred, "first_conjunct"));
   const std::span<const PredicateRef> cs = algebra::Conjuncts(*p);
-  return Value::Pred(cs.empty() ? TruePred() : cs[0]);
+  return Value::Pred(cs.empty() ? Predicate::True() : cs[0]);
 }
 
 Result<Value> rest_conjuncts(const catalog::Catalog*, const Value& pred) {
   PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p,
                            AsPred(pred, "rest_conjuncts"));
   const std::span<const PredicateRef> cs = algebra::Conjuncts(*p);
-  if (cs.size() <= 1) return Value::Pred(TruePred());
+  if (cs.size() <= 1) return Value::Pred(Predicate::True());
   return Value::Pred(
       Predicate::And(std::vector<PredicateRef>(cs.begin() + 1, cs.end())));
 }

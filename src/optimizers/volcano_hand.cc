@@ -41,9 +41,8 @@ namespace {
 // slot property.
 
 const PredicateRef& GetPred(const Value& v) {
-  static const PredicateRef kTrue = Predicate::True();
   if (v.is_null() || v.type() != ValueType::kPred || v.AsPred() == nullptr) {
-    return kTrue;
+    return Predicate::True();
   }
   return v.AsPred();
 }

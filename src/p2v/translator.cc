@@ -5,7 +5,6 @@
 
 #include "common/strings.h"
 #include "core/action.h"
-#include "core/helpers.h"
 #include "p2v/analysis.h"
 
 namespace prairie::p2v {
@@ -94,49 +93,6 @@ Result<std::vector<ActionStmt>> RemapBlock(const std::vector<ActionStmt>& in,
 }
 
 // ---------------------------------------------------------------------------
-// Helper resolution
-// ---------------------------------------------------------------------------
-
-/// Clones `expr` with every helper call bound to its entry in `helpers`,
-/// so the interpreter never looks a helper up by name. Subtrees without
-/// calls are shared. A call naming no registered helper stays unbound and
-/// fails when evaluated, as it would without resolution.
-ActionExprPtr ResolveCalls(const ActionExprPtr& expr,
-                           const core::HelperRegistry& helpers) {
-  if (expr == nullptr || (expr->args().empty() &&
-                          expr->kind() != ActionExpr::Kind::kCall)) {
-    return expr;
-  }
-  std::vector<ActionExprPtr> args;
-  args.reserve(expr->args().size());
-  bool changed = false;
-  for (const ActionExprPtr& a : expr->args()) {
-    args.push_back(ResolveCalls(a, helpers));
-    changed = changed || args.back() != a;
-  }
-  switch (expr->kind()) {
-    case ActionExpr::Kind::kCall:
-      return ActionExpr::Call(expr->fn(), std::move(args),
-                              helpers.Find(expr->fn()));
-    case ActionExpr::Kind::kBinary:
-      return changed ? ActionExpr::Binary(expr->bin_op(), std::move(args[0]),
-                                          std::move(args[1]))
-                     : expr;
-    case ActionExpr::Kind::kUnary:
-      return changed ? ActionExpr::Unary(expr->un_op(), std::move(args[0]))
-                     : expr;
-    default:
-      return expr;
-  }
-}
-
-std::vector<ActionStmt> ResolveBlock(std::vector<ActionStmt> stmts,
-                                     const core::HelperRegistry& helpers) {
-  for (ActionStmt& s : stmts) s.value = ResolveCalls(s.value, helpers);
-  return stmts;
-}
-
-// ---------------------------------------------------------------------------
 // Interpretation: Prairie action ASTs as Volcano rule callbacks
 // ---------------------------------------------------------------------------
 
@@ -144,16 +100,7 @@ struct InterpCode {
   std::vector<ActionStmt> pre;
   ActionExprPtr test;
   std::vector<ActionStmt> post;
-  /// Owns the helpers the code's calls are resolved against.
   std::shared_ptr<core::HelperRegistry> helpers;
-
-  /// Binds every helper call of the code to `helpers` (see ResolveCalls).
-  void Resolve() {
-    if (helpers == nullptr) return;
-    pre = ResolveBlock(std::move(pre), *helpers);
-    test = ResolveCalls(test, *helpers);
-    post = ResolveBlock(std::move(post), *helpers);
-  }
 };
 
 core::EvalContext ContextFor(const std::shared_ptr<InterpCode>& code,
@@ -240,7 +187,6 @@ Result<std::shared_ptr<volcano::RuleSet>> Translate(
     code->test = p.src->test;
     code->post = p.src->post_test;
     code->helpers = prairie.helpers;
-    code->Resolve();
     if (!code->pre.empty() || code->test != nullptr) {
       tr.condition = MakeCondFn(code);
     }
@@ -266,7 +212,6 @@ Result<std::shared_ptr<volcano::RuleSet>> Translate(
     code->pre = r.pre_opt;
     code->post = r.post_opt;
     code->helpers = prairie.helpers;
-    code->Resolve();
     if (code->test != nullptr) {
       ir.condition = MakeCondFn(std::make_shared<InterpCode>(
           InterpCode{{}, code->test, {}, code->helpers}));
@@ -289,7 +234,6 @@ Result<std::shared_ptr<volcano::RuleSet>> Translate(
     PRAIRIE_ASSIGN_OR_RETURN(code->pre, RemapBlock(r.pre_opt, a.slot_map));
     PRAIRIE_ASSIGN_OR_RETURN(code->post, RemapBlock(r.post_opt, a.slot_map));
     code->helpers = prairie.helpers;
-    code->Resolve();
     if (code->test != nullptr) {
       enf.condition = MakeCondFn(std::make_shared<InterpCode>(
           InterpCode{{}, code->test, {}, code->helpers}));
