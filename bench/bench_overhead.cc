@@ -9,9 +9,6 @@
 //   trace    Optimize into a full-detail RingBufferSink.
 //   exec     execute the winning plan with an ExecStats collector wrapping
 //            every operator (rows counted, Next() timed 1-in-64).
-//   diag     the serving posture, armed but untriggered: a coarse
-//            flight-recorder ring on the optimizer plus DiagService::Check
-//            with every trigger configured but unreachable.
 // A layer's overhead is the median layer/plain ratio pooled over all its
 // timed pairs (8 queries x PRAIRIE_OVERHEAD_REPEATS); the per-query
 // medians printed alongside still wander a few percent under host load.
@@ -24,9 +21,7 @@
 //   - instrumented execution is SameResult with plain execution, the root
 //     operator's rows equal the CollectAll size, and next calls are not
 //     fewer than rows;
-//   - the armed plan costs exactly what the plain plan costs, Check()
-//     never fires, and the flight recorder recorded events;
-//   - the pooled median overhead of metrics, exec and diag is at most
+//   - the pooled median overhead of metrics and exec is at most
 //     PRAIRIE_OVERHEAD_TOL percent (default 2); trace is reported only.
 //
 // Environment knobs:
@@ -41,12 +36,10 @@
 
 #include "bench/bench_util.h"
 #include "common/metrics.h"
-#include "common/stopwatch.h"
 #include "common/trace.h"
 #include "exec/builder.h"
 #include "exec/stats.h"
 #include "optimizers/executors.h"
-#include "volcano/diag.h"
 #include "volcano/engine.h"
 #include "volcano/profile.h"
 #include "workload/workload.h"
@@ -58,7 +51,6 @@ using prairie::common::RingBufferSink;
 using prairie::common::Status;
 using prairie::exec::ExecStats;
 using prairie::exec::Row;
-using prairie::volcano::DiagTrigger;
 using prairie::volcano::Optimizer;
 using prairie::volcano::OptimizerOptions;
 using prairie::volcano::VolcanoMetrics;
@@ -68,12 +60,9 @@ constexpr int kJoins = 2;
 // 10k rows make worst-case joins take minutes.
 constexpr int kMinCard = 16;
 constexpr int kMaxCard = 256;
-// The flight recorder only needs the last few queries' coarse events.
-constexpr size_t kFlightRecorderEvents = 4096;
 
-enum Layer { kMetrics, kTrace, kExec, kDiag, kNumLayers };
-constexpr const char* kLayerNames[kNumLayers] = {"metrics", "trace", "exec",
-                                                 "diag"};
+enum Layer { kMetrics, kTrace, kExec, kNumLayers };
+constexpr const char* kLayerNames[kNumLayers] = {"metrics", "trace", "exec"};
 
 }  // namespace
 
@@ -101,25 +90,9 @@ int main() {
     return 1;
   }
 
-  // The armed configuration of a real serving loop: every trigger set (so
-  // Check() walks its full evaluation order, including the periodic
-  // cached-p99 refresh against a populated histogram) with thresholds no
-  // healthy query can cross.
-  prairie::common::Histogram latency_hist;
-  for (int i = 0; i < 512; ++i) latency_hist.Observe(1'000'000);  // 1 ms.
-  prairie::volcano::DiagOptions dopt;
-  dopt.slow_ms = 1e12;
-  dopt.adaptive_k = 1e9;
-  dopt.adaptive_min_count = 1;
-  dopt.latency_hist = &latency_hist;
-  dopt.qerror_limit = 1e12;
-  dopt.on_budget_exhausted = true;
-  dopt.cache_storm_threshold = 0;
-  prairie::volcano::DiagService diag(dopt);
-
   std::printf(
       "observability overhead: Q1..Q8 at %d joins, %d interleaved pairs per "
-      "query and layer, gate: pooled median <= %d%% (metrics, exec, diag)\n\n",
+      "query and layer, gate: pooled median <= %d%% (metrics, exec)\n\n",
       kJoins, repeats, tol_pct);
   std::printf("%6s %-8s %12s %12s %10s\n", "query", "layer", "plain", "on",
               "overhead");
@@ -128,7 +101,6 @@ int main() {
   std::vector<double> pooled[kNumLayers];
   uint64_t want_queries = 0;
   std::array<uint64_t, VolcanoMetrics::kNumCounters> want_rows{};
-  size_t recorded_events = 0;
   bool ok = true;
 
   for (int q = 1; q <= 8; ++q) {
@@ -151,29 +123,25 @@ int main() {
     }
 
     // One optimization under `options`; `on_done` sees the finished
-    // optimizer and plan cost.
+    // optimizer.
     auto optimize = [&](const OptimizerOptions& options,
                         auto&& on_done) -> Status {
       Optimizer optimizer(&rules, &w->catalog, options);
-      prairie::common::Stopwatch sw;
       auto plan = optimizer.Optimize(*w->query);
       if (!plan.ok()) return plan.status();
-      on_done(optimizer, plan->cost, sw.ElapsedSeconds());
+      on_done(optimizer);
       return Status::OK();
     };
 
     const OptimizerOptions plain_opt;
-    double plain_cost = 0;
     auto plain = [&]() {
-      return optimize(plain_opt, [&](const Optimizer&, double cost, double) {
-        plain_cost = cost;
-      });
+      return optimize(plain_opt, [](const Optimizer&) {});
     };
 
     OptimizerOptions metered_opt;
     metered_opt.metrics = &metrics;
     auto metered = [&]() {
-      return optimize(metered_opt, [&](const Optimizer& o, double, double) {
+      return optimize(metered_opt, [&](const Optimizer& o) {
         ++want_queries;
         for (size_t i = 0; i < rows.size(); ++i) {
           want_rows[i] += rows[i].read(o.stats());
@@ -187,24 +155,8 @@ int main() {
     size_t trans_fired = 0;
     auto traced = [&]() {
       trace_sink.Clear();  // Keep exactly the last run's stream.
-      return optimize(traced_opt, [&](const Optimizer& o, double, double) {
+      return optimize(traced_opt, [&](const Optimizer& o) {
         trans_fired = o.stats().trans_fired;
-      });
-    };
-
-    RingBufferSink recorder(kFlightRecorderEvents);
-    OptimizerOptions armed_opt;
-    armed_opt.trace = &recorder;
-    armed_opt.trace_detail = prairie::common::TraceDetail::kCoarse;
-    double armed_cost = 0;
-    DiagTrigger fired = DiagTrigger::kNone;
-    auto armed = [&]() {
-      return optimize(armed_opt, [&](const Optimizer& o, double cost,
-                                     double seconds) {
-        armed_cost = cost;
-        const DiagTrigger trig =
-            diag.Check(seconds * 1e3, o.stats(), /*max_qerror=*/1.0);
-        if (trig != DiagTrigger::kNone) fired = trig;
       });
     };
 
@@ -235,9 +187,9 @@ int main() {
     };
 
     const FunctionRef<Status()> bases[kNumLayers] = {plain, plain,
-                                                     plain_exec, plain};
+                                                     plain_exec};
     const FunctionRef<Status()> layers[kNumLayers] = {metered, traced,
-                                                      inst_exec, armed};
+                                                      inst_exec};
     for (int l = 0; l < kNumLayers; ++l) {
       auto t = prairie::bench::TimePairs(repeats, bases[l], layers[l]);
       if (!t.ok()) {
@@ -289,21 +241,6 @@ int main() {
                    static_cast<unsigned long long>(exec_stats->TotalRows()));
       ok = false;
     }
-    if (fired != DiagTrigger::kNone) {
-      std::fprintf(stderr,
-                   "bench_overhead: FAILED — %s fired trigger '%s'; the diag "
-                   "layer measures the untriggered path\n",
-                   qname.c_str(), prairie::volcano::DiagTriggerName(fired));
-      ok = false;
-    }
-    if (armed_cost != plain_cost) {
-      std::fprintf(stderr,
-                   "bench_overhead: FAILED — %s armed cost %.6f != plain "
-                   "cost %.6f (diagnostics perturbed the search)\n",
-                   qname.c_str(), armed_cost, plain_cost);
-      ok = false;
-    }
-    recorded_events += recorder.total_emitted();
   }
 
   // The bundle's counters against the engine stats of every metered run:
@@ -320,12 +257,6 @@ int main() {
   check("prairie_queries_total", metrics.queries->Value(), want_queries);
   for (size_t i = 0; i < rows.size(); ++i) {
     check(rows[i].name, metrics.counters[i]->Value(), want_rows[i]);
-  }
-  if (recorded_events == 0) {
-    std::fprintf(stderr,
-                 "bench_overhead: FAILED — the flight recorder captured no "
-                 "events; the diag layer measured nothing\n");
-    ok = false;
   }
 
   std::printf("\npooled median overhead (%zu timed pairs per layer):\n",

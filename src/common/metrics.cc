@@ -89,31 +89,6 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name,
   return s != nullptr ? s->histogram.get() : nullptr;
 }
 
-std::vector<MetricsRegistry::SeriesSample> MetricsRegistry::Sample() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SeriesSample> out;
-  out.reserve(series_.size());
-  for (const auto& s : series_) {
-    SeriesSample sample;
-    sample.name = s->name;
-    sample.labels = s->labels;
-    sample.kind = s->kind;
-    switch (s->kind) {
-      case MetricKind::kCounter:
-        sample.counter = s->counter->Value();
-        break;
-      case MetricKind::kGauge:
-        sample.gauge = s->gauge->Value();
-        break;
-      case MetricKind::kHistogram:
-        sample.hist = s->histogram->Snapshot();
-        break;
-    }
-    out.push_back(std::move(sample));
-  }
-  return out;
-}
-
 size_t MetricsRegistry::NumSeries() const {
   std::lock_guard<std::mutex> lock(mu_);
   return series_.size();

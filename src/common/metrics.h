@@ -135,9 +135,6 @@ class Histogram {
   std::array<Shard, kNumShards> shards_;
 };
 
-/// What a registry series measures (public: snapshots carry it).
-enum class MetricKind : uint8_t { kCounter, kGauge, kHistogram };
-
 /// \brief Owner and exporter of named metrics.
 ///
 /// Metrics are identified by (name, labels); re-registering the same
@@ -147,18 +144,6 @@ enum class MetricKind : uint8_t { kCounter, kGauge, kHistogram };
 class MetricsRegistry {
  public:
   using Labels = std::vector<std::pair<std::string, std::string>>;
-
-  /// \brief Point-in-time value of one series (Sample()). Counter/gauge
-  /// values and histogram snapshots are merged over all shards; which
-  /// union member is meaningful follows `kind`.
-  struct SeriesSample {
-    std::string name;
-    Labels labels;
-    MetricKind kind = MetricKind::kCounter;
-    uint64_t counter = 0;
-    int64_t gauge = 0;
-    HistogramSnapshot hist;
-  };
 
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
@@ -187,17 +172,11 @@ class MetricsRegistry {
   /// count/sum/percentiles and their non-empty buckets.
   std::string JsonSnapshot() const;
 
-  /// Samples every series at one instant (insertion order, the export
-  /// order). The scrape-side primitive of the windowed time-series layer
-  /// (common/timeseries.h): two Sample() vectors subtract into interval
-  /// deltas. Concurrent writers are fine — reads are the same relaxed
-  /// shard merges the exporters use.
-  std::vector<SeriesSample> Sample() const;
-
   size_t NumSeries() const;
 
  private:
-  using Kind = MetricKind;
+  /// What a series measures.
+  enum class Kind : uint8_t { kCounter, kGauge, kHistogram };
   struct Series {
     std::string name;
     std::string help;

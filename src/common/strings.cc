@@ -135,16 +135,4 @@ std::string JsonEscape(std::string_view s) {
   return out;
 }
 
-std::string HexEncode(uint64_t v, int digits) {
-  if (digits < 1) digits = 1;
-  if (digits > 16) digits = 16;
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string out(static_cast<size_t>(digits), '0');
-  for (int i = digits - 1; i >= 0; --i) {
-    out[static_cast<size_t>(i)] = kHex[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-
 }  // namespace prairie::common

@@ -2,7 +2,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,10 +40,5 @@ std::string Indent(std::string_view text, int spaces);
 /// backslashes, and control characters (RFC 8259). Does not add the
 /// surrounding quotes.
 std::string JsonEscape(std::string_view s);
-
-/// Lowercase hex rendering of `v`'s low `digits` nibbles, most significant
-/// first ("00ab12..."). Used for stable query fingerprints in filenames
-/// and log records.
-std::string HexEncode(uint64_t v, int digits = 16);
 
 }  // namespace prairie::common

@@ -25,21 +25,6 @@ std::vector<TraceEvent> RingBufferSink::Snapshot() const {
   return out;
 }
 
-std::vector<TraceEvent> RingBufferSink::SnapshotSince(
-    size_t since_total) const {
-  std::vector<TraceEvent> out = Snapshot();
-  if (since_total >= total_) return {};
-  // Snapshot() holds the last `out.size()` of `total_` events: global
-  // indexes [total_ - out.size(), total_). Drop the prefix older than the
-  // mark.
-  const size_t oldest = total_ - out.size();
-  if (since_total > oldest) {
-    out.erase(out.begin(),
-              out.begin() + static_cast<ptrdiff_t>(since_total - oldest));
-  }
-  return out;
-}
-
 void RingBufferSink::Clear() {
   head_ = 0;
   total_ = 0;

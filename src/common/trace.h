@@ -57,26 +57,6 @@ inline bool IsSpanKind(TraceEventKind k) {
          k == TraceEventKind::kExecOperator;
 }
 
-/// \brief How much of the stream an armed sink receives.
-///
-/// kFull is the post-mortem setting: every kind, including per-attempt
-/// spans whose paired clock reads dominate tracing cost. kCoarse is the
-/// always-on flight-recorder setting: only the kinds IsCoarseKind()
-/// accepts, cheap enough to leave armed under traffic (bench_overhead
-/// gates it at <= 2% per-query overhead).
-enum class TraceDetail : uint8_t { kFull, kCoarse };
-
-/// Kinds retained at TraceDetail::kCoarse: group-level search spans,
-/// winner instants, and the executor kinds (emitted once per run, off the
-/// optimize hot path). Attempt spans and per-attempt instants are skipped
-/// entirely — no clock reads, no stores.
-inline bool IsCoarseKind(TraceEventKind k) {
-  return k == TraceEventKind::kGroupExpand ||
-         k == TraceEventKind::kGroupOptimize ||
-         k == TraceEventKind::kWinnerSelected ||
-         k >= TraceEventKind::kExecQuery;
-}
-
 /// \brief One fixed-size trace record (no owned memory: rule and group
 /// identities are indexes resolved against the RuleSet/memo by consumers).
 struct TraceEvent {
@@ -126,14 +106,6 @@ class RingBufferSink final : public TraceSink {
 
   /// The retained events, oldest first (at most `capacity` of them).
   std::vector<TraceEvent> Snapshot() const;
-
-  /// The retained events whose emission index (0-based over the sink's
-  /// lifetime) is >= `since_total`, oldest first. Pairing a
-  /// total_emitted() mark taken before a query with SnapshotSince(mark)
-  /// after it slices the flight recorder down to that query's events;
-  /// events of the window already overwritten by wrap-around are absent
-  /// (count them via total_emitted() - mark vs the slice size).
-  std::vector<TraceEvent> SnapshotSince(size_t since_total) const;
 
   size_t capacity() const { return buf_.size(); }
   /// Events ever emitted, including overwritten ones.

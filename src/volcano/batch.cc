@@ -7,18 +7,8 @@
 #include <vector>
 
 #include "common/stopwatch.h"
-#include "volcano/diag.h"
 
 namespace prairie::volcano {
-
-namespace {
-
-// Per-worker flight-recorder ring capacity when diagnostics are armed
-// without a batch trace. Small on purpose: the recorder only needs to hold
-// the last few queries' events for anomaly slices.
-constexpr size_t kFlightRecorderCapacity = 4096;
-
-}  // namespace
 
 BatchOptimizer::BatchOptimizer(const RuleSet* rules, BatchOptions options)
     : rules_(rules), options_(options) {
@@ -48,26 +38,19 @@ std::vector<BatchResult> BatchOptimizer::OptimizeAll(
       std::max(1, std::min<int>(jobs_, static_cast<int>(queries.size())));
   // One private sink per worker: emission never crosses threads, so sinks
   // stay lock-free; the streams are merged after the join barrier below.
-  // With a DiagService armed, workers keep a (small) flight-recorder ring
-  // even when the caller asked for no batch trace.
   std::vector<std::unique_ptr<common::RingBufferSink>> sinks;
-  const size_t sink_capacity =
-      options_.trace_capacity > 0
-          ? options_.trace_capacity
-          : (options_.diag != nullptr ? kFlightRecorderCapacity : 0);
-  if (sink_capacity > 0) {
+  if (options_.trace_capacity > 0) {
     sinks.reserve(static_cast<size_t>(workers));
     for (int t = 0; t < workers; ++t) {
-      sinks.push_back(std::make_unique<common::RingBufferSink>(sink_capacity));
+      sinks.push_back(
+          std::make_unique<common::RingBufferSink>(options_.trace_capacity));
     }
   }
   const algebra::DescriptorStore::CounterSnapshot store_before =
       store_->Counters();
   auto worker = [&](int wid) {
     OptimizerOptions opt = options_.optimizer;
-    common::RingBufferSink* sink =
-        sinks.empty() ? nullptr : sinks[static_cast<size_t>(wid)].get();
-    opt.trace = sink;
+    opt.trace = sinks.empty() ? nullptr : sinks[static_cast<size_t>(wid)].get();
     opt.plan_cache = cache_.get();
     for (;;) {
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);
@@ -78,36 +61,11 @@ std::vector<BatchResult> BatchOptimizer::OptimizeAll(
         r.plan = common::Status::InvalidArgument("batch query has no tree");
         continue;
       }
-      const size_t mark = sink != nullptr ? sink->total_emitted() : 0;
       common::Stopwatch sw;
       Optimizer optimizer(rules_, q.catalog, opt, store_.get());
       r.plan = optimizer.Optimize(*q.tree);
       r.seconds = sw.ElapsedSeconds();
       r.stats = optimizer.stats();
-      if (options_.diag != nullptr) {
-        const double latency_ms = r.seconds * 1e3;
-        const DiagTrigger trig =
-            options_.diag->Check(latency_ms, r.stats, /*max_qerror=*/0);
-        if (trig != DiagTrigger::kNone) {
-          // Trigger path: now (and only now) pay for rendering the query,
-          // slicing the flight recorder, and walking the winner.
-          // TreeString (not ToString): the descriptor annotations carry
-          // the constants, so distinct queries get distinct fingerprints.
-          QueryDiag qd;
-          qd.query_text = q.tree->TreeString(*rules_->algebra);
-          qd.latency_ms = latency_ms;
-          qd.stats = &r.stats;
-          if (sink != nullptr) {
-            qd.trace_slice = sink->SnapshotSince(mark);
-            const size_t emitted = sink->total_emitted() - mark;
-            qd.trace_dropped = emitted - qd.trace_slice.size();
-          }
-          if (r.plan.ok() && !r.stats.plan_from_cache) {
-            qd.provenance = optimizer.ExplainWinner();
-          }
-          options_.diag->Report(trig, qd);
-        }
-      }
     }
   };
   // Workers 1..workers-1 get threads of their own and the calling thread
@@ -123,14 +81,10 @@ std::vector<BatchResult> BatchOptimizer::OptimizeAll(
   // threads on one host).
   trace_.clear();
   trace_dropped_ = 0;
-  // Diag-only flight recorders are not exported here: trace_events() keeps
-  // meaning "the full batch trace the caller asked for".
-  if (options_.trace_capacity > 0) {
-    for (const auto& sink : sinks) {
-      std::vector<common::TraceEvent> events = sink->Snapshot();
-      trace_.insert(trace_.end(), events.begin(), events.end());
-      trace_dropped_ += sink->dropped();
-    }
+  for (const auto& sink : sinks) {
+    std::vector<common::TraceEvent> events = sink->Snapshot();
+    trace_.insert(trace_.end(), events.begin(), events.end());
+    trace_dropped_ += sink->dropped();
   }
   std::sort(trace_.begin(), trace_.end(),
             [](const common::TraceEvent& a, const common::TraceEvent& b) {

@@ -27,9 +27,6 @@
 
 namespace prairie::volcano {
 
-class DiagService;
-struct QueryDiag;
-
 /// \brief One query of a batch. `tree` and `catalog` must outlive the
 /// OptimizeAll call; queries may share a catalog or carry their own.
 struct BatchQuery {
@@ -66,16 +63,6 @@ struct BatchOptions {
   /// capacity; the streams are merged (timestamp-ordered) after the
   /// workers join and exposed via trace_events(). 0 disables tracing.
   size_t trace_capacity = 0;
-  /// Per-query anomaly diagnostics (borrowed; null disables). When set,
-  /// every worker arms a private flight-recorder ring even with
-  /// trace_capacity 0 (4096 events, receiving whatever
-  /// optimizer.trace_detail admits — drivers typically pick kCoarse),
-  /// marks it before each query, and runs DiagService::Check() on the
-  /// query's latency and stats afterwards; a firing trigger reports the
-  /// query — flight-recorder slice, winner provenance, stats — through
-  /// DiagService::Report(). Check() is lock-free and Report() serializes
-  /// internally, so one service is shared by all workers.
-  DiagService* diag = nullptr;
 };
 
 /// \brief Optimizes batches of queries over one rule set, in parallel.

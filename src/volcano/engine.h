@@ -103,13 +103,6 @@ struct OptimizerOptions {
   /// are single-threaded — give each optimizer its own (BatchOptimizer wires
   /// one per worker and merges afterwards).
   common::TraceSink* trace = nullptr;
-  /// Granularity of the stream `trace` receives. kFull (default) emits
-  /// every kind — the post-mortem/profiling setting. kCoarse emits only
-  /// group-level spans and winner instants (common::IsCoarseKind); the
-  /// per-attempt kinds are skipped with no clock reads, which is what
-  /// lets the diagnostics flight recorder stay armed under traffic
-  /// within bench_overhead's 2% gate.
-  common::TraceDetail trace_detail = common::TraceDetail::kFull;
   /// Aggregate metrics bundle (borrowed; must outlive the optimizer). Null
   /// disables metrics; either way the search itself writes nothing to it
   /// (counters flush per query). Unlike trace sinks, one bundle is safely
@@ -314,28 +307,24 @@ class Optimizer {
   /// (end of each query).
   void FlushMetrics();
 
-  /// True when the trace sink takes events of `kind`.
-  bool Traced(common::TraceEventKind kind) const {
-    return options_.trace != nullptr &&
-           (options_.trace_detail == common::TraceDetail::kFull ||
-            common::IsCoarseKind(kind));
-  }
+  /// True when a trace sink is attached.
+  bool Traced() const { return options_.trace != nullptr; }
   /// Emits an instant trace event; a null sink costs one branch.
   void TraceInstant(common::TraceEventKind kind, GroupId gid, int rule,
                     algebra::DescriptorId desc, double cost) {
-    if (Traced(kind)) TraceInstantSlow(kind, gid, rule, desc, cost);
+    if (Traced()) TraceInstantSlow(kind, gid, rule, desc, cost);
   }
   void TraceInstantSlow(common::TraceEventKind kind, GroupId gid, int rule,
                         algebra::DescriptorId desc, double cost);
 
-  /// RAII trace span: when the sink takes `kind` it emits one span event
-  /// (with duration and nesting depth) at destruction. Inert (no clock
-  /// read, nothing emitted) otherwise.
+  /// RAII trace span: with a sink attached it emits one span event (with
+  /// duration and nesting depth) at destruction. Inert (no clock read,
+  /// nothing emitted) otherwise.
   class TraceSpan {
    public:
     TraceSpan(Optimizer* opt, common::TraceEventKind kind, GroupId gid,
               int rule, algebra::DescriptorId desc) {
-      if (opt->Traced(kind)) Begin(opt, kind, gid, rule, desc);
+      if (opt->Traced()) Begin(opt, kind, gid, rule, desc);
     }
     TraceSpan(const TraceSpan&) = delete;
     TraceSpan& operator=(const TraceSpan&) = delete;

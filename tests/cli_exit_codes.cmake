@@ -36,17 +36,22 @@ if(pos EQUAL -1)
     "--version output does not mention prairie_opt; stdout: ${last_out}")
 endif()
 
-# --help succeeds and documents the cache/traffic/execution/diagnostics
-# surface.
+# --help succeeds, documents the cache/traffic/execution surface, and
+# lists exactly 24 flags, one per line.
 check_run(0 --help)
 foreach(flag "--plan-cache" "--param-cache" "--traffic" "--repeat"
-        "--execute" "--analyze" "--slow-ms" "--slow-log" "--diag-dir"
-        "--timeseries" "--qerror-limit" "--version")
+        "--execute" "--analyze" "--version")
   string(FIND "${last_out}" "${flag}" pos)
   if(pos EQUAL -1)
     message(FATAL_ERROR "--help output does not mention ${flag}")
   endif()
 endforeach()
+string(REGEX MATCHALL "(^|\n)  --" flag_lines "${last_out}")
+list(LENGTH flag_lines n_flags)
+if(NOT n_flags EQUAL 24)
+  message(FATAL_ERROR
+    "--help lists ${n_flags} flags, expected 24:\n${last_out}")
+endif()
 
 # An unknown flag is named on stderr and exits with the usage code.
 check_run(2 --bogus)
@@ -56,13 +61,17 @@ if(pos EQUAL -1)
     "unknown-flag error does not name the flag; stderr: ${last_err}")
 endif()
 
-# --search-jobs is not a flag: each search runs on one thread.
-check_run(2 --query 1 --search-jobs 4)
-string(FIND "${last_err}" "unknown flag '--search-jobs'" pos)
-if(pos EQUAL -1)
-  message(FATAL_ERROR
-    "--search-jobs error does not name the flag; stderr: ${last_err}")
-endif()
+# Flags that are not part of the surface are unknown: --search-jobs (each
+# search runs on one thread) and the retired serving-diagnostics flags.
+foreach(flag "--search-jobs" "--timeseries" "--slow-ms" "--slow-p99"
+        "--qerror-limit" "--slow-log" "--diag-dir" "--diag-detail")
+  check_run(2 --query 1 ${flag} 4)
+  string(FIND "${last_err}" "unknown flag '${flag}'" pos)
+  if(pos EQUAL -1)
+    message(FATAL_ERROR
+      "${flag} error does not name the flag; stderr: ${last_err}")
+  endif()
+endforeach()
 
 # Invalid flag values exit with the usage code too.
 check_run(2 --query 9)
@@ -73,18 +82,12 @@ check_run(2 --param-cache=0)
 check_run(2 --traffic -3)
 check_run(2 --trace)  # flag that requires a value, given none
 check_run(2 --analyze=)  # =FILE form with an empty value
-check_run(2 --slow-ms -1)  # diagnostics thresholds must be non-negative
-check_run(2 --slow-p99 -2)
-check_run(2 --qerror-limit -1)
-check_run(2 --diag-detail verbose)  # only full|coarse
-check_run(2 --slow-log)  # requires a value
-check_run(2 --timeseries=)  # =FILE[,interval] form with an empty value
+check_run(2 --batch 0)  # a batch holds at least one query
 # Numeric values are parsed whole and range-checked: no negative counts,
 # no wrap-around to SIZE_MAX, no silently-zero non-numbers.
 check_run(2 --jobs -2 --batch 2)
 check_run(2 --query 1 --max-groups -1)
 check_run(2 --query 1 --search-budget-ms -5)
-check_run(2 --query 1 --slow-ms abc)
 check_run(2 --query 1 --seed x)
 # --flag=VALUE is parsed like --flag VALUE; a switch takes no value.
 check_run(2 --query=9)
@@ -129,15 +132,15 @@ endif()
 # Flags the run mode ignores are named on stderr and write nothing.
 check_run(0 --traffic 20 --explain --dump-memo ${out_dir}/memo.dot)
 expect_mentions("${last_err}" "--explain" "--dump-memo")
-check_run(0 --query 1 --timeseries ${out_dir}/ts.jsonl)
-expect_mentions("${last_err}" "--timeseries")
-foreach(f memo.dot ts.jsonl)
-  if(EXISTS "${out_dir}/${f}")
-    message(FATAL_ERROR "an ignored flag wrote ${out_dir}/${f}")
-  endif()
-endforeach()
+if(EXISTS "${out_dir}/memo.dot")
+  message(FATAL_ERROR "an ignored flag wrote ${out_dir}/memo.dot")
+endif()
 check_run(0 --batch 2 --expand-only)
 expect_mentions("${last_err}" "--expand-only")
+
+# --batch K optimizes exactly K queries, K = 1 included.
+check_run(0 --batch 1 --jobs 1)
+expect_mentions("${last_out}" "batch: 1 queries on 1 worker(s)")
 
 # --execute on a plan whose winning algorithm has no registered executor
 # must fail with the usage code and name the algorithm on stderr — not

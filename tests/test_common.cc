@@ -3,10 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <vector>
 
 #include "common/function_ref.h"
@@ -17,7 +14,6 @@
 #include "common/small_bitset.h"
 #include "common/status.h"
 #include "common/strings.h"
-#include "common/timeseries.h"
 #include "common/trace.h"
 
 namespace prairie::common {
@@ -565,179 +561,6 @@ TEST(MetricsRegistry, JsonSnapshotOneObjectPerSeries) {
 
 TEST(MetricsRegistry, GlobalIsOneProcessWideInstance) {
   EXPECT_EQ(MetricsRegistry::Global(), MetricsRegistry::Global());
-}
-
-// Windowed time-series export (common/timeseries.h): Sample() vectors,
-// interval deltas, and the JSON-lines record stream.
-
-TEST(MetricsRegistry, SampleCapturesEverySeriesInInsertionOrder) {
-  MetricsRegistry reg;
-  Counter* c = reg.GetCounter("ts_requests", "requests");
-  Gauge* g = reg.GetGauge("ts_inflight", "inflight");
-  Histogram* h = reg.GetHistogram("ts_latency", "latency");
-  c->Inc(7);
-  g->Set(-3);
-  h->Observe(100);
-  h->Observe(200);
-
-  std::vector<MetricsRegistry::SeriesSample> s = reg.Sample();
-  ASSERT_EQ(s.size(), 3u);
-  EXPECT_EQ(s[0].name, "ts_requests");
-  EXPECT_EQ(s[0].kind, MetricKind::kCounter);
-  EXPECT_EQ(s[0].counter, 7u);
-  EXPECT_EQ(s[1].name, "ts_inflight");
-  EXPECT_EQ(s[1].kind, MetricKind::kGauge);
-  EXPECT_EQ(s[1].gauge, -3);
-  EXPECT_EQ(s[2].name, "ts_latency");
-  EXPECT_EQ(s[2].kind, MetricKind::kHistogram);
-  EXPECT_EQ(s[2].hist.count, 2u);
-  EXPECT_EQ(s[2].hist.sum, 300u);
-}
-
-TEST(TimeSeries, CounterDeltaCarriesWindowAndTotal) {
-  MetricsRegistry reg;
-  Counter* c = reg.GetCounter("d_hits");
-  c->Inc(10);
-  auto before = reg.Sample();
-  c->Inc(5);
-  auto after = reg.Sample();
-  EXPECT_EQ(TimeSeriesWriter::Delta(before, after),
-            "{\"metric\":\"d_hits\",\"type\":\"counter\",\"delta\":5,"
-            "\"total\":15}");
-}
-
-TEST(TimeSeries, SeriesBornMidWindowDiffAgainstZero) {
-  MetricsRegistry reg;
-  reg.GetCounter("d_old")->Inc(2);
-  auto before = reg.Sample();
-  reg.GetCounter("d_new")->Inc(9);  // Registered after the baseline.
-  auto after = reg.Sample();
-  // d_old is unchanged (omitted); d_new's full value is its window delta.
-  EXPECT_EQ(TimeSeriesWriter::Delta(before, after),
-            "{\"metric\":\"d_new\",\"type\":\"counter\",\"delta\":9,"
-            "\"total\":9}");
-}
-
-TEST(TimeSeries, UnchangedSeriesOmittedUnlessRequested) {
-  MetricsRegistry reg;
-  reg.GetCounter("d_quiet")->Inc(4);
-  reg.GetGauge("d_level")->Set(2);
-  auto before = reg.Sample();
-  auto after = reg.Sample();
-  EXPECT_EQ(TimeSeriesWriter::Delta(before, after), "");
-}
-
-TEST(TimeSeries, EmptyWindowsStillEmitRecordsWithMonotonicTimestamps) {
-  MetricsRegistry reg;
-  reg.GetCounter("d_idle");
-  std::ostringstream out;
-  TimeSeriesOptions opt;
-  opt.interval_ms = 0;
-  TimeSeriesWriter w(&reg, &out, opt);
-  EXPECT_TRUE(w.ScrapeAt(10));
-  EXPECT_TRUE(w.ScrapeAt(20));
-  EXPECT_EQ(w.seq(), 2u);
-  EXPECT_EQ(out.str(),
-            "{\"ts_ms\":10,\"interval_ms\":10,\"seq\":0,\"metrics\":[]}\n"
-            "{\"ts_ms\":20,\"interval_ms\":10,\"seq\":1,\"metrics\":[]}\n");
-}
-
-TEST(TimeSeries, IntervalGatesScrapesAndForceOverrides) {
-  MetricsRegistry reg;
-  std::ostringstream out;
-  TimeSeriesOptions opt;
-  opt.interval_ms = 100;
-  TimeSeriesWriter w(&reg, &out, opt);
-  EXPECT_TRUE(w.ScrapeAt(0));     // First scrape is never gated.
-  EXPECT_FALSE(w.ScrapeAt(50));   // Inside the window: no-op.
-  EXPECT_FALSE(w.ScrapeAt(99));
-  EXPECT_TRUE(w.ScrapeAt(150));   // Window elapsed.
-  EXPECT_TRUE(w.ScrapeAt(160, /*force=*/true));
-  EXPECT_EQ(w.seq(), 3u);
-}
-
-TEST(TimeSeries, HistogramPercentilesCoverOnlyTheWindow) {
-  MetricsRegistry reg;
-  Histogram* h = reg.GetHistogram("d_lat");
-  std::ostringstream out;
-  TimeSeriesOptions opt;
-  opt.interval_ms = 0;
-  TimeSeriesWriter w(&reg, &out, opt);
-
-  // Window 1: fast observations only. 100 has bit width 7, so every
-  // percentile is that bucket's upper bound 2^7 - 1 = 127.
-  for (int i = 0; i < 8; ++i) h->Observe(100);
-  ASSERT_TRUE(w.ScrapeAt(10));
-  // Window 2: slow observations only. If the delta leaked the cumulative
-  // distribution, the 8 fast samples would drag p50 back down to 127;
-  // over the window alone it is 2^17 - 1 = 131071.
-  for (int i = 0; i < 8; ++i) h->Observe(100000);
-  ASSERT_TRUE(w.ScrapeAt(20));
-
-  std::istringstream lines(out.str());
-  std::string w1;
-  std::string w2;
-  ASSERT_TRUE(std::getline(lines, w1));
-  ASSERT_TRUE(std::getline(lines, w2));
-  EXPECT_NE(w1.find("\"count\":8,\"sum\":800,\"p50\":127"),
-            std::string::npos)
-      << w1;
-  EXPECT_NE(w1.find("\"buckets\":[[127,8]]"), std::string::npos) << w1;
-  EXPECT_NE(w2.find("\"count\":8,\"sum\":800000,\"p50\":131071"),
-            std::string::npos)
-      << w2;
-  EXPECT_NE(w2.find("\"buckets\":[[131071,8]]"), std::string::npos) << w2;
-}
-
-/// Compares `got` against the committed golden file, or rewrites it when
-/// PRAIRIE_REGEN_GOLDEN is set (run from a checkout, then commit the
-/// diff) — the test_volcano memo-dump discipline.
-void CheckGolden(const std::string& got, const std::string& name) {
-  const std::string path = std::string(PRAIRIE_TEST_DIR "/golden/") + name;
-  if (std::getenv("PRAIRIE_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::out | std::ios::trunc);
-    ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << got;
-    return;
-  }
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << "missing golden file " << path
-                         << " (regenerate with PRAIRIE_REGEN_GOLDEN=1)";
-  std::ostringstream want;
-  want << in.rdbuf();
-  EXPECT_EQ(got, want.str())
-      << "time-series stream drifted from " << path
-      << " (regenerate with PRAIRIE_REGEN_GOLDEN=1 and review the diff)";
-}
-
-TEST(TimeSeries, GoldenJsonLinesStream) {
-  // Deterministic end-to-end stream: a driven clock (ScrapeAt), one
-  // counter, one labeled gauge, one histogram, three windows — busy,
-  // idle, then a new-series birth mid-window.
-  MetricsRegistry reg;
-  Counter* c = reg.GetCounter("g_queries", "queries optimized");
-  Gauge* g = reg.GetGauge("g_depth", "queue depth", {{"pool", "main"}});
-  Histogram* h = reg.GetHistogram("g_latency_ns", "latency");
-  std::ostringstream out;
-  TimeSeriesOptions opt;
-  opt.interval_ms = 100;
-  TimeSeriesWriter w(&reg, &out, opt);
-
-  c->Inc(3);
-  g->Set(5);
-  h->Observe(900);
-  h->Observe(900);
-  h->Observe(70000);
-  ASSERT_TRUE(w.ScrapeAt(100));
-
-  ASSERT_TRUE(w.ScrapeAt(250));  // Idle window.
-
-  c->Inc(1);
-  reg.GetCounter("g_cache_hits", "born mid-run")->Inc(2);
-  h->Observe(12);
-  ASSERT_TRUE(w.ScrapeAt(400));
-
-  CheckGolden(out.str(), "timeseries.jsonl");
 }
 
 }  // namespace

@@ -13,9 +13,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cstdlib>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,7 +22,6 @@
 #include "algebra/param.h"
 #include "common/metrics.h"
 #include "common/rng.h"
-#include "common/timeseries.h"
 #include "common/trace.h"
 #include "exec/builder.h"
 #include "exec/operators.h"
@@ -33,7 +30,6 @@
 #include "optimizers/props.h"
 #include "p2v/translator.h"
 #include "volcano/batch.h"
-#include "volcano/diag.h"
 #include "volcano/engine.h"
 #include "volcano/memo.h"
 #include "volcano/plancache.h"
@@ -894,89 +890,6 @@ TEST(ExecObserveConcurrencyTest, SharedAggregatesTakeParallelFlushes) {
   EXPECT_EQ(metrics.queries->Value(), kRuns);
   EXPECT_EQ(metrics.operators->Value(), 2 * kRuns);
   EXPECT_EQ(metrics.query_latency_ns->Snapshot().count, kRuns);
-}
-
-// ---------------------------------------------------------------------------
-// Windowed time-series scrapes racing metric writers, and the DiagService
-// trigger path under concurrent Check() callers.
-
-TEST(TimeSeriesConcurrencyTest, ScrapesRaceWithMetricWriters) {
-  common::MetricsRegistry registry;
-  common::Counter* counter = registry.GetCounter("ts_race_total");
-  common::Histogram* hist = registry.GetHistogram("ts_race_ns");
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 50000;
-  std::vector<std::thread> writers;
-  std::atomic<int> started{0};
-  std::ostringstream out;
-  common::TimeSeriesOptions opt;
-  opt.interval_ms = 0;  // Every scrape call writes a window.
-  common::TimeSeriesWriter writer(&registry, &out, opt);
-  for (int t = 0; t < kThreads; ++t) {
-    writers.emplace_back([&]() {
-      started.fetch_add(1);
-      for (int i = 0; i < kPerThread; ++i) {
-        counter->Inc();
-        hist->Observe(static_cast<uint64_t>(i));
-      }
-    });
-  }
-  while (started.load() < kThreads) std::this_thread::yield();
-  // Scrape while the writers hammer the shards; Sample() uses the same
-  // relaxed merges as the exporters, so every window is a consistent-
-  // enough snapshot and deltas never go negative (saturating).
-  for (int i = 0; i < 25; ++i) EXPECT_TRUE(writer.MaybeScrape(true));
-  for (auto& t : writers) t.join();
-  EXPECT_TRUE(writer.MaybeScrape(true));  // Quiesced final window.
-  EXPECT_EQ(writer.seq(), 26u);
-
-  // Per-window counter deltas must sum to the exact final total: windows
-  // partition the increments (relaxed loads may split one thread's burst
-  // across windows but never double-count or lose).
-  uint64_t delta_sum = 0;
-  uint64_t last_total = 0;
-  const std::string text = out.str();
-  size_t pos = 0;
-  while ((pos = text.find("\"metric\":\"ts_race_total\"", pos)) !=
-         std::string::npos) {
-    const size_t d = text.find("\"delta\":", pos);
-    const size_t tot = text.find("\"total\":", pos);
-    ASSERT_NE(d, std::string::npos);
-    ASSERT_NE(tot, std::string::npos);
-    delta_sum += std::strtoull(text.c_str() + d + 8, nullptr, 10);
-    last_total = std::strtoull(text.c_str() + tot + 8, nullptr, 10);
-    pos = tot;
-  }
-  constexpr uint64_t kTotal = uint64_t{kThreads} * kPerThread;
-  EXPECT_EQ(delta_sum, kTotal);
-  EXPECT_EQ(last_total, kTotal);
-}
-
-TEST(DiagConcurrencyTest, StormCrossingObservedByExactlyOneCaller) {
-  // Each Check() contributes one reject; every full multiple of the
-  // threshold must fire kCacheStorm exactly once no matter how the
-  // threads interleave.
-  volcano::DiagOptions opt;
-  opt.cache_storm_threshold = 64;
-  opt.on_budget_exhausted = false;
-  volcano::DiagService diag(opt);
-  volcano::OptimizerStats stats;
-  stats.cache_param_rejects = 1;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 8 * 64;  // 8 crossings per thread's worth.
-  std::atomic<size_t> storms{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&]() {
-      for (int i = 0; i < kPerThread; ++i) {
-        if (diag.Check(0.0, stats) == volcano::DiagTrigger::kCacheStorm) {
-          storms.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(storms.load(), uint64_t{kThreads} * kPerThread / 64);
 }
 
 }  // namespace

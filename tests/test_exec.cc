@@ -3,12 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include "algebra/descriptor_store.h"
-#include "common/strings.h"
 #include "common/trace.h"
 #include "exec/builder.h"
 #include "exec/eval.h"
-#include "exec/feedback.h"
 #include "exec/operators.h"
 #include "exec/stats.h"
 
@@ -363,7 +360,7 @@ TEST(ExecutorRegistry, DuplicateRegistrationRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Runtime stats (ExecStats / InstrumentedIterator / feedback / metrics)
+// Runtime stats (ExecStats / InstrumentedIterator / metrics)
 // ---------------------------------------------------------------------------
 
 /// A two-algorithm executable algebra: Filter(Scan(Emp)) with the filter
@@ -538,50 +535,6 @@ TEST(ExecStats, EmitTraceReplaysTheRunIntoASink) {
   common::RingBufferSink empty_sink(8);
   idle.EmitTrace(&empty_sink);
   EXPECT_EQ(empty_sink.total_emitted(), 0u);
-}
-
-TEST(CardinalityFeedback, RecordsEverySubPlanFingerprint) {
-  StatsFixture f;
-  auto plan = f.Plan(4, 4);
-  ExecStats stats;
-  auto it = f.registry.Build(*plan, f.algebra, f.db, &stats);
-  ASSERT_TRUE(it.ok());
-  Drain(std::move(*it));
-  algebra::DescriptorStore store(&f.schema);
-  auto json = FeedbackJson(*plan, stats, &store);
-  ASSERT_TRUE(json.ok()) << json.status().ToString();
-  // One line per algorithm sub-plan in pre-order: Filter(Scan(Emp)), then
-  // Scan(Emp), each keyed by its full fingerprint bytes in hex.
-  const auto hex_key = [&](const algebra::Expr& e) {
-    std::string key;
-    e.Fingerprint(&store, &key);
-    std::string hex;
-    for (const char c : key) {
-      hex += common::StringPrintf("%02x", static_cast<unsigned char>(c));
-    }
-    return hex;
-  };
-  EXPECT_EQ(*json, "{\"key\":\"" + hex_key(*plan) +
-                       "\",\"est_rows\":4,\"actual_rows\":2}\n"
-                       "{\"key\":\"" + hex_key(plan->child(0)) +
-                       "\",\"est_rows\":4,\"actual_rows\":4}\n");
-  // Nothing collected, nothing rendered.
-  auto idle = FeedbackJson(*plan, ExecStats(), &store);
-  ASSERT_TRUE(idle.ok());
-  EXPECT_EQ(*idle, "");
-}
-
-TEST(CardinalityFeedback, MismatchedStatsTreeIsRejected) {
-  StatsFixture f;
-  auto deep = f.Plan(4, 4);
-  ExecStats stats;
-  auto it = f.registry.Build(*deep, f.algebra, f.db, &stats);
-  ASSERT_TRUE(it.ok());
-  Drain(std::move(*it));
-  // Walk a *different* plan (the bare scan) with the filter's stats.
-  algebra::DescriptorStore store(&f.schema);
-  auto json = FeedbackJson(deep->child(0), stats, &store);
-  EXPECT_EQ(json.status().code(), common::StatusCode::kInternal);
 }
 
 TEST(ExecMetrics, FlushAggregatesIntoRegistry) {

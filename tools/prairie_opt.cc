@@ -24,14 +24,11 @@
 #include <vector>
 
 #include "algebra/descriptor_store.h"
-#include "common/buildinfo.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
-#include "common/timeseries.h"
 #include "common/trace.h"
 #include "dsl/parser.h"
 #include "exec/builder.h"
-#include "exec/feedback.h"
 #include "exec/stats.h"
 #include "optimizers/executors.h"
 #include "optimizers/oodb.h"
@@ -39,7 +36,6 @@
 #include "optimizers/relational.h"
 #include "p2v/translator.h"
 #include "volcano/batch.h"
-#include "volcano/diag.h"
 #include "volcano/engine.h"
 #include "volcano/inspect.h"
 #include "volcano/profile.h"
@@ -95,14 +91,6 @@ struct Settings {
   bool execute = false;
   bool analyze = false;
   std::string analyze_path;
-  std::string timeseries_path;
-  uint64_t timeseries_ms = 250;
-  double slow_ms = 0;
-  double slow_p99 = 0;
-  double qerror_limit = 0;
-  std::string slow_log_path;
-  std::string diag_dir;
-  common::TraceDetail diag_detail = common::TraceDetail::kCoarse;
 };
 
 Mode ModeOf(const Settings& s) {
@@ -184,7 +172,7 @@ const Flag kFlags[] = {
      "worker threads (default 0 = one per core)",
      [](Settings& s, const char* v) { return ParseNumber(v, &s.jobs, 0); }},
     {"--batch", kValue, kBatch, "K", "K queries at seeds S..S+K-1 (default 8)",
-     [](Settings& s, const char* v) { return ParseNumber(v, &s.batch, 0); }},
+     [](Settings& s, const char* v) { return ParseNumber(v, &s.batch, 1); }},
     {"--traffic", kValue, kTraffic, "N",
      "N Zipf-skewed requests over Q1..Q8 skeletons",
      [](Settings& s, const char* v) { return ParseNumber(v, &s.traffic, 0); }},
@@ -225,44 +213,6 @@ const Flag kFlags[] = {
        s.execute = s.analyze = true;
        if (v != nullptr) s.analyze_path = v;
        return true;
-     }},
-    {"--timeseries", kValue, kMany, "FILE[,MS]",
-     "windowed metrics every MS ms (default 250)",
-     [](Settings& s, const char* v) {
-       // The interval suffix must be a whole unsigned number; otherwise
-       // the comma is part of the path.
-       s.timeseries_path = v;
-       const size_t comma = s.timeseries_path.rfind(',');
-       if (comma != std::string::npos &&
-           ParseNumber(v + comma + 1, &s.timeseries_ms, 0)) {
-         s.timeseries_path.resize(comma);
-       }
-       return true;
-     }},
-    {"--slow-ms", kValue, kSingle | kMany, "MS",
-     "flag queries slower than MS ms",
-     [](Settings& s, const char* v) { return ParseNumber(v, &s.slow_ms, 0); }},
-    {"--slow-p99", kValue, kSingle | kMany, "K",
-     "flag queries slower than K x running p99",
-     [](Settings& s, const char* v) { return ParseNumber(v, &s.slow_p99, 0); }},
-    {"--qerror-limit", kValue, kSingle, "Q",
-     "flag executed plans with Q-error above Q",
-     [](Settings& s, const char* v) {
-       return ParseNumber(v, &s.qerror_limit, 0);
-     }},
-    {"--slow-log", kValue, kSingle | kMany, "FILE",
-     "one JSON-lines record per flagged query",
-     [](Settings& s, const char* v) { s.slow_log_path = v; return true; }},
-    {"--diag-dir", kValue, kSingle | kMany, "DIR",
-     "write a diagnostic bundle per trigger",
-     [](Settings& s, const char* v) { s.diag_dir = v; return true; }},
-    {"--diag-detail", kValue, kSingle | kMany, "full|coarse",
-     "flight-recorder detail (default coarse)",
-     [](Settings& s, const char* v) {
-       const std::string_view detail = v;
-       s.diag_detail = detail == "full" ? common::TraceDetail::kFull
-                                        : common::TraceDetail::kCoarse;
-       return detail == "full" || detail == "coarse";
      }},
 };
 
@@ -314,6 +264,22 @@ int FailFile(const char* what, const std::string& path) {
   return 1;
 }
 
+/// Compiler id and version for --version, best effort ("gcc 13.2.0",
+/// "clang 17.0.1").
+std::string CompilerText() {
+#if defined(__clang__)
+  return "clang " + std::to_string(__clang_major__) + "." +
+         std::to_string(__clang_minor__) + "." +
+         std::to_string(__clang_patchlevel__);
+#elif defined(__GNUC__)
+  return "gcc " + std::to_string(__GNUC__) + "." +
+         std::to_string(__GNUC_MINOR__) + "." +
+         std::to_string(__GNUC_PATCHLEVEL__);
+#else
+  return "unknown";
+#endif
+}
+
 /// Writes the process-wide metrics registry to `path`; format picked by
 /// extension (.json -> JSON snapshot, anything else -> Prometheus text).
 int WriteMetricsFile(const std::string& path) {
@@ -326,24 +292,6 @@ int WriteMetricsFile(const std::string& path) {
   if (!out) return FailFile("metrics file", path);
   std::printf("metrics: %zu series -> %s\n", reg->NumSeries(), path.c_str());
   return 0;
-}
-
-/// Joins argv into one provenance string for bundle manifests.
-std::string RenderFlags(int argc, char** argv) {
-  std::string out;
-  for (int i = 1; i < argc; ++i) {
-    if (i > 1) out += " ";
-    out += argv[i];
-  }
-  return out;
-}
-
-/// Max per-operator Q-error over an ExecStats tree (0 = no estimates).
-double MaxQError(const exec::OpStats* node) {
-  if (node == nullptr) return 0;
-  double q = node->QError();
-  for (const exec::OpStats* c : node->children) q = std::max(q, MaxQError(c));
-  return q;
 }
 
 /// Prints the plan cache's counters; nothing when caching is off.
@@ -395,21 +343,9 @@ int WriteTraceOutputs(const Settings& s, const volcano::RuleSet& rules,
   return 0;
 }
 
-/// The tail of every run: the time-series record count, the diagnostics
-/// summary and the metrics file. Returns `rc`, or 1 if the metrics file
-/// cannot be written.
-int Finish(const Settings& s, const common::TimeSeriesWriter* timeseries,
-           const volcano::DiagService* diag, int rc) {
-  if (timeseries != nullptr) {
-    std::printf("timeseries: %llu interval records -> %s\n",
-                static_cast<unsigned long long>(timeseries->seq()),
-                s.timeseries_path.c_str());
-  }
-  if (diag != nullptr) {
-    std::printf("diag: %zu queries flagged, %zu bundles written%s%s\n",
-                diag->reports(), diag->bundles_written(),
-                s.diag_dir.empty() ? "" : " -> ", s.diag_dir.c_str());
-  }
+/// The tail of every run: writes the metrics file. Returns `rc`, or 1 if
+/// the metrics file cannot be written.
+int Finish(const Settings& s, int rc) {
   if (s.metrics_path.empty()) return rc;
   return WriteMetricsFile(s.metrics_path) == 0 ? rc : 1;
 }
@@ -417,8 +353,7 @@ int Finish(const Settings& s, const common::TimeSeriesWriter* timeseries,
 /// Batch and traffic mode: both sources run through one BatchOptimizer,
 /// --repeat times, and report per-query errors (a batch also prints each
 /// plan), throughput, latency percentiles and the shared store.
-int RunMany(const Settings& s, const volcano::RuleSet& rules,
-            volcano::DiagService* diag) {
+int RunMany(const Settings& s, const volcano::RuleSet& rules) {
   const algebra::Algebra& alg = *rules.algebra;
   // Traffic requests borrow their catalogs from the generator, and batch
   // queries point into `workloads`: both outlive the run.
@@ -440,7 +375,7 @@ int RunMany(const Settings& s, const volcano::RuleSet& rules,
                               requests.back().catalog});
     }
   } else {
-    const int count = s.batch > 1 ? s.batch : 8;
+    const int count = s.batch > 0 ? s.batch : 8;
     workloads.reserve(static_cast<size_t>(count));
     for (int k = 0; k < count; ++k) {
       workload::QuerySpec qspec = workload::PaperQuery(
@@ -464,33 +399,10 @@ int RunMany(const Settings& s, const volcano::RuleSet& rules,
   if (!s.trace_path.empty() || s.profile_rules) {
     bopt.trace_capacity = common::RingBufferSink::kDefaultCapacity;
   }
-  bopt.diag = diag;
-  // Without a full trace the per-worker flight recorders run at the
-  // diagnostics detail; a full trace serves both consumers.
-  if (diag != nullptr && bopt.trace_capacity == 0) {
-    bopt.optimizer.trace_detail = s.diag_detail;
-  }
   volcano::BatchOptimizer batcher(&rules, bopt);
 
-  // Armed after main() registered the metrics bundle, so the baseline
-  // sample covers its series.
-  std::ofstream ts_stream;
-  std::unique_ptr<common::TimeSeriesWriter> timeseries;
-  if (!s.timeseries_path.empty()) {
-    ts_stream.open(s.timeseries_path, std::ios::out | std::ios::trunc);
-    if (!ts_stream) return FailFile("timeseries file", s.timeseries_path);
-    common::TimeSeriesOptions tso;
-    tso.interval_ms = s.timeseries_ms;
-    timeseries = std::make_unique<common::TimeSeriesWriter>(
-        common::MetricsRegistry::Global(), &ts_stream, tso);
-  }
-
   // Round 1 is cold; with a plan cache later rounds are served (mostly)
-  // warm. With --timeseries each round is fed in at most 8 chunks, scraped
-  // after each, so the scraper observes the run in flight.
-  const size_t chunk =
-      timeseries != nullptr ? std::max<size_t>(1, (queries.size() + 7) / 8)
-                            : queries.size();
+  // warm.
   std::vector<volcano::BatchResult> results;
   std::vector<double> seconds;  // every query of every round
   std::vector<common::TraceEvent> events;
@@ -498,21 +410,11 @@ int RunMany(const Settings& s, const volcano::RuleSet& rules,
   common::Stopwatch sw;
   for (int round = 1; round <= s.repeat; ++round) {
     common::Stopwatch round_sw;
-    results.clear();
-    for (size_t off = 0; off < queries.size(); off += chunk) {
-      const size_t end = std::min(off + chunk, queries.size());
-      const std::vector<volcano::BatchQuery> part(
-          queries.begin() + static_cast<ptrdiff_t>(off),
-          queries.begin() + static_cast<ptrdiff_t>(end));
-      for (volcano::BatchResult& r : batcher.OptimizeAll(part)) {
-        seconds.push_back(r.seconds);
-        results.push_back(std::move(r));
-      }
-      events.insert(events.end(), batcher.trace_events().begin(),
-                    batcher.trace_events().end());
-      dropped += batcher.trace_dropped();
-      if (timeseries != nullptr) timeseries->MaybeScrape();
-    }
+    results = batcher.OptimizeAll(queries);
+    for (const volcano::BatchResult& r : results) seconds.push_back(r.seconds);
+    events.insert(events.end(), batcher.trace_events().begin(),
+                  batcher.trace_events().end());
+    dropped += batcher.trace_dropped();
     if (s.repeat > 1) {
       const double round_wall = round_sw.ElapsedSeconds();
       std::printf("round %d/%d: %.2f ms (%.1f queries/s)\n", round, s.repeat,
@@ -521,7 +423,6 @@ int RunMany(const Settings& s, const volcano::RuleSet& rules,
     }
   }
   const double wall = sw.ElapsedSeconds();
-  if (timeseries != nullptr) timeseries->MaybeScrape(/*force=*/true);
 
   int failures = 0;
   for (size_t i = 0; i < results.size(); ++i) {
@@ -559,24 +460,23 @@ int RunMany(const Settings& s, const volcano::RuleSet& rules,
   if (int rc = WriteTraceOutputs(s, rules, events, dropped); rc != 0) {
     return rc;
   }
-  return Finish(s, timeseries.get(), diag, failures == 0 ? 0 : 1);
+  return Finish(s, failures == 0 ? 0 : 1);
 }
 
 /// --execute/--analyze: runs `plan` over a database generated from the
-/// catalog, prints the row count (and the EXPLAIN ANALYZE tree), and
-/// fills `stats` and `feedback_json` for the diagnostics. Execution spans
-/// join `sink`, on the search's timeline.
+/// catalog and prints the row count (and the EXPLAIN ANALYZE tree).
+/// Execution spans join `sink`, on the search's timeline.
 int Execute(const Settings& s, const algebra::Algebra& alg,
             const workload::Workload& w, const volcano::Plan& plan,
-            common::RingBufferSink* sink, exec::ExecStats* stats,
-            std::string* feedback_json) {
+            common::RingBufferSink* sink) {
   auto db = workload::MakeDatabase(w.catalog, s.seed);
   if (!db.ok()) return Fail(db.status());
   exec::ExecutorRegistry registry;
   const common::Status st = prairie::opt::RegisterStandardExecutors(&registry);
   if (!st.ok()) return Fail(st);
   algebra::ExprPtr plan_expr = plan.root->ToExpr(alg);
-  auto iter = registry.Build(*plan_expr, alg, *db, stats);
+  exec::ExecStats stats;
+  auto iter = registry.Build(*plan_expr, alg, *db, &stats);
   if (!iter.ok()) {
     // A plan whose algorithm has no executor is a usage-level error (the
     // spec defines algorithms the binary cannot run), not a crash.
@@ -590,35 +490,27 @@ int Execute(const Settings& s, const algebra::Algebra& alg,
               exec_sw.ElapsedSeconds() * 1e3);
   if (s.analyze) {
     std::printf("\nexplain analyze (est vs actual rows, q = Q-error):\n%s",
-                stats->ToText().c_str());
+                stats.ToText().c_str());
     if (!s.analyze_path.empty()) {
       std::ofstream out(s.analyze_path, std::ios::out | std::ios::trunc);
-      out << stats->ToJson() << "\n";
+      out << stats.ToJson() << "\n";
       out.close();
       if (!out) return FailFile("analyze file", s.analyze_path);
       std::printf("analyze: stats -> %s\n", s.analyze_path.c_str());
     }
   }
-  // (sub-plan fingerprint) -> est vs actual rows, for diagnostic bundles.
-  algebra::DescriptorStore fp_store(&alg.properties());
-  auto feedback = exec::FeedbackJson(*plan_expr, *stats, &fp_store);
-  if (!feedback.ok()) return Fail(feedback.status());
-  *feedback_json = std::move(*feedback);
-  std::printf("cardinality feedback: %zu sub-plan fingerprints recorded\n",
-              stats->num_nodes());
   if (!s.metrics_path.empty()) {
     exec::ExecMetrics::ForRegistry(common::MetricsRegistry::Global())
-        .FlushExecStats(*stats);
+        .FlushExecStats(stats);
   }
-  if (sink != nullptr) stats->EmitTrace(sink);
+  if (sink != nullptr) stats.EmitTrace(sink);
   return 0;
 }
 
 /// Single-query and expand-only mode: optimizes (or only expands) one
 /// query and prints its plan and statistics, plus whatever --explain,
-/// --execute/--analyze, the diagnostics and --dump-memo ask for.
-int RunSingle(const Settings& s, const volcano::RuleSet& rules,
-              volcano::DiagService* diag) {
+/// --execute/--analyze and --dump-memo ask for.
+int RunSingle(const Settings& s, const volcano::RuleSet& rules) {
   const algebra::Algebra& alg = *rules.algebra;
   workload::QuerySpec qspec = workload::PaperQuery(s.query, s.joins, s.seed);
   qspec.shape = s.shape;
@@ -635,15 +527,9 @@ int RunSingle(const Settings& s, const volcano::RuleSet& rules,
 
   volcano::OptimizerOptions options = s.options;
   std::unique_ptr<common::RingBufferSink> sink;
-  if (!s.trace_path.empty() || s.profile_rules || diag != nullptr) {
+  if (!s.trace_path.empty() || s.profile_rules) {
     sink = std::make_unique<common::RingBufferSink>();
     options.trace = sink.get();
-    // When only the diagnostics layer wants the sink it runs as a coarse
-    // flight recorder; an explicit --trace/--profile-rules keeps the full
-    // stream.
-    if (s.trace_path.empty() && !s.profile_rules) {
-      options.trace_detail = s.diag_detail;
-    }
   }
   // The cache outlives every per-round optimizer; its keys intern through
   // one store that all rounds share.
@@ -676,9 +562,7 @@ int RunSingle(const Settings& s, const volcano::RuleSet& rules,
                 "expressions\n",
                 *groups, optimizer.stats().mexprs);
   } else {
-    common::Stopwatch opt_sw;
     auto plan = optimizer.Optimize(*w->query);
-    const double optimize_ms = opt_sw.ElapsedSeconds() * 1e3;
     if (!plan.ok()) return Fail(plan.status());
     std::printf("plan (cost %.2f):\n%s\n", plan->cost,
                 plan->root->TreeString(alg).c_str());
@@ -707,41 +591,8 @@ int RunSingle(const Settings& s, const volcano::RuleSet& rules,
       std::printf("\nprovenance (winner -> rule -> source expression):\n%s",
                   optimizer.ExplainWinner().c_str());
     }
-    exec::ExecStats exec_stats;
-    std::string feedback_json;
-    const int rc = s.execute ? Execute(s, alg, *w, *plan, sink.get(),
-                                       &exec_stats, &feedback_json)
-                             : 0;
-    if (rc != 0) return rc;
-    if (diag != nullptr) {
-      const double max_qerror = s.execute ? MaxQError(exec_stats.root()) : 0;
-      const volcano::DiagTrigger trig =
-          diag->Check(optimize_ms, stats, max_qerror);
-      if (trig != volcano::DiagTrigger::kNone) {
-        volcano::QueryDiag qd;
-        qd.query_text = w->query->TreeString(alg);
-        qd.latency_ms = optimize_ms;
-        qd.stats = &stats;
-        qd.max_qerror = max_qerror;
-        if (sink != nullptr) {
-          qd.trace_slice = sink->Snapshot();
-          qd.trace_dropped = sink->dropped();
-        }
-        if (!stats.plan_from_cache) {
-          qd.provenance = optimizer.ExplainWinner();
-          qd.memo_dot = volcano::MemoToDot(optimizer.memo(), rules);
-        }
-        if (s.execute && exec_stats.root() != nullptr) {
-          qd.analyze_text = exec_stats.ToText();
-          qd.analyze_json = exec_stats.ToJson();
-          qd.feedback_json = feedback_json;
-          qd.est_rows = exec_stats.root()->est_rows;
-          qd.actual_rows = static_cast<double>(exec_stats.root()->rows);
-        }
-        const std::string bundle = diag->Report(trig, qd);
-        std::printf("diag: trigger %s%s%s\n", volcano::DiagTriggerName(trig),
-                    bundle.empty() ? "" : " -> ", bundle.c_str());
-      }
+    if (s.execute) {
+      if (int rc = Execute(s, alg, *w, *plan, sink.get()); rc != 0) return rc;
     }
   }
   if (sink != nullptr) {
@@ -757,7 +608,7 @@ int RunSingle(const Settings& s, const volcano::RuleSet& rules,
     std::printf("memo: %zu groups, %zu expressions -> %s\n", memo.NumGroups(),
                 memo.NumExprs(), s.dump_memo_path.c_str());
   }
-  return Finish(s, /*timeseries=*/nullptr, diag, 0);
+  return Finish(s, 0);
 }
 
 }  // namespace
@@ -770,7 +621,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--version") {
-      std::printf("prairie_opt (%s)\n", common::CompilerText().c_str());
+      std::printf("prairie_opt (%s)\n", CompilerText().c_str());
       return 0;
     }
     if (arg == "--help" || arg == "-h") {
@@ -844,45 +695,13 @@ int main(int argc, char** argv) {
   if (!volcano_rules.ok()) return Fail(volcano_rules.status());
   const volcano::RuleSet& rule_set = **volcano_rules;
 
-  // The metrics bundle registers every series once, up front, for
-  // whichever consumer asked: --metrics, the --timeseries scraper or the
-  // diagnostics. Batch workers flush into the same sharded counters
-  // without contention.
-  const bool diag_requested = s.slow_ms > 0 || s.slow_p99 > 0 ||
-                              s.qerror_limit > 0 || !s.slow_log_path.empty() ||
-                              !s.diag_dir.empty();
+  // The metrics bundle registers every series once, up front. Batch
+  // workers flush into the same sharded counters without contention.
   volcano::VolcanoMetrics metrics;
-  if (!s.metrics_path.empty() || !s.timeseries_path.empty() ||
-      diag_requested) {
+  if (!s.metrics_path.empty()) {
     metrics =
         volcano::VolcanoMetrics::ForRegistry(common::MetricsRegistry::Global());
     s.options.metrics = &metrics;
   }
-
-  // Diagnostics (DESIGN.md §7.4): one service shared by whichever mode
-  // runs. Check() is evaluated after every query; the slow log and bundle
-  // directory are only touched on a firing trigger.
-  std::ofstream slow_log;
-  std::unique_ptr<volcano::DiagService> diag;
-  if (diag_requested) {
-    if (!s.slow_log_path.empty()) {
-      slow_log.open(s.slow_log_path, std::ios::out | std::ios::trunc);
-      if (!slow_log) return FailFile("slow log", s.slow_log_path);
-    }
-    volcano::DiagOptions dopt;
-    dopt.slow_ms = s.slow_ms;
-    dopt.adaptive_k = s.slow_p99;
-    dopt.latency_hist = metrics.query_latency_ns;
-    dopt.qerror_limit = s.qerror_limit;
-    dopt.cache_storm_threshold = s.plan_cache ? 64 : 0;
-    dopt.diag_dir = s.diag_dir;
-    dopt.slow_log = slow_log.is_open() ? &slow_log : nullptr;
-    dopt.registry = common::MetricsRegistry::Global();
-    dopt.rules = &rule_set;
-    dopt.flags = RenderFlags(argc, argv);
-    dopt.seed = s.seed;
-    diag = std::make_unique<volcano::DiagService>(dopt);
-  }
-  return (mode & kMany) != 0 ? RunMany(s, rule_set, diag.get())
-                             : RunSingle(s, rule_set, diag.get());
+  return (mode & kMany) != 0 ? RunMany(s, rule_set) : RunSingle(s, rule_set);
 }
