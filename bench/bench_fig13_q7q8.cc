@@ -13,7 +13,7 @@ int main() {
                  pair.status().ToString().c_str());
     return 1;
   }
-  int max_joins = prairie::bench::EnvInt("PRAIRIE_MAX_JOINS", 3);
+  int max_joins = prairie::bench::EnvInt("PRAIRIE_MAX_JOINS", 4);
   prairie::bench::JsonWriter json("fig13_q7q8");
   prairie::bench::RunFigure(
       "Figure 13: optimization time for Q7 / Q8 (E4, SELECT over E2)",

@@ -24,7 +24,7 @@ int main() {
   int max_per_expr[5] = {0, EnvInt("PRAIRIE_MAX_JOINS_E1", 8),
                          EnvInt("PRAIRIE_MAX_JOINS_E2", 6),
                          EnvInt("PRAIRIE_MAX_JOINS_E3", 4),
-                         EnvInt("PRAIRIE_MAX_JOINS_E4", 3)};
+                         EnvInt("PRAIRIE_MAX_JOINS_E4", 4)};
   std::printf(
       "Figure 14: equivalence classes vs. number of joins (E1..E4)\n\n");
   std::printf("%7s | %10s %10s %10s %10s\n", "#joins", "E1", "E2", "E3",

@@ -4,6 +4,8 @@
 #include <iterator>
 #include <mutex>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
 #include "algebra/predicate.h"
 #include "common/strings.h"
@@ -29,10 +31,52 @@ InternedString PoolString(std::string s) {
   return sp;
 }
 
+/// Process-wide pool behind Value::Attrs: one stored list per distinct
+/// content, appended and never freed, so a pooled address identifies its
+/// content for the life of the process.
+class AttrsPool {
+ public:
+  /// The process's one pool. It is never destroyed: values and per-thread
+  /// union memos may still hold pooled addresses while statics die, and a
+  /// static pointer keeps every list reachable at exit.
+  static AttrsPool& Get() {
+    static AttrsPool* const pool = new AttrsPool;
+    return *pool;
+  }
+
+  PooledAttrs Intern(AttrList list) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return &*lists_.insert(std::move(list)).first;
+  }
+
+  /// The pooled empty list, which a null operand of a union reads as.
+  PooledAttrs Empty() const { return empty_; }
+
+ private:
+  AttrsPool() : empty_(Intern({})) {}
+
+  struct ListHash {
+    size_t operator()(const AttrList& l) const {
+      uint64_t h = 0xa775;
+      for (const Attr& a : l) h = common::HashCombine(h, a.Hash());
+      return static_cast<size_t>(h);
+    }
+  };
+
+  std::mutex mu_;
+  /// Node-based: an element's address survives every later insert.
+  std::unordered_set<AttrList, ListHash> lists_;
+  PooledAttrs empty_;
+};
+
 }  // namespace
 
 Value Value::Str(std::string s) {
   return Value(Repr(PoolString(std::move(s))));
+}
+
+Value Value::Attrs(AttrList a) {
+  return Value(Repr(AttrsPool::Get().Intern(std::move(a))));
 }
 
 bool Contains(const AttrList& list, const Attr& attr) {
@@ -69,6 +113,33 @@ AttrList UnionAttrs(const AttrList& a, const AttrList& b) {
   // fail to deduplicate logically identical expressions.
   std::sort(out.begin(), out.end());
   return out;
+}
+
+Value UnionAttrs(const Value& a, const Value& b) {
+  AttrsPool& pool = AttrsPool::Get();
+  const auto pooled = [&pool](const Value& v) {
+    return v.is_null() ? pool.Empty() : std::get<PooledAttrs>(v.repr_);
+  };
+  const std::pair<PooledAttrs, PooledAttrs> key(pooled(a), pooled(b));
+  struct PairHash {
+    size_t operator()(const std::pair<PooledAttrs, PooledAttrs>& k) const {
+      const uint64_t x = reinterpret_cast<uintptr_t>(k.first);
+      const uint64_t y = reinterpret_cast<uintptr_t>(k.second);
+      return static_cast<size_t>((x * 0x9e3779b97f4a7c15ULL) ^
+                                 (y * 0xc2b2ae3d27d4eb4fULL) ^ (x >> 29));
+    }
+  };
+  // Pooled lists never die, so a key never goes stale; the table belongs to
+  // this thread, so neither a hit nor a miss races with other threads.
+  thread_local std::unordered_map<std::pair<PooledAttrs, PooledAttrs>,
+                                  PooledAttrs, PairHash>
+      memo;
+  auto it = memo.find(key);
+  if (it == memo.end()) {
+    PooledAttrs u = pool.Intern(UnionAttrs(*key.first, *key.second));
+    it = memo.emplace(key, u).first;
+  }
+  return Value(Value::Repr(it->second));
 }
 
 bool IsSubset(const AttrList& subset, const AttrList& superset) {
@@ -180,11 +251,10 @@ bool Value::operator==(const Value& o) const {
       const SharedSort& b = std::get<SharedSort>(o.repr_);
       return a == b || *a == *b;
     }
-    case ValueType::kAttrs: {
-      const SharedAttrs& a = std::get<SharedAttrs>(repr_);
-      const SharedAttrs& b = std::get<SharedAttrs>(o.repr_);
-      return a == b || *a == *b;
-    }
+    case ValueType::kAttrs:
+      // Attribute lists are pooled too (Value::Attrs): equal lists share
+      // one address, which Hash() also identifies them by.
+      return std::get<PooledAttrs>(repr_) == std::get<PooledAttrs>(o.repr_);
     case ValueType::kPred: {
       return PredEquals(AsPred(), o.AsPred());
     }
@@ -210,10 +280,9 @@ uint64_t Value::Hash() const {
                                     std::get<InternedString>(repr_).get()));
     case ValueType::kSort:
       return common::HashCombine(h, AsSort().Hash());
-    case ValueType::kAttrs: {
-      for (const Attr& a : AsAttrs()) h = common::HashCombine(h, a.Hash());
-      return h;
-    }
+    case ValueType::kAttrs:
+      return common::HashMix(
+          h, reinterpret_cast<uint64_t>(std::get<PooledAttrs>(repr_)));
     case ValueType::kPred: {
       const PredicateRef& p = AsPred();
       return common::HashCombine(h, p == nullptr ? 0x7242 : p->Hash());

@@ -50,6 +50,14 @@ bool Contains(const AttrList& list, const Attr& attr);
 /// sorted, with the same result.
 AttrList UnionAttrs(const AttrList& a, const AttrList& b);
 
+class Value;
+
+/// The same union over the pooled lists two Values hold (each null or an
+/// attribute list; null reads as the empty list), returned as a pooled
+/// Value. Memoized per ordered pair of pooled lists in a table owned by the
+/// calling thread, so a repeated union takes no lock and copies nothing.
+Value UnionAttrs(const Value& a, const Value& b);
+
 /// True if every attribute of `subset` occurs in `superset`.
 bool IsSubset(const AttrList& subset, const AttrList& superset);
 
@@ -105,11 +113,16 @@ std::string_view ValueTypeName(ValueType t);
 /// inside descriptors is usually a pointer compare.
 using InternedString = std::shared_ptr<const std::string>;
 
-/// Sort specs and attribute lists are immutable once wrapped in a Value, so
-/// copies (descriptor copies are the engine's hottest operation) share the
-/// payload instead of deep-copying vectors of attribute strings.
+/// Sort specs are immutable once wrapped in a Value, so copies (descriptor
+/// copies are the engine's hottest operation) share the payload instead of
+/// deep-copying vectors of attribute strings.
 using SharedSort = std::shared_ptr<const SortSpec>;
-using SharedAttrs = std::shared_ptr<const AttrList>;
+
+/// Interned attribute-list payload. Value::Attrs pools lists process-wide
+/// in an append-only pool whose lists live until the process exits, so
+/// equal lists share one address: a copy is a pointer copy, and equality
+/// and hashing compare the pointer.
+using PooledAttrs = const AttrList*;
 
 /// \brief A dynamically typed value held by a descriptor annotation.
 class Value {
@@ -124,9 +137,7 @@ class Value {
   static Value Sort(SortSpec s) {
     return Value(Repr(std::make_shared<const SortSpec>(std::move(s))));
   }
-  static Value Attrs(AttrList a) {
-    return Value(Repr(std::make_shared<const AttrList>(std::move(a))));
-  }
+  static Value Attrs(AttrList a);  ///< Interns `a` in the global pool.
   static Value Pred(PredicateRef p) { return Value(Repr(std::move(p))); }
 
   ValueType type() const { return static_cast<ValueType>(repr_.index()); }
@@ -139,7 +150,7 @@ class Value {
     return *std::get<InternedString>(repr_);
   }
   const SortSpec& AsSort() const { return *std::get<SharedSort>(repr_); }
-  const AttrList& AsAttrs() const { return *std::get<SharedAttrs>(repr_); }
+  const AttrList& AsAttrs() const { return *std::get<PooledAttrs>(repr_); }
   const PredicateRef& AsPred() const { return std::get<PredicateRef>(repr_); }
 
   /// Numeric coercion: Int and Real convert to double; anything else fails.
@@ -156,10 +167,12 @@ class Value {
   std::string ToString() const;
 
  private:
+  friend Value UnionAttrs(const Value& a, const Value& b);
+
   // The alternative order must track ValueType (type() is repr_.index());
-  // index 4 (kString) holds the interned pointer, not a loose std::string.
+  // indexes 4 (kString) and 6 (kAttrs) hold pooled pointers.
   using Repr = std::variant<std::monostate, bool, int64_t, double,
-                            InternedString, SharedSort, SharedAttrs,
+                            InternedString, SharedSort, PooledAttrs,
                             PredicateRef>;
   explicit Value(Repr r) : repr_(std::move(r)) {}
   Repr repr_;

@@ -159,7 +159,7 @@ Result<Value> EvalBinary(BinOp op, const EvalResult& l, const EvalResult& r) {
       // Attribute lists support '+' as set union for convenience.
       if (op == BinOp::kAdd && a.type() == ValueType::kAttrs &&
           b.type() == ValueType::kAttrs) {
-        return Value::Attrs(algebra::UnionAttrs(a.AsAttrs(), b.AsAttrs()));
+        return algebra::UnionAttrs(a, b);
       }
       PRAIRIE_ASSIGN_OR_RETURN(double x, a.ToReal());
       PRAIRIE_ASSIGN_OR_RETURN(double y, b.ToReal());

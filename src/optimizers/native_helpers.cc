@@ -133,9 +133,9 @@ Result<Value> join_card(const catalog::Catalog* cat, const Value& nl,
 
 Result<Value> union_(const catalog::Catalog*, const Value& a,
                      const Value& b) {
-  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* x, AsAttrs(a, "union"));
-  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* y, AsAttrs(b, "union"));
-  return Value::Attrs(algebra::UnionAttrs(*x, *y));
+  PRAIRIE_RETURN_NOT_OK(AsAttrs(a, "union").status());
+  PRAIRIE_RETURN_NOT_OK(AsAttrs(b, "union").status());
+  return algebra::UnionAttrs(a, b);
 }
 
 Result<Value> attrs_minus(const catalog::Catalog*, const Value& a,

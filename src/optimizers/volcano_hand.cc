@@ -36,9 +36,9 @@ namespace {
 // Support functions (the hand-written C code of a Volcano rule set)
 // ---------------------------------------------------------------------------
 
-// GetPred and GetAttrs borrow from the slot value they read (or from a
-// shared constant): a result must not be used after a write to the same
-// slot property.
+// GetPred borrows from the slot value it reads (or from a shared
+// constant): its result must not be used after a write to the same slot
+// property. GetAttrs returns a pooled list, which outlives every slot.
 
 const PredicateRef& GetPred(const Value& v) {
   if (v.is_null() || v.type() != ValueType::kPred || v.AsPred() == nullptr) {
@@ -263,10 +263,9 @@ TransRule JoinAssoc(const Ctx& c, bool left_to_right) {
     PredicateRef combined =
         algebra::PredAnd(GetPred(bv.slot(3).Get(p.join_predicate)),
                          GetPred(bv.slot(4).Get(p.join_predicate)));
-    AttrList grouped =
-        algebra::UnionAttrs(GetAttrs(bv.slot(ga).Get(p.attributes)),
-                            GetAttrs(bv.slot(gb).Get(p.attributes)));
-    PredicateRef inner = ConjOver(combined, grouped, /*over=*/true);
+    const Value grouped = algebra::UnionAttrs(bv.slot(ga).Get(p.attributes),
+                                              bv.slot(gb).Get(p.attributes));
+    PredicateRef inner = ConjOver(combined, grouped.AsAttrs(), /*over=*/true);
     bv.slot(5).SetUnchecked(p.join_predicate, Value::Pred(inner));
     return RefersBoth(inner, GetAttrs(bv.slot(ga).Get(p.attributes)),
                       GetAttrs(bv.slot(gb).Get(p.attributes)));
@@ -275,11 +274,10 @@ TransRule JoinAssoc(const Ctx& c, bool left_to_right) {
     PredicateRef combined =
         algebra::PredAnd(GetPred(bv.slot(3).Get(p.join_predicate)),
                          GetPred(bv.slot(4).Get(p.join_predicate)));
-    AttrList grouped =
-        algebra::UnionAttrs(GetAttrs(bv.slot(ga).Get(p.attributes)),
-                            GetAttrs(bv.slot(gb).Get(p.attributes)));
+    const Value grouped = algebra::UnionAttrs(bv.slot(ga).Get(p.attributes),
+                                              bv.slot(gb).Get(p.attributes));
     PredicateRef inner = GetPred(bv.slot(5).Get(p.join_predicate));
-    bv.slot(5).SetUnchecked(p.attributes, Value::Attrs(grouped));
+    bv.slot(5).SetUnchecked(p.attributes, grouped);
     double card = GetReal(bv.slot(ga).Get(p.num_records)) *
                   GetReal(bv.slot(gb).Get(p.num_records)) *
                   catalog::EstimateSelectivity(inner, *bv.catalog);
@@ -289,7 +287,7 @@ TransRule JoinAssoc(const Ctx& c, bool left_to_right) {
                                   GetReal(bv.slot(gb).Get(p.tuple_size))));
     bv.slot(6).SetUnchecked(
         p.join_predicate,
-        Value::Pred(ConjOver(combined, grouped, /*over=*/false)));
+        Value::Pred(ConjOver(combined, grouped.AsAttrs(), /*over=*/false)));
     bv.slot(6).SetUnchecked(p.attributes, bv.slot(4).Get(p.attributes));
     bv.slot(6).SetUnchecked(p.num_records, bv.slot(4).Get(p.num_records));
     bv.slot(6).SetUnchecked(p.tuple_size, bv.slot(4).Get(p.tuple_size));
@@ -510,11 +508,10 @@ TransRule SelectPullJoin(const Ctx& c, bool left) {
   r.apply = [p](BindingView& bv) -> Status {
     PRAIRIE_RETURN_NOT_OK(NeedCatalog(bv));
     PredicateRef jp = GetPred(bv.slot(3).Get(p.join_predicate));
-    AttrList attrs =
-        algebra::UnionAttrs(GetAttrs(bv.slot(0).Get(p.attributes)),
-                            GetAttrs(bv.slot(1).Get(p.attributes)));
+    const Value attrs = algebra::UnionAttrs(bv.slot(0).Get(p.attributes),
+                                            bv.slot(1).Get(p.attributes));
     bv.slot(4).SetUnchecked(p.join_predicate, Value::Pred(jp));
-    bv.slot(4).SetUnchecked(p.attributes, Value::Attrs(attrs));
+    bv.slot(4).SetUnchecked(p.attributes, attrs);
     bv.slot(4).SetUnchecked(
         p.num_records,
         Value::Real(GetReal(bv.slot(0).Get(p.num_records)) *
@@ -525,7 +522,7 @@ TransRule SelectPullJoin(const Ctx& c, bool left) {
     bv.slot(4).SetUnchecked(p.tuple_size, Value::Real(tsize));
     bv.slot(5).SetUnchecked(p.selection_predicate,
                             bv.slot(2).Get(p.selection_predicate));
-    bv.slot(5).SetUnchecked(p.attributes, Value::Attrs(attrs));
+    bv.slot(5).SetUnchecked(p.attributes, attrs);
     bv.slot(5).SetUnchecked(p.num_records, bv.slot(3).Get(p.num_records));
     bv.slot(5).SetUnchecked(p.tuple_size, Value::Real(tsize));
     return Status::OK();
@@ -656,9 +653,9 @@ TransRule SelectPullMat(const Ctx& c) {
                              ClassOf(bv, bv.slot(2).Get(p.mat_class)));
     bv.slot(3).SetUnchecked(p.mat_attr, bv.slot(2).Get(p.mat_attr));
     bv.slot(3).SetUnchecked(p.mat_class, bv.slot(2).Get(p.mat_class));
-    AttrList attrs = algebra::UnionAttrs(
-        GetAttrs(bv.slot(0).Get(p.attributes)), cls->QualifiedAttrs());
-    bv.slot(3).SetUnchecked(p.attributes, Value::Attrs(attrs));
+    const Value attrs = algebra::UnionAttrs(
+        bv.slot(0).Get(p.attributes), Value::Attrs(cls->QualifiedAttrs()));
+    bv.slot(3).SetUnchecked(p.attributes, attrs);
     bv.slot(3).SetUnchecked(p.num_records, bv.slot(0).Get(p.num_records));
     bv.slot(3).SetUnchecked(
         p.tuple_size,
@@ -666,7 +663,7 @@ TransRule SelectPullMat(const Ctx& c) {
                     static_cast<double>(cls->tuple_size())));
     bv.slot(4).SetUnchecked(p.selection_predicate,
                             bv.slot(1).Get(p.selection_predicate));
-    bv.slot(4).SetUnchecked(p.attributes, Value::Attrs(std::move(attrs)));
+    bv.slot(4).SetUnchecked(p.attributes, attrs);
     bv.slot(4).SetUnchecked(p.num_records, bv.slot(2).Get(p.num_records));
     bv.slot(4).SetUnchecked(p.tuple_size, bv.slot(3).Get(p.tuple_size));
     return Status::OK();
@@ -763,8 +760,8 @@ TransRule MatPushJoinLeft(const Ctx& c) {
     bv.slot(4).SetUnchecked(p.mat_class, bv.slot(3).Get(p.mat_class));
     bv.slot(4).SetUnchecked(
         p.attributes,
-        Value::Attrs(algebra::UnionAttrs(
-            GetAttrs(bv.slot(0).Get(p.attributes)), cls->QualifiedAttrs())));
+        algebra::UnionAttrs(bv.slot(0).Get(p.attributes),
+                            Value::Attrs(cls->QualifiedAttrs())));
     bv.slot(4).SetUnchecked(p.num_records, bv.slot(0).Get(p.num_records));
     bv.slot(4).SetUnchecked(
         p.tuple_size,
@@ -788,19 +785,19 @@ TransRule MatPullJoinLeft(const Ctx& c) {
   r.condition = [p](BindingView& bv) -> Result<bool> {
     return algebra::IsSubset(
         GetPred(bv.slot(3).Get(p.join_predicate))->ReferencedAttrs(),
-        algebra::UnionAttrs(GetAttrs(bv.slot(0).Get(p.attributes)),
-                            GetAttrs(bv.slot(1).Get(p.attributes))));
+        algebra::UnionAttrs(bv.slot(0).Get(p.attributes),
+                            bv.slot(1).Get(p.attributes))
+            .AsAttrs());
   };
   r.apply = [p](BindingView& bv) -> Status {
     PRAIRIE_RETURN_NOT_OK(NeedCatalog(bv));
     PRAIRIE_ASSIGN_OR_RETURN(const catalog::StoredFile* cls,
                              ClassOf(bv, bv.slot(2).Get(p.mat_class)));
     PredicateRef jp = GetPred(bv.slot(3).Get(p.join_predicate));
-    AttrList attrs =
-        algebra::UnionAttrs(GetAttrs(bv.slot(0).Get(p.attributes)),
-                            GetAttrs(bv.slot(1).Get(p.attributes)));
+    const Value attrs = algebra::UnionAttrs(bv.slot(0).Get(p.attributes),
+                                            bv.slot(1).Get(p.attributes));
     bv.slot(4).SetUnchecked(p.join_predicate, Value::Pred(jp));
-    bv.slot(4).SetUnchecked(p.attributes, Value::Attrs(attrs));
+    bv.slot(4).SetUnchecked(p.attributes, attrs);
     double card = GetReal(bv.slot(0).Get(p.num_records)) *
                   GetReal(bv.slot(1).Get(p.num_records)) *
                   catalog::EstimateSelectivity(jp, *bv.catalog);
@@ -812,7 +809,7 @@ TransRule MatPullJoinLeft(const Ctx& c) {
     bv.slot(5).SetUnchecked(p.mat_class, bv.slot(2).Get(p.mat_class));
     bv.slot(5).SetUnchecked(
         p.attributes,
-        Value::Attrs(algebra::UnionAttrs(attrs, cls->QualifiedAttrs())));
+        algebra::UnionAttrs(attrs, Value::Attrs(cls->QualifiedAttrs())));
     bv.slot(5).SetUnchecked(p.num_records, Value::Real(card));
     bv.slot(5).SetUnchecked(
         p.tuple_size,
@@ -841,9 +838,8 @@ TransRule MatMatSwap(const Ctx& c) {
     bv.slot(3).SetUnchecked(p.mat_class, bv.slot(2).Get(p.mat_class));
     bv.slot(3).SetUnchecked(
         p.attributes,
-        Value::Attrs(algebra::UnionAttrs(
-            GetAttrs(bv.slot(0).Get(p.attributes)),
-            outer_cls->QualifiedAttrs())));
+        algebra::UnionAttrs(bv.slot(0).Get(p.attributes),
+                            Value::Attrs(outer_cls->QualifiedAttrs())));
     bv.slot(3).SetUnchecked(p.num_records, bv.slot(0).Get(p.num_records));
     bv.slot(3).SetUnchecked(
         p.tuple_size,

@@ -84,7 +84,7 @@ inline bool AsBool(EmitCtx& c, const Value& v) {
 inline Value Add(EmitCtx& c, const Value& a, const Value& b) {
   if (c.failed()) return Value();
   if (a.type() == ValueType::kAttrs && b.type() == ValueType::kAttrs) {
-    return Value::Attrs(algebra::UnionAttrs(a.AsAttrs(), b.AsAttrs()));
+    return algebra::UnionAttrs(a, b);
   }
   double v = AsReal(c, a) + AsReal(c, b);
   if (a.type() == ValueType::kInt && b.type() == ValueType::kInt &&

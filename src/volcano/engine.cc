@@ -380,15 +380,17 @@ Status Optimizer::EnumerateBindings(const PatNode& pat, GroupId gid,
   const MExpr& m = grp.exprs[static_cast<size_t>(expr_idx)];
   if (m.is_file || m.op != pat.op) return Status::OK();
   binding->op_nodes.emplace_back(pat.desc_slot, std::make_pair(gid, expr_idx));
-  std::vector<GroupId> child_groups = m.children;  // Copy: vector may move.
+  // A view of the expression's own child list: only Memo::Merge moves or
+  // frees an MExpr, and it bumps the merge epoch, which MatchChildren
+  // checks before every read of the view.
   Status st =
-      MatchChildren(pat, child_groups, 0, binding, emit, aborted, epoch);
+      MatchChildren(pat, m.children, 0, binding, emit, aborted, epoch);
   binding->op_nodes.pop_back();
   return st;
 }
 
 Status Optimizer::MatchChildren(const PatNode& pat,
-                                const std::vector<GroupId>& child_groups,
+                                std::span<const GroupId> child_groups,
                                 size_t k, MatchBinding* binding, EmitFn emit,
                                 bool* aborted, uint64_t epoch) {
   if (*aborted) return Status::OK();

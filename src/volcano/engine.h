@@ -248,8 +248,11 @@ class Optimizer {
   common::Status EnumerateBindings(const algebra::PatNode& pat, GroupId gid,
                                    int expr_idx, MatchBinding* binding,
                                    EmitFn emit, bool* aborted, uint64_t epoch);
+  /// Matches pat.children[k..] against `child_groups`, a view of a memo
+  /// expression's child list that is read only while the merge epoch is
+  /// still `epoch`.
   common::Status MatchChildren(const algebra::PatNode& pat,
-                               const std::vector<GroupId>& child_groups,
+                               std::span<const GroupId> child_groups,
                                size_t k, MatchBinding* binding, EmitFn emit,
                                bool* aborted, uint64_t epoch);
   common::Status FireBinding(GroupId gid, const TransRule& rule,

@@ -82,10 +82,15 @@ void FiredBindingSet::Grow() {
   shift_ = 64 - std::countr_zero(capacity_);
   slots_.reset(new uint32_t[capacity_]);
   std::fill(slots_.get(), slots_.get() + capacity_, kEmpty);
+  const size_t mask = capacity_ - 1;
   for (size_t s = 0; s < old_capacity; ++s) {
     if (old[s] == kEmpty) continue;
+    // Stored keys are distinct, so each takes the first free slot of its
+    // probe sequence: no key compares.
     const uint32_t* key = KeyAt(old[s]);
-    slots_[Probe(key, tag_len_[key[0]])] = old[s];
+    size_t i = static_cast<size_t>(HashWords(key, tag_len_[key[0]]) >> shift_);
+    for (size_t step = 1; slots_[i] != kEmpty; ++step) i = (i + step) & mask;
+    slots_[i] = old[s];
   }
 }
 

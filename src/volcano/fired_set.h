@@ -55,7 +55,8 @@ class FiredBindingSet {
   }
   /// The slot holding a key equal to `key`, or the empty slot it belongs in.
   size_t Probe(const uint32_t* key, size_t len) const;
-  /// Doubles the table (first call: allocates it) and re-inserts every key.
+  /// Doubles the table (first call: allocates it) and re-inserts every key
+  /// without comparing keys.
   void Grow();
 
   /// Key storage. A key's offset is its chunk index times kChunkWords plus

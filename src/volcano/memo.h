@@ -8,17 +8,22 @@
 // argument-property slice of the descriptor, child groups); physical and
 // cost properties are excluded, as in Volcano.
 //
-// Known limitation — stale index keys: a merge re-indexes only the losing
-// group's expressions. An expression elsewhere whose child group was
-// merged away keeps the key it was indexed under (hashed on the old child
-// id), so FindDup misses a later insert of the same expression over the
-// canonical child, and one group ends up holding both. After optimizing
-// Q7 at 3 joins, 1,614 of 5,942 live expressions match another expression
+// Known limitation — duplicates made by merges: a merge re-deduplicates
+// only the losing group's own expressions. Two expressions of one group
+// that differ only in a child group become equal when those two child
+// groups merge, and the group keeps both. On Q7 at 3 joins (interpreted,
+// seed 1), group g10 holds join(g23,g2) from join_assoc_rl and
+// join(g20,g2) from join_commute, and g23 merges into g20. After that
+// optimization, 1,614 of 5,942 live expressions match another expression
 // of their group on op, arg_key and canonical children (Q1 at 3 joins: 4
-// of 32; Q1 on a 12-class chain: 220 of 816). Each duplicate starts with
-// an empty `applied` set and re-applies every rule; the engine's
-// fired-binding set skips each binding that repeats one already fired.
-// Re-indexing the parents on merge would remove the duplicates, and
+// of 32; Q1 on a 12-class chain: 220 of 816).
+// A merge also leaves the parents of the merged-away group indexed under
+// keys hashed on its old id, so FindDup can miss a later insert over the
+// canonical child; but re-keying those parents removes only 89 of Q7/3's
+// 1,614 duplicates. Each duplicate starts with an empty `applied` set and
+// re-applies every rule; the engine's fired-binding set skips each
+// binding that repeats one already fired. Re-keying those parents and
+// dropping the later copy at merge time would remove every duplicate, and
 // change the memo's counts.
 //
 // Descriptors are hash-consed: the memo owns a DescriptorStore and every

@@ -135,7 +135,70 @@ TEST(AttrList, UnionMatchesCopyAndSortOnRandomLists) {
     const AttrList a = draw(rng, i % 4);
     const AttrList b = draw(rng, (i / 4) % 4);
     ASSERT_EQ(UnionAttrs(a, b), ReferenceUnion(a, b)) << "case " << i;
+    // The pooled, memoized union over the same operands.
+    const Value u = UnionAttrs(Value::Attrs(a), Value::Attrs(b));
+    ASSERT_EQ(u, Value::Attrs(ReferenceUnion(a, b))) << "case " << i;
   }
+}
+
+TEST(AttrList, EqualListsBuiltApartSharePooledPayload) {
+  AttrList built{A("C1", "a")};
+  built.push_back(A("C2", "b"));
+  const Value x = Value::Attrs({A("C1", "a"), A("C2", "b")});
+  const Value y = Value::Attrs(built);
+  EXPECT_EQ(&x.AsAttrs(), &y.AsAttrs());
+  EXPECT_EQ(x, y);
+  EXPECT_EQ(x.Hash(), y.Hash());
+  // Order matters: the pool keys on the list as given.
+  const Value z = Value::Attrs({A("C2", "b"), A("C1", "a")});
+  EXPECT_NE(&x.AsAttrs(), &z.AsAttrs());
+  EXPECT_NE(x, z);
+}
+
+TEST(AttrList, PooledUnionOfNamedOperands) {
+  const AttrList sorted{A("C1", "a"), A("C1", "b")};
+  const AttrList unsorted{A("C2", "x"), A("C1", "b")};
+  const AttrList repeated{A("C1", "a"), A("C1", "a")};
+  const AttrList empty;
+  for (const AttrList* a : {&sorted, &unsorted, &repeated, &empty}) {
+    for (const AttrList* b : {&sorted, &unsorted, &repeated, &empty}) {
+      EXPECT_EQ(UnionAttrs(Value::Attrs(*a), Value::Attrs(*b)).AsAttrs(),
+                ReferenceUnion(*a, *b));
+    }
+    // A null operand reads as the pooled empty list.
+    EXPECT_EQ(UnionAttrs(Value::Attrs(*a), Value::Null()),
+              UnionAttrs(Value::Attrs(*a), Value::Attrs(empty)));
+    EXPECT_EQ(UnionAttrs(Value::Null(), Value::Attrs(*a)).AsAttrs(),
+              ReferenceUnion(empty, *a));
+  }
+  EXPECT_EQ(UnionAttrs(Value::Null(), Value::Null()), Value::Attrs({}));
+}
+
+TEST(AttrList, PooledUnionRepeatsReturnTheSamePayload) {
+  const Value a = Value::Attrs({A("C2", "x"), A("C1", "a")});
+  const Value b = Value::Attrs({A("C1", "b")});
+  const Value first = UnionAttrs(a, b);
+  const Value again = UnionAttrs(a, b);
+  EXPECT_EQ(&first.AsAttrs(), &again.AsAttrs());
+  // The same operands built apart hit the same memo entry.
+  const Value c = UnionAttrs(Value::Attrs({A("C2", "x"), A("C1", "a")}),
+                             Value::Attrs({A("C1", "b")}));
+  EXPECT_EQ(&first.AsAttrs(), &c.AsAttrs());
+}
+
+TEST(AttrList, PooledUnionKeepsOperandOrderWhenLeftRepeats) {
+  // A repeat inside the left operand is kept, so the union is not
+  // symmetric and the memo must key on the ordered pair.
+  const Value a = Value::Attrs({A("C1", "a"), A("C1", "a")});
+  const Value b = Value::Attrs({A("C1", "b")});
+  const Value ab = UnionAttrs(a, b);
+  const Value ba = UnionAttrs(b, a);
+  EXPECT_EQ(ab.AsAttrs(),
+            (AttrList{A("C1", "a"), A("C1", "a"), A("C1", "b")}));
+  EXPECT_EQ(ba.AsAttrs(), (AttrList{A("C1", "a"), A("C1", "b")}));
+  EXPECT_NE(ab, ba);
+  EXPECT_EQ(UnionAttrs(a, b), ab);
+  EXPECT_EQ(UnionAttrs(b, a), ba);
 }
 
 // ---------------------------------------------------------------------------

@@ -314,6 +314,81 @@ TEST(PredicateCacheConcurrencyTest, ParallelReadersMatchSingleThreadedViews) {
 }
 
 // ---------------------------------------------------------------------------
+// The attribute-list pool and its per-thread union memo.
+
+TEST(AttrsPoolConcurrencyTest, ThreadsInternAndUnionToTheSamePointers) {
+  using algebra::Attr;
+  using algebra::AttrList;
+  constexpr int kLists = 48;
+  constexpr int kThreads = 8;
+  // Lists no earlier test pooled, so the threads race on first inserts.
+  // Each caller gets its own copies, built apart.
+  const auto make_lists = []() {
+    common::Rng rng(31);
+    std::vector<AttrList> out(kLists);
+    for (AttrList& l : out) {
+      const int64_t n = rng.Uniform(0, 5);
+      for (int64_t i = 0; i < n; ++i) {
+        const char name = static_cast<char>('a' + rng.Uniform(0, 5));
+        l.push_back(Attr{"Pool" + std::to_string(rng.Uniform(0, 3)),
+                         std::string(1, name)});
+      }
+    }
+    return out;
+  };
+  const std::vector<AttrList> reference = make_lists();
+
+  // Per thread: the pooled address of each list, then of each ordered
+  // union (i, i+1) and (i+1, i). Every union is taken twice.
+  std::vector<std::vector<const AttrList*>> seen(kThreads);
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      const std::vector<AttrList> lists = make_lists();
+      std::vector<const AttrList*>& mine = seen[t];
+      mine.assign(3 * kLists, nullptr);
+      std::vector<Value> pooled(kLists);
+      for (int k = 0; k < kLists; ++k) {
+        const int i = (k + t * 7) % kLists;
+        pooled[i] = Value::Attrs(lists[i]);
+        mine[i] = &pooled[i].AsAttrs();
+      }
+      for (int round = 0; round < 2; ++round) {
+        for (int k = 0; k < kLists; ++k) {
+          const int i = (k + t * 5) % kLists;
+          const int j = (i + 1) % kLists;
+          const AttrList* ij = &algebra::UnionAttrs(pooled[i], pooled[j])
+                                    .AsAttrs();
+          const AttrList* ji = &algebra::UnionAttrs(pooled[j], pooled[i])
+                                    .AsAttrs();
+          if (*ij != algebra::UnionAttrs(reference[i], reference[j])) {
+            ++mismatches[t];
+          }
+          if (*ji != algebra::UnionAttrs(reference[j], reference[i])) {
+            ++mismatches[t];
+          }
+          // A memo hit returns the payload of the first call.
+          if (round == 1 && mine[kLists + i] != ij) ++mismatches[t];
+          if (round == 1 && mine[2 * kLists + i] != ji) ++mismatches[t];
+          mine[kLists + i] = ij;
+          mine[2 * kLists + i] = ji;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+    EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+  }
+  for (int i = 0; i < kLists; ++i) {
+    EXPECT_EQ(seen[0][i], &Value::Attrs(reference[i]).AsAttrs()) << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Per-operator rule dispatch index.
 
 class OodbFixture : public ::testing::Test {

@@ -724,7 +724,9 @@ TEST_F(ObservabilityTest, TraceEventCountsMatchStatsCounters) {
   // Spans carry durations and valid nesting depths; instants do not.
   for (const common::TraceEvent& e : events) {
     EXPECT_GE(e.depth, 0);
-    if (!common::IsSpanKind(e.kind)) EXPECT_EQ(e.dur_ns, 0u);
+    if (!common::IsSpanKind(e.kind)) {
+      EXPECT_EQ(e.dur_ns, 0u);
+    }
   }
 }
 
@@ -1045,7 +1047,9 @@ TEST(SearchCountGolden, OodbPaperQueriesAndJoinShapes) {
     ASSERT_TRUE(plan.ok()) << name << ": " << plan.status().ToString();
     const OptimizerStats& s = o.stats();
     // Repeats of a binding that already fired are skipped, not attempted.
-    if (name == "Q7 joins=3") EXPECT_LE(s.trans_attempts, 48030u);
+    if (name == "Q7 joins=3") {
+      EXPECT_LE(s.trans_attempts, 48030u);
+    }
     got += common::StringPrintf(
         "%s: groups=%zu mexprs=%zu trans_fired=%zu impl_attempts=%zu "
         "plans_costed=%zu desc_interned=%zu bindings=%zu cost=%.4f\n",
@@ -1096,6 +1100,28 @@ TEST(FiredBindingSetTest, FindsEveryKeyAcrossGrowthAndChunks) {
     other[i] ^= 1u << 20;
     EXPECT_TRUE(InsertKey(&set, other)) << i;
   }
+}
+
+TEST(FiredBindingSetTest, EveryEarlierKeyStaysARepeatAfterEachGrowth) {
+  // Growth re-places stored keys without comparing them; after each of
+  // several table doublings every key inserted so far must still be found.
+  FiredBindingSet set;
+  constexpr uint32_t kKeys = 6000;  // The table doubles from 256 to 8192.
+  int growths = 0;
+  size_t bytes = set.bytes();
+  for (uint32_t n = 0; n < kKeys; ++n) {
+    ASSERT_TRUE(InsertKey(&set, SyntheticKey(n % 11, n))) << n;
+    if (set.bytes() == bytes) continue;
+    bytes = set.bytes();
+    ++growths;
+    for (uint32_t m = 0; m <= n; ++m) {
+      ASSERT_FALSE(InsertKey(&set, SyntheticKey(m % 11, m)))
+          << "key " << m << " after growth " << growths;
+    }
+    ASSERT_EQ(set.size(), n + 1);
+  }
+  // Five doublings and the first table, plus new key chunks.
+  EXPECT_GE(growths, 6);
 }
 
 TEST(FiredBindingSetTest, KeysLongerThanAChunkGetTheirOwn) {
