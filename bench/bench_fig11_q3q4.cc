@@ -15,7 +15,7 @@ int main() {
                  pair.status().ToString().c_str());
     return 1;
   }
-  int max_joins = prairie::bench::EnvInt("PRAIRIE_MAX_JOINS", 6);
+  int max_joins = prairie::bench::EnvInt("PRAIRIE_MAX_JOINS", 8);
   prairie::bench::JsonWriter json("fig11_q3q4");
   prairie::bench::RunFigure(
       "Figure 11: optimization time for Q3 / Q4 (E2, MAT after each RET)",

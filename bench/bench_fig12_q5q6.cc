@@ -14,7 +14,7 @@ int main() {
                  pair.status().ToString().c_str());
     return 1;
   }
-  int max_joins = prairie::bench::EnvInt("PRAIRIE_MAX_JOINS", 4);
+  int max_joins = prairie::bench::EnvInt("PRAIRIE_MAX_JOINS", 5);
   prairie::bench::JsonWriter json("fig12_q5q6");
   prairie::bench::RunFigure(
       "Figure 12: optimization time for Q5 / Q6 (E3, SELECT over E1)",

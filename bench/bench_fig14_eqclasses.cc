@@ -22,8 +22,8 @@ int main() {
   const auto& rules = *pair->generated;
 
   int max_per_expr[5] = {0, EnvInt("PRAIRIE_MAX_JOINS_E1", 8),
-                         EnvInt("PRAIRIE_MAX_JOINS_E2", 6),
-                         EnvInt("PRAIRIE_MAX_JOINS_E3", 4),
+                         EnvInt("PRAIRIE_MAX_JOINS_E2", 8),
+                         EnvInt("PRAIRIE_MAX_JOINS_E3", 5),
                          EnvInt("PRAIRIE_MAX_JOINS_E4", 4)};
   std::printf(
       "Figure 14: equivalence classes vs. number of joins (E1..E4)\n\n");

@@ -97,10 +97,6 @@ std::string Term::ToString() const {
   }
 }
 
-Predicate::~Predicate() {
-  delete referenced_.load(std::memory_order_acquire);
-}
-
 std::shared_ptr<Predicate> Predicate::Make(Kind kind) {
   auto p = std::make_shared<Predicate>(Token{});
   p->kind_ = kind;
@@ -186,12 +182,11 @@ PredicateRef Predicate::Not(PredicateRef child) {
   return p;
 }
 
-const AttrList& Predicate::ReferencedAttrs() const {
-  if (const AttrList* cached = referenced_.load(std::memory_order_acquire)) {
-    return *cached;
+PooledAttrs Predicate::ReferencedAttrs() const {
+  if (PooledAttrs cached = referenced_.load(std::memory_order_acquire)) {
+    return cached;
   }
-  auto fresh = std::make_unique<AttrList>();
-  AttrList& out = *fresh;
+  AttrList out;
   switch (kind_) {
     case Kind::kCmp:
       if (left_.is_attr()) out.push_back(left_.attr);
@@ -202,10 +197,10 @@ const AttrList& Predicate::ReferencedAttrs() const {
     case Kind::kAnd:
     case Kind::kOr:
     case Kind::kNot:
-      // Each child's set is duplicate-free, so sorting the concatenation
+      // Each child's list is duplicate-free, so sorting the concatenation
       // and dropping repeats is the sorted union.
       for (const PredicateRef& c : children_) {
-        const AttrList& sub = c->ReferencedAttrs();
+        const AttrList& sub = c->ReferencedAttrs()->attrs;
         out.insert(out.end(), sub.begin(), sub.end());
       }
       std::sort(out.begin(), out.end());
@@ -214,18 +209,19 @@ const AttrList& Predicate::ReferencedAttrs() const {
     default:
       break;
   }
-  const AttrList* expected = nullptr;
-  if (referenced_.compare_exchange_strong(expected, fresh.get(),
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-    return *fresh.release();
-  }
-  return *expected;  // Another thread published first; ours is freed.
+  PooledAttrs pooled = InternAttrs(std::move(out));
+  PooledAttrs expected = nullptr;
+  // A thread that loses the exchange interned the same list: expected ==
+  // pooled.
+  referenced_.compare_exchange_strong(expected, pooled,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire);
+  return pooled;
 }
 
 std::vector<std::string> Predicate::ReferencedClasses() const {
   std::vector<std::string> out;
-  for (const Attr& a : ReferencedAttrs()) {
+  for (const Attr& a : ReferencedAttrs()->attrs) {
     if (std::find(out.begin(), out.end(), a.cls) == out.end()) {
       out.push_back(a.cls);
     }
@@ -245,7 +241,7 @@ bool Predicate::IsEquiJoin() const {
 }
 
 bool Predicate::RefersOnlyTo(const std::vector<std::string>& classes) const {
-  for (const Attr& a : ReferencedAttrs()) {
+  for (const Attr& a : ReferencedAttrs()->attrs) {
     if (std::find(classes.begin(), classes.end(), a.cls) == classes.end()) {
       return false;
     }

@@ -3,8 +3,8 @@
 // Predicates are immutable trees shared via PredicateRef. Constants inside
 // predicates are scalars (bool/int/real/string); structured Values never
 // nest inside predicates, which keeps the two types acyclic. Each node
-// caches its hash and its referenced-attribute set on first use; both
-// caches are atomic because batch-optimizer threads share the trees.
+// caches its hash and its pooled referenced-attribute list on first use;
+// both caches are atomic because batch-optimizer threads share the trees.
 
 #pragma once
 
@@ -98,7 +98,6 @@ class Predicate {
   explicit Predicate(Token) {}
   Predicate(const Predicate&) = delete;
   Predicate& operator=(const Predicate&) = delete;
-  ~Predicate();
 
   /// The shared TRUE node; the reference is valid for the program's life.
   static const PredicateRef& True();
@@ -124,11 +123,12 @@ class Predicate {
   const Term& right() const { return right_; }
   const std::vector<PredicateRef>& children() const { return children_; }
 
-  /// All attributes referenced anywhere in the tree, computed on the first
-  /// call and cached in the node. A comparison lists its attribute sides
-  /// left then right (a repeat once); an AND, OR or NOT lists the sorted
-  /// union of its children's sets; TRUE and FALSE list none.
-  const AttrList& ReferencedAttrs() const;
+  /// All attributes referenced anywhere in the tree, as a pooled list
+  /// (never null) with its id set, interned on the first call and cached
+  /// in the node. A comparison lists its attribute sides left then right
+  /// (a repeat once); an AND, OR or NOT lists the sorted union of its
+  /// children's lists; TRUE and FALSE list none.
+  PooledAttrs ReferencedAttrs() const;
 
   /// All class / range-variable names referenced.
   std::vector<std::string> ReferencedClasses() const;
@@ -154,10 +154,9 @@ class Predicate {
   // shared across batch-optimizer threads, which may race to fill the
   // cache; both writers store the same value, so relaxed ordering is fine.
   mutable std::atomic<uint64_t> hash_{0};
-  // Lazily built ReferencedAttrs(), owned by the node. A racing thread
-  // that loses the publishing exchange frees its copy; acquire/release
-  // make the winner's list visible to every reader.
-  mutable std::atomic<const AttrList*> referenced_{nullptr};
+  // Lazily interned ReferencedAttrs(). The pool owns the list, so racing
+  // threads publish the same pointer and a loser has nothing to free.
+  mutable std::atomic<PooledAttrs> referenced_{nullptr};
 };
 
 /// The top-level conjuncts of `p`, borrowed from it: an AND's own children,

@@ -33,7 +33,8 @@ InternedString PoolString(std::string s) {
 
 /// Process-wide pool behind Value::Attrs: one stored list per distinct
 /// content, appended and never freed, so a pooled address identifies its
-/// content for the life of the process.
+/// content for the life of the process. The pool also numbers attributes:
+/// the first list to name an attribute gives it the next id.
 class AttrsPool {
  public:
   /// The process's one pool. It is never destroyed: values and per-thread
@@ -46,7 +47,18 @@ class AttrsPool {
 
   PooledAttrs Intern(AttrList list) {
     std::lock_guard<std::mutex> lock(mu_);
-    return &*lists_.insert(std::move(list)).first;
+    if (auto it = lists_.find(list); it != lists_.end()) return &*it;
+    // First intern: number the list's attributes and build its set before
+    // the insert publishes it.
+    PooledAttrList entry;
+    entry.ids.reserve(list.size());
+    for (const Attr& a : list) {
+      entry.ids.push_back(
+          ids_.try_emplace(a, static_cast<AttrId>(ids_.size())).first->second);
+    }
+    entry.set = AttrSet(entry.ids);
+    entry.attrs = std::move(list);
+    return &*lists_.insert(std::move(entry)).first;
   }
 
   /// The pooled empty list, which a null operand of a union reads as.
@@ -55,29 +67,67 @@ class AttrsPool {
  private:
   AttrsPool() : empty_(Intern({})) {}
 
+  struct AttrHash {
+    size_t operator()(const Attr& a) const {
+      return static_cast<size_t>(a.Hash());
+    }
+  };
+
+  // Transparent, so a lookup by AttrList builds no entry.
   struct ListHash {
+    using is_transparent = void;
     size_t operator()(const AttrList& l) const {
       uint64_t h = 0xa775;
       for (const Attr& a : l) h = common::HashCombine(h, a.Hash());
       return static_cast<size_t>(h);
     }
+    size_t operator()(const PooledAttrList& l) const {
+      return (*this)(l.attrs);
+    }
+  };
+  struct ListEq {
+    using is_transparent = void;
+    static const AttrList& Of(const AttrList& l) { return l; }
+    static const AttrList& Of(const PooledAttrList& l) { return l.attrs; }
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      return Of(a) == Of(b);
+    }
   };
 
   std::mutex mu_;
+  std::unordered_map<Attr, AttrId, AttrHash> ids_;
   /// Node-based: an element's address survives every later insert.
-  std::unordered_set<AttrList, ListHash> lists_;
+  std::unordered_set<PooledAttrList, ListHash, ListEq> lists_;
   PooledAttrs empty_;
 };
 
 }  // namespace
 
+AttrSet::AttrSet(std::span<const AttrId> ids) {
+  for (const AttrId id : ids) {
+    const uint32_t index = id >> 6;
+    auto it = std::lower_bound(
+        words_.begin(), words_.end(), index,
+        [](const Word& w, uint32_t i) { return w.index < i; });
+    if (it == words_.end() || it->index != index) {
+      it = words_.insert(it, Word{index, 0});
+    }
+    it->bits |= uint64_t{1} << (id & 63);
+  }
+}
+
+PooledAttrs InternAttrs(AttrList list) {
+  return AttrsPool::Get().Intern(std::move(list));
+}
+
+PooledAttrs EmptyAttrs() { return AttrsPool::Get().Empty(); }
+
 Value Value::Str(std::string s) {
   return Value(Repr(PoolString(std::move(s))));
 }
 
-Value Value::Attrs(AttrList a) {
-  return Value(Repr(AttrsPool::Get().Intern(std::move(a))));
-}
+Value Value::Attrs(AttrList a) { return FromPool(InternAttrs(std::move(a))); }
 
 bool Contains(const AttrList& list, const Attr& attr) {
   return std::find(list.begin(), list.end(), attr) != list.end();
@@ -116,9 +166,8 @@ AttrList UnionAttrs(const AttrList& a, const AttrList& b) {
 }
 
 Value UnionAttrs(const Value& a, const Value& b) {
-  AttrsPool& pool = AttrsPool::Get();
-  const auto pooled = [&pool](const Value& v) {
-    return v.is_null() ? pool.Empty() : std::get<PooledAttrs>(v.repr_);
+  const auto pooled = [](const Value& v) {
+    return v.is_null() ? EmptyAttrs() : v.AsPooledAttrs();
   };
   const std::pair<PooledAttrs, PooledAttrs> key(pooled(a), pooled(b));
   struct PairHash {
@@ -136,17 +185,11 @@ Value UnionAttrs(const Value& a, const Value& b) {
       memo;
   auto it = memo.find(key);
   if (it == memo.end()) {
-    PooledAttrs u = pool.Intern(UnionAttrs(*key.first, *key.second));
+    PooledAttrs u =
+        InternAttrs(UnionAttrs(key.first->attrs, key.second->attrs));
     it = memo.emplace(key, u).first;
   }
-  return Value(Value::Repr(it->second));
-}
-
-bool IsSubset(const AttrList& subset, const AttrList& superset) {
-  for (const Attr& attr : subset) {
-    if (!Contains(superset, attr)) return false;
-  }
-  return true;
+  return Value::FromPool(it->second);
 }
 
 bool SortSpec::Satisfies(const SortSpec& required) const {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -41,6 +42,98 @@ struct Attr {
 
 using AttrList = std::vector<Attr>;
 
+/// Dense id of an attribute. The attribute pool (Value::Attrs) numbers each
+/// distinct attribute the first time it appears in an interned list; ids
+/// are process-wide and never reused.
+using AttrId = uint32_t;
+
+/// \brief A set of attribute ids, kept as its non-zero 64-bit words in word
+/// order.
+///
+/// Storing only the words that hold a member keeps a set as long as the
+/// list it was built from, however large the ids the process has handed
+/// out. Subset, overlap and membership tests are word operations.
+class AttrSet {
+ public:
+  AttrSet() = default;
+  explicit AttrSet(std::span<const AttrId> ids);
+
+  bool Contains(AttrId id) const {
+    const uint32_t index = id >> 6;
+    for (const Word& w : words_) {
+      if (w.index >= index) {
+        return w.index == index && ((w.bits >> (id & 63)) & 1) != 0;
+      }
+    }
+    return false;
+  }
+
+  /// True if every member of this set is a member of `o`.
+  bool SubsetOf(const AttrSet& o) const {
+    auto it = o.words_.begin();
+    for (const Word& w : words_) {
+      while (it != o.words_.end() && it->index < w.index) ++it;
+      if (it == o.words_.end() || it->index != w.index ||
+          (w.bits & ~it->bits) != 0) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// True if this set and `o` share a member.
+  bool Overlaps(const AttrSet& o) const {
+    auto a = words_.begin();
+    auto b = o.words_.begin();
+    while (a != words_.end() && b != o.words_.end()) {
+      if (a->index < b->index) {
+        ++a;
+      } else if (b->index < a->index) {
+        ++b;
+      } else {
+        if ((a->bits & b->bits) != 0) return true;
+        ++a;
+        ++b;
+      }
+    }
+    return false;
+  }
+
+  /// The number of stored words: at most the number of ids it was built
+  /// from.
+  size_t word_count() const { return words_.size(); }
+
+ private:
+  struct Word {
+    uint32_t index;  ///< Holds ids 64 * index .. 64 * index + 63.
+    uint64_t bits;
+  };
+  std::vector<Word> words_;  ///< Non-zero words, by ascending index.
+};
+
+/// \brief An attribute list as the process-wide pool holds it: the list,
+/// each attribute's id and the set of those ids.
+///
+/// All three are built at the list's first intern, before any thread can
+/// see it, and never change, so reading them takes no lock.
+struct PooledAttrList {
+  AttrList attrs;            ///< The list, in the order it was interned.
+  std::vector<AttrId> ids;   ///< ids[i] is the id of attrs[i].
+  AttrSet set;               ///< The ids as a set.
+};
+
+/// Interned attribute-list payload. Value::Attrs pools lists process-wide
+/// in an append-only pool whose lists live until the process exits, so
+/// equal lists share one address: a copy is a pointer copy, and equality
+/// and hashing compare the pointer.
+using PooledAttrs = const PooledAttrList*;
+
+/// The pooled list with `list`'s contents, interned on first use.
+PooledAttrs InternAttrs(AttrList list);
+
+/// The pooled empty list, which a null attribute Value reads as.
+PooledAttrs EmptyAttrs();
+
 /// True if `list` contains `attr`.
 bool Contains(const AttrList& list, const Attr& attr);
 
@@ -57,9 +150,6 @@ class Value;
 /// Value. Memoized per ordered pair of pooled lists in a table owned by the
 /// calling thread, so a repeated union takes no lock and copies nothing.
 Value UnionAttrs(const Value& a, const Value& b);
-
-/// True if every attribute of `subset` occurs in `superset`.
-bool IsSubset(const AttrList& subset, const AttrList& superset);
 
 /// \brief A tuple-order specification (the paper's `tuple_order` property).
 ///
@@ -118,12 +208,6 @@ using InternedString = std::shared_ptr<const std::string>;
 /// deep-copying vectors of attribute strings.
 using SharedSort = std::shared_ptr<const SortSpec>;
 
-/// Interned attribute-list payload. Value::Attrs pools lists process-wide
-/// in an append-only pool whose lists live until the process exits, so
-/// equal lists share one address: a copy is a pointer copy, and equality
-/// and hashing compare the pointer.
-using PooledAttrs = const AttrList*;
-
 /// \brief A dynamically typed value held by a descriptor annotation.
 class Value {
  public:
@@ -138,6 +222,7 @@ class Value {
     return Value(Repr(std::make_shared<const SortSpec>(std::move(s))));
   }
   static Value Attrs(AttrList a);  ///< Interns `a` in the global pool.
+  static Value FromPool(PooledAttrs a) { return Value(Repr(a)); }
   static Value Pred(PredicateRef p) { return Value(Repr(std::move(p))); }
 
   ValueType type() const { return static_cast<ValueType>(repr_.index()); }
@@ -150,7 +235,8 @@ class Value {
     return *std::get<InternedString>(repr_);
   }
   const SortSpec& AsSort() const { return *std::get<SharedSort>(repr_); }
-  const AttrList& AsAttrs() const { return *std::get<PooledAttrs>(repr_); }
+  const AttrList& AsAttrs() const { return AsPooledAttrs()->attrs; }
+  PooledAttrs AsPooledAttrs() const { return std::get<PooledAttrs>(repr_); }
   const PredicateRef& AsPred() const { return std::get<PredicateRef>(repr_); }
 
   /// Numeric coercion: Int and Real convert to double; anything else fails.
@@ -167,8 +253,6 @@ class Value {
   std::string ToString() const;
 
  private:
-  friend Value UnionAttrs(const Value& a, const Value& b);
-
   // The alternative order must track ValueType (type() is repr_.index());
   // indexes 4 (kString) and 6 (kAttrs) hold pooled pointers.
   using Repr = std::variant<std::monostate, bool, int64_t, double,

@@ -45,6 +45,20 @@ algebra::AttrList StoredFile::QualifiedAttrs() const {
   return out;
 }
 
+algebra::PooledAttrs StoredFile::PooledQualifiedAttrs() const {
+  if (algebra::PooledAttrs cached =
+          qualified_.list.load(std::memory_order_acquire)) {
+    return cached;
+  }
+  algebra::PooledAttrs pooled = algebra::InternAttrs(QualifiedAttrs());
+  algebra::PooledAttrs expected = nullptr;
+  // A thread that loses the exchange interned the same list.
+  qualified_.list.compare_exchange_strong(expected, pooled,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire);
+  return pooled;
+}
+
 std::string StoredFile::ToString() const {
   std::string out = common::StringPrintf(
       "file %s (card=%lld, tuple=%lldB) {", name_.c_str(),

@@ -75,6 +75,10 @@ class StoredFile {
   /// This file's attributes as a qualified AttrList ("C1.a", "C1.b", ...).
   algebra::AttrList QualifiedAttrs() const;
 
+  /// QualifiedAttrs() as a pooled list, interned on the first call and
+  /// kept, so a repeated call takes no lock and copies nothing.
+  algebra::PooledAttrs PooledQualifiedAttrs() const;
+
   std::string ToString() const;
 
  private:
@@ -83,6 +87,22 @@ class StoredFile {
   int64_t cardinality_ = 0;
   int64_t tuple_size_ = 0;
   std::vector<IndexDef> indices_;
+
+  /// PooledQualifiedAttrs(), published by compare-exchange. It depends
+  /// only on the name and attributes, which never change after
+  /// construction, so a copy carries it along.
+  struct PooledCache {
+    mutable std::atomic<algebra::PooledAttrs> list{nullptr};
+    PooledCache() = default;
+    PooledCache(const PooledCache& o)
+        : list(o.list.load(std::memory_order_acquire)) {}
+    PooledCache& operator=(const PooledCache& o) {
+      list.store(o.list.load(std::memory_order_acquire),
+                 std::memory_order_release);
+      return *this;
+    }
+  };
+  PooledCache qualified_;
 };
 
 /// \brief Named collection of stored files plus statistics queries.

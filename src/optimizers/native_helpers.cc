@@ -1,6 +1,7 @@
 #include "optimizers/native_helpers.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <iterator>
 #include <span>
@@ -9,6 +10,7 @@ namespace prairie::opt::native {
 
 using algebra::Attr;
 using algebra::AttrList;
+using algebra::PooledAttrs;
 using algebra::Predicate;
 using algebra::PredicateRef;
 using algebra::SortSpec;
@@ -19,11 +21,6 @@ namespace {
 
 // The accessors below borrow: they return pointers into the argument
 // Values (or to shared constants), which outlive the helper call.
-
-const AttrList& NoAttrs() {
-  static const AttrList kNone;
-  return kNone;
-}
 
 /// The predicate `v` holds; null reads as TRUE.
 Result<const PredicateRef*> AsPred(const Value& v, const char* fn) {
@@ -36,15 +33,16 @@ Result<const PredicateRef*> AsPred(const Value& v, const char* fn) {
   return p == nullptr ? &Predicate::True() : &p;
 }
 
-/// The attribute list `v` holds; null reads as empty.
-Result<const AttrList*> AsAttrs(const Value& v, const char* fn) {
-  if (v.is_null()) return &NoAttrs();
+/// The pooled attribute list `v` holds; null reads as the pooled empty
+/// list.
+Result<PooledAttrs> AsAttrs(const Value& v, const char* fn) {
+  if (v.is_null()) return algebra::EmptyAttrs();
   if (v.type() != ValueType::kAttrs) {
     return Status::TypeError(std::string(fn) +
                              ": expected an attribute list, got " +
                              std::string(ValueTypeName(v.type())));
   }
-  return &v.AsAttrs();
+  return v.AsPooledAttrs();
 }
 
 Result<double> AsReal(const Value& v, const char* fn) {
@@ -72,11 +70,11 @@ Result<const catalog::Catalog*> NeedCat(const catalog::Catalog* cat,
 /// The conjunction of the conjuncts of `pred` that refer only to `attrs`
 /// (over) or not (!over). When every conjunct qualifies the result is
 /// `pred` itself: Predicate::And would rebuild an equal tree.
-PredicateRef ConjOver(const PredicateRef& pred, const AttrList& attrs,
+PredicateRef ConjOver(const PredicateRef& pred, PooledAttrs attrs,
                       bool over) {
   const std::span<const PredicateRef> cs = algebra::Conjuncts(pred);
   const auto qualifies = [&](const PredicateRef& c) {
-    return algebra::IsSubset(c->ReferencedAttrs(), attrs) == over;
+    return c->ReferencedAttrs()->set.SubsetOf(attrs->set) == over;
   };
   const size_t kept =
       static_cast<size_t>(std::count_if(cs.begin(), cs.end(), qualifies));
@@ -85,6 +83,14 @@ PredicateRef ConjOver(const PredicateRef& pred, const AttrList& attrs,
   keep.reserve(kept);
   std::copy_if(cs.begin(), cs.end(), std::back_inserter(keep), qualifies);
   return Predicate::And(std::move(keep));
+}
+
+/// The ids of an equi-join conjunct's left and right attributes: the first
+/// and last of its referenced list, which holds one id when both sides name
+/// the same attribute.
+std::array<algebra::AttrId, 2> EquiJoinIds(const Predicate& c) {
+  const std::vector<algebra::AttrId>& ids = c.ReferencedAttrs()->ids;
+  return {ids.front(), ids.back()};
 }
 
 /// Finds an "attr = constant" conjunct whose attribute has an index.
@@ -140,35 +146,37 @@ Result<Value> union_(const catalog::Catalog*, const Value& a,
 
 Result<Value> attrs_minus(const catalog::Catalog*, const Value& a,
                           const Value& b) {
-  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* x, AsAttrs(a, "attrs_minus"));
-  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* y, AsAttrs(b, "attrs_minus"));
+  PRAIRIE_ASSIGN_OR_RETURN(PooledAttrs x, AsAttrs(a, "attrs_minus"));
+  PRAIRIE_ASSIGN_OR_RETURN(PooledAttrs y, AsAttrs(b, "attrs_minus"));
+  // Removing nothing leaves `a`'s own pooled list.
+  if (!a.is_null() && !x->set.Overlaps(y->set)) return a;
   AttrList out;
-  for (const Attr& attr : *x) {
-    if (!algebra::Contains(*y, attr)) out.push_back(attr);
+  for (size_t i = 0; i < x->attrs.size(); ++i) {
+    if (!y->set.Contains(x->ids[i])) out.push_back(x->attrs[i]);
   }
   return Value::Attrs(std::move(out));
 }
 
 Result<Value> attrs_subset(const catalog::Catalog*, const Value& a,
                            const Value& b) {
-  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* x, AsAttrs(a, "attrs_subset"));
-  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* y, AsAttrs(b, "attrs_subset"));
-  return Value::Bool(algebra::IsSubset(*x, *y));
+  PRAIRIE_ASSIGN_OR_RETURN(PooledAttrs x, AsAttrs(a, "attrs_subset"));
+  PRAIRIE_ASSIGN_OR_RETURN(PooledAttrs y, AsAttrs(b, "attrs_subset"));
+  return Value::Bool(x->set.SubsetOf(y->set));
 }
 
 Result<Value> conj_over(const catalog::Catalog*, const Value& pred,
                         const Value& attrs) {
   PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p, AsPred(pred, "conj_over"));
-  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* a, AsAttrs(attrs, "conj_over"));
-  return Value::Pred(ConjOver(*p, *a, /*over=*/true));
+  PRAIRIE_ASSIGN_OR_RETURN(PooledAttrs a, AsAttrs(attrs, "conj_over"));
+  return Value::Pred(ConjOver(*p, a, /*over=*/true));
 }
 
 Result<Value> conj_not_over(const catalog::Catalog*, const Value& pred,
                             const Value& attrs) {
   PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p,
                            AsPred(pred, "conj_not_over"));
-  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* a, AsAttrs(attrs, "conj_not_over"));
-  return Value::Pred(ConjOver(*p, *a, /*over=*/false));
+  PRAIRIE_ASSIGN_OR_RETURN(PooledAttrs a, AsAttrs(attrs, "conj_not_over"));
+  return Value::Pred(ConjOver(*p, a, /*over=*/false));
 }
 
 Result<Value> conj_count(const catalog::Catalog*, const Value& pred) {
@@ -199,15 +207,21 @@ Result<Value> pred_and(const catalog::Catalog*, const Value& a,
   return Value::Pred(algebra::PredAnd(*x, *y));
 }
 
+// A predicate's referenced attributes are the union of its conjuncts'
+// lists, so refers_both and refers_only test the conjuncts' cached sets one
+// by one rather than building the set of a predicate an attempt just made.
+
 Result<Value> refers_both(const catalog::Catalog*, const Value& pred,
                           const Value& a, const Value& b) {
   PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p, AsPred(pred, "refers_both"));
-  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* x, AsAttrs(a, "refers_both"));
-  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* y, AsAttrs(b, "refers_both"));
+  PRAIRIE_ASSIGN_OR_RETURN(PooledAttrs x, AsAttrs(a, "refers_both"));
+  PRAIRIE_ASSIGN_OR_RETURN(PooledAttrs y, AsAttrs(b, "refers_both"));
   bool in_a = false, in_b = false;
-  for (const Attr& attr : (*p)->ReferencedAttrs()) {
-    in_a = in_a || algebra::Contains(*x, attr);
-    in_b = in_b || algebra::Contains(*y, attr);
+  for (const PredicateRef& c : algebra::Conjuncts(*p)) {
+    const algebra::AttrSet& refs = c->ReferencedAttrs()->set;
+    in_a = in_a || refs.Overlaps(x->set);
+    in_b = in_b || refs.Overlaps(y->set);
+    if (in_a && in_b) break;
   }
   return Value::Bool(in_a && in_b);
 }
@@ -215,8 +229,13 @@ Result<Value> refers_both(const catalog::Catalog*, const Value& pred,
 Result<Value> refers_only(const catalog::Catalog*, const Value& pred,
                           const Value& attrs) {
   PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p, AsPred(pred, "refers_only"));
-  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* a, AsAttrs(attrs, "refers_only"));
-  return Value::Bool(algebra::IsSubset((*p)->ReferencedAttrs(), *a));
+  PRAIRIE_ASSIGN_OR_RETURN(PooledAttrs a, AsAttrs(attrs, "refers_only"));
+  for (const PredicateRef& c : algebra::Conjuncts(*p)) {
+    if (!c->ReferencedAttrs()->set.SubsetOf(a->set)) {
+      return Value::Bool(false);
+    }
+  }
+  return Value::Bool(true);
 }
 
 Result<Value> is_equijoinable(const catalog::Catalog*, const Value& pred) {
@@ -265,10 +284,10 @@ Result<Value> index_eq_cost(const catalog::Catalog* cat, const Value& card,
 }
 
 Result<Value> any_index(const catalog::Catalog* cat, const Value& attrs) {
-  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* a, AsAttrs(attrs, "any_index"));
+  PRAIRIE_ASSIGN_OR_RETURN(PooledAttrs a, AsAttrs(attrs, "any_index"));
   PRAIRIE_ASSIGN_OR_RETURN(const catalog::Catalog* c,
                            NeedCat(cat, "any_index"));
-  for (const Attr& x : *a) {
+  for (const Attr& x : a->attrs) {
     if (c->HasIndexOn(x)) return Value::Bool(true);
   }
   return Value::Bool(false);
@@ -276,12 +295,11 @@ Result<Value> any_index(const catalog::Catalog* cat, const Value& attrs) {
 
 Result<Value> first_index_attr(const catalog::Catalog* cat,
                                const Value& attrs) {
-  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* a,
-                           AsAttrs(attrs, "first_index_attr"));
+  PRAIRIE_ASSIGN_OR_RETURN(PooledAttrs a, AsAttrs(attrs, "first_index_attr"));
   PRAIRIE_ASSIGN_OR_RETURN(const catalog::Catalog* c,
                            NeedCat(cat, "first_index_attr"));
   AttrList out;
-  for (const Attr& x : *a) {
+  for (const Attr& x : a->attrs) {
     if (c->HasIndexOn(x)) {
       out.push_back(x);
       break;
@@ -291,10 +309,10 @@ Result<Value> first_index_attr(const catalog::Catalog* cat,
 }
 
 Result<Value> sort_on(const catalog::Catalog*, const Value& attrs) {
-  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* a, AsAttrs(attrs, "sort_on"));
+  PRAIRIE_ASSIGN_OR_RETURN(PooledAttrs a, AsAttrs(attrs, "sort_on"));
   SortSpec spec;
-  spec.keys.reserve(a->size());
-  for (const Attr& x : *a) {
+  spec.keys.reserve(a->attrs.size());
+  for (const Attr& x : a->attrs) {
     spec.keys.push_back(SortSpec::Key{x, /*ascending=*/true});
   }
   return Value::Sort(std::move(spec));
@@ -304,14 +322,14 @@ Result<Value> side_join_attrs(const catalog::Catalog*, const Value& pred,
                               const Value& side) {
   PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p,
                            AsPred(pred, "side_join_attrs"));
-  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* s,
-                           AsAttrs(side, "side_join_attrs"));
+  PRAIRIE_ASSIGN_OR_RETURN(PooledAttrs s, AsAttrs(side, "side_join_attrs"));
   AttrList out;
   for (const PredicateRef& c : algebra::Conjuncts(*p)) {
     if (!c->IsEquiJoin()) continue;
-    if (algebra::Contains(*s, c->left().attr)) {
+    const std::array<algebra::AttrId, 2> ids = EquiJoinIds(*c);
+    if (s->set.Contains(ids[0])) {
       out.push_back(c->left().attr);
-    } else if (algebra::Contains(*s, c->right().attr)) {
+    } else if (s->set.Contains(ids[1])) {
       out.push_back(c->right().attr);
     }
   }
@@ -321,27 +339,26 @@ Result<Value> side_join_attrs(const catalog::Catalog*, const Value& pred,
 Result<Value> is_ref_join(const catalog::Catalog* cat, const Value& pred,
                           const Value& left, const Value& right) {
   PRAIRIE_ASSIGN_OR_RETURN(const PredicateRef* p, AsPred(pred, "is_ref_join"));
-  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* l, AsAttrs(left, "is_ref_join"));
-  PRAIRIE_ASSIGN_OR_RETURN(const AttrList* r, AsAttrs(right, "is_ref_join"));
+  PRAIRIE_ASSIGN_OR_RETURN(PooledAttrs l, AsAttrs(left, "is_ref_join"));
+  PRAIRIE_ASSIGN_OR_RETURN(PooledAttrs r, AsAttrs(right, "is_ref_join"));
   PRAIRIE_ASSIGN_OR_RETURN(const catalog::Catalog* c,
                            NeedCat(cat, "is_ref_join"));
   // A pointer join needs one equi conjunct "l.ref = r.oid" where l.ref is
   // a reference attribute of a left class targeting the right class.
   for (const PredicateRef& conj : algebra::Conjuncts(*p)) {
     if (!conj->IsEquiJoin()) continue;
-    const algebra::Term* const orientations[2][2] = {
-        {&conj->left(), &conj->right()}, {&conj->right(), &conj->left()}};
-    for (const auto& [ref_term, oid_term] : orientations) {
-      if (!algebra::Contains(*l, ref_term->attr) ||
-          !algebra::Contains(*r, oid_term->attr)) {
-        continue;
-      }
-      const catalog::StoredFile* f = c->Find(ref_term->attr.cls);
+    const std::array<algebra::AttrId, 2> ids = EquiJoinIds(*conj);
+    const algebra::Attr* const sides[2] = {&conj->left().attr,
+                                           &conj->right().attr};
+    // Side `ref` holds the reference, the other side the oid.
+    for (int ref = 0; ref < 2; ++ref) {
+      const int oid = 1 - ref;
+      if (!l->set.Contains(ids[ref]) || !r->set.Contains(ids[oid])) continue;
+      const catalog::StoredFile* f = c->Find(sides[ref]->cls);
       if (f == nullptr) continue;
-      const catalog::AttributeDef* ad = f->FindAttr(ref_term->attr.name);
+      const catalog::AttributeDef* ad = f->FindAttr(sides[ref]->name);
       if (ad == nullptr || !ad->is_reference()) continue;
-      if (ad->ref_class == oid_term->attr.cls &&
-          oid_term->attr.name == "oid") {
+      if (ad->ref_class == sides[oid]->cls && sides[oid]->name == "oid") {
         return Value::Bool(true);
       }
     }
@@ -355,7 +372,7 @@ Result<Value> class_attrs(const catalog::Catalog* cat, const Value& cls) {
   PRAIRIE_ASSIGN_OR_RETURN(const catalog::Catalog* c,
                            NeedCat(cat, "class_attrs"));
   PRAIRIE_ASSIGN_OR_RETURN(const catalog::StoredFile* f, c->Require(*name));
-  return Value::Attrs(f->QualifiedAttrs());
+  return Value::FromPool(f->PooledQualifiedAttrs());
 }
 
 Result<Value> class_card(const catalog::Catalog* cat, const Value& cls) {

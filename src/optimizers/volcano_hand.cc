@@ -1,6 +1,7 @@
 #include "optimizers/volcano_hand.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <iterator>
 #include <span>
@@ -17,6 +18,7 @@ using algebra::Descriptor;
 using algebra::OpId;
 using algebra::PatNode;
 using algebra::PatNodePtr;
+using algebra::PooledAttrs;
 using algebra::Predicate;
 using algebra::PredicateRef;
 using algebra::SortSpec;
@@ -49,18 +51,30 @@ const PredicateRef& GetPred(const Value& v) {
 
 double GetReal(const Value& v, double def = 0) { return v.ToReal().ValueOr(def); }
 
-const AttrList& GetAttrs(const Value& v) {
-  static const AttrList kNone;
-  return v.is_null() ? kNone : v.AsAttrs();
+PooledAttrs GetAttrs(const Value& v) {
+  return v.is_null() ? algebra::EmptyAttrs() : v.AsPooledAttrs();
 }
 
-/// The conjunction of the conjuncts of `pred` that refer only to `attrs`
-/// (over) or not (!over); `pred` itself when every conjunct qualifies.
-PredicateRef ConjOver(const PredicateRef& pred, const AttrList& attrs,
-                      bool over) {
+}  // namespace
+
+namespace hand {
+
+namespace {
+
+/// The ids of an equi-join conjunct's left and right attributes: the first
+/// and last of its referenced list, which holds one id when both sides name
+/// the same attribute.
+std::array<algebra::AttrId, 2> EquiJoinIds(const Predicate& c) {
+  const std::vector<algebra::AttrId>& ids = c.ReferencedAttrs()->ids;
+  return {ids.front(), ids.back()};
+}
+
+}  // namespace
+
+PredicateRef ConjOver(const PredicateRef& pred, PooledAttrs attrs, bool over) {
   const std::span<const PredicateRef> cs = algebra::Conjuncts(pred);
   const auto qualifies = [&](const PredicateRef& c) {
-    return algebra::IsSubset(c->ReferencedAttrs(), attrs) == over;
+    return c->ReferencedAttrs()->set.SubsetOf(attrs->set) == over;
   };
   const size_t kept =
       static_cast<size_t>(std::count_if(cs.begin(), cs.end(), qualifies));
@@ -71,15 +85,75 @@ PredicateRef ConjOver(const PredicateRef& pred, const AttrList& attrs,
   return Predicate::And(std::move(keep));
 }
 
-bool RefersBoth(const PredicateRef& pred, const AttrList& a,
-                const AttrList& b) {
+bool RefersBoth(const PredicateRef& pred, PooledAttrs a, PooledAttrs b) {
   bool in_a = false, in_b = false;
-  for (const Attr& x : pred->ReferencedAttrs()) {
-    in_a = in_a || algebra::Contains(a, x);
-    in_b = in_b || algebra::Contains(b, x);
+  for (const PredicateRef& c : algebra::Conjuncts(pred)) {
+    const algebra::AttrSet& refs = c->ReferencedAttrs()->set;
+    in_a = in_a || refs.Overlaps(a->set);
+    in_b = in_b || refs.Overlaps(b->set);
+    if (in_a && in_b) return true;
   }
-  return in_a && in_b;
+  return false;
 }
+
+bool RefersOnly(const PredicateRef& pred, PooledAttrs attrs,
+                PooledAttrs excluded) {
+  for (const PredicateRef& c : algebra::Conjuncts(pred)) {
+    const algebra::AttrSet& refs = c->ReferencedAttrs()->set;
+    if (!refs.SubsetOf(attrs->set) || refs.Overlaps(excluded->set)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+AttrList SideJoinAttrs(const PredicateRef& pred, PooledAttrs side) {
+  AttrList out;
+  for (const PredicateRef& c : algebra::Conjuncts(pred)) {
+    if (!c->IsEquiJoin()) continue;
+    const std::array<algebra::AttrId, 2> ids = EquiJoinIds(*c);
+    if (side->set.Contains(ids[0])) {
+      out.push_back(c->left().attr);
+    } else if (side->set.Contains(ids[1])) {
+      out.push_back(c->right().attr);
+    }
+  }
+  return out;
+}
+
+bool IsRefJoin(const PredicateRef& pred, PooledAttrs left, PooledAttrs right,
+               const catalog::Catalog& cat) {
+  for (const PredicateRef& c : algebra::Conjuncts(pred)) {
+    if (!c->IsEquiJoin()) continue;
+    const std::array<algebra::AttrId, 2> ids = EquiJoinIds(*c);
+    const Attr* const sides[2] = {&c->left().attr, &c->right().attr};
+    // Side `ref` holds the reference, the other side the oid.
+    for (int ref = 0; ref < 2; ++ref) {
+      const int oid = 1 - ref;
+      if (!left->set.Contains(ids[ref]) || !right->set.Contains(ids[oid])) {
+        continue;
+      }
+      const catalog::StoredFile* f = cat.Find(sides[ref]->cls);
+      if (f == nullptr) continue;
+      const catalog::AttributeDef* ad = f->FindAttr(sides[ref]->name);
+      if (ad == nullptr || !ad->is_reference()) continue;
+      if (ad->ref_class == sides[oid]->cls && sides[oid]->name == "oid") {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+}  // namespace hand
+
+namespace {
+
+using hand::ConjOver;
+using hand::IsRefJoin;
+using hand::RefersBoth;
+using hand::RefersOnly;
+using hand::SideJoinAttrs;
 
 bool IsEquijoinable(const PredicateRef& pred) {
   for (const PredicateRef& c : algebra::Conjuncts(pred)) {
@@ -126,19 +200,6 @@ const Attr* FirstIndexAttr(const AttrList& attrs,
   return nullptr;
 }
 
-AttrList SideJoinAttrs(const PredicateRef& pred, const AttrList& side) {
-  AttrList out;
-  for (const PredicateRef& c : algebra::Conjuncts(pred)) {
-    if (!c->IsEquiJoin()) continue;
-    if (algebra::Contains(side, c->left().attr)) {
-      out.push_back(c->left().attr);
-    } else if (algebra::Contains(side, c->right().attr)) {
-      out.push_back(c->right().attr);
-    }
-  }
-  return out;
-}
-
 SortSpec SortOn(const AttrList& attrs) {
   SortSpec spec;
   spec.keys.reserve(attrs.size());
@@ -146,30 +207,6 @@ SortSpec SortOn(const AttrList& attrs) {
     spec.keys.push_back(SortSpec::Key{a, /*ascending=*/true});
   }
   return spec;
-}
-
-bool IsRefJoin(const PredicateRef& pred, const AttrList& left,
-               const AttrList& right, const catalog::Catalog& cat) {
-  for (const PredicateRef& c : algebra::Conjuncts(pred)) {
-    if (!c->IsEquiJoin()) continue;
-    const algebra::Term* const orientations[2][2] = {
-        {&c->left(), &c->right()}, {&c->right(), &c->left()}};
-    for (const auto& [ref_term, oid_term] : orientations) {
-      if (!algebra::Contains(left, ref_term->attr) ||
-          !algebra::Contains(right, oid_term->attr)) {
-        continue;
-      }
-      const catalog::StoredFile* f = cat.Find(ref_term->attr.cls);
-      if (f == nullptr) continue;
-      const catalog::AttributeDef* ad = f->FindAttr(ref_term->attr.name);
-      if (ad == nullptr || !ad->is_reference()) continue;
-      if (ad->ref_class == oid_term->attr.cls &&
-          oid_term->attr.name == "oid") {
-        return true;
-      }
-    }
-  }
-  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +302,8 @@ TransRule JoinAssoc(const Ctx& c, bool left_to_right) {
                          GetPred(bv.slot(4).Get(p.join_predicate)));
     const Value grouped = algebra::UnionAttrs(bv.slot(ga).Get(p.attributes),
                                               bv.slot(gb).Get(p.attributes));
-    PredicateRef inner = ConjOver(combined, grouped.AsAttrs(), /*over=*/true);
+    PredicateRef inner =
+        ConjOver(combined, grouped.AsPooledAttrs(), /*over=*/true);
     bv.slot(5).SetUnchecked(p.join_predicate, Value::Pred(inner));
     return RefersBoth(inner, GetAttrs(bv.slot(ga).Get(p.attributes)),
                       GetAttrs(bv.slot(gb).Get(p.attributes)));
@@ -287,7 +325,8 @@ TransRule JoinAssoc(const Ctx& c, bool left_to_right) {
                                   GetReal(bv.slot(gb).Get(p.tuple_size))));
     bv.slot(6).SetUnchecked(
         p.join_predicate,
-        Value::Pred(ConjOver(combined, grouped.AsAttrs(), /*over=*/false)));
+        Value::Pred(
+            ConjOver(combined, grouped.AsPooledAttrs(), /*over=*/false)));
     bv.slot(6).SetUnchecked(p.attributes, bv.slot(4).Get(p.attributes));
     bv.slot(6).SetUnchecked(p.num_records, bv.slot(4).Get(p.num_records));
     bv.slot(6).SetUnchecked(p.tuple_size, bv.slot(4).Get(p.tuple_size));
@@ -355,13 +394,13 @@ ImplRule IndexScanOrder(const Ctx& c, OpId alg, const char* name) {
   Props p = c.p;
   r.condition = [p](BindingView& bv) -> Result<bool> {
     PRAIRIE_RETURN_NOT_OK(NeedCatalog(bv));
-    return FirstIndexAttr(GetAttrs(bv.slot(0).Get(p.attributes)),
+    return FirstIndexAttr(GetAttrs(bv.slot(0).Get(p.attributes))->attrs,
                           *bv.catalog) != nullptr;
   };
   r.pre_opt = [p](BindingView& bv) -> Status {
     bv.slot(2) = bv.slot(1);
-    const Attr* a = FirstIndexAttr(GetAttrs(bv.slot(0).Get(p.attributes)),
-                                   *bv.catalog);
+    const Attr* a = FirstIndexAttr(
+        GetAttrs(bv.slot(0).Get(p.attributes))->attrs, *bv.catalog);
     AttrList one;
     if (a != nullptr) one.push_back(*a);
     bv.slot(2).SetUnchecked(p.index_attr, Value::Attrs(one));
@@ -474,9 +513,8 @@ TransRule SelectPushJoin(const Ctx& c, bool left) {
                : Op2(c.join, 5, S(1, 0), Op1(c.select, 4, S(2, 1)));
   r.num_slots = 6;
   r.condition = [p, side](BindingView& bv) -> Result<bool> {
-    return algebra::IsSubset(
-        GetPred(bv.slot(3).Get(p.selection_predicate))->ReferencedAttrs(),
-        GetAttrs(bv.slot(side).Get(p.attributes)));
+    return RefersOnly(GetPred(bv.slot(3).Get(p.selection_predicate)),
+                      GetAttrs(bv.slot(side).Get(p.attributes)));
   };
   r.apply = [p, side](BindingView& bv) -> Status {
     PRAIRIE_RETURN_NOT_OK(NeedCatalog(bv));
@@ -611,9 +649,8 @@ TransRule SelectPushMat(const Ctx& c) {
   r.rhs = Op1(c.mat, 4, Op1(c.select, 3, S(1, 0)));
   r.num_slots = 5;
   r.condition = [p](BindingView& bv) -> Result<bool> {
-    return algebra::IsSubset(
-        GetPred(bv.slot(2).Get(p.selection_predicate))->ReferencedAttrs(),
-        GetAttrs(bv.slot(0).Get(p.attributes)));
+    return RefersOnly(GetPred(bv.slot(2).Get(p.selection_predicate)),
+                      GetAttrs(bv.slot(0).Get(p.attributes)));
   };
   r.apply = [p](BindingView& bv) -> Status {
     PRAIRIE_RETURN_NOT_OK(NeedCatalog(bv));
@@ -653,8 +690,9 @@ TransRule SelectPullMat(const Ctx& c) {
                              ClassOf(bv, bv.slot(2).Get(p.mat_class)));
     bv.slot(3).SetUnchecked(p.mat_attr, bv.slot(2).Get(p.mat_attr));
     bv.slot(3).SetUnchecked(p.mat_class, bv.slot(2).Get(p.mat_class));
-    const Value attrs = algebra::UnionAttrs(
-        bv.slot(0).Get(p.attributes), Value::Attrs(cls->QualifiedAttrs()));
+    const Value attrs =
+        algebra::UnionAttrs(bv.slot(0).Get(p.attributes),
+                            Value::FromPool(cls->PooledQualifiedAttrs()));
     bv.slot(3).SetUnchecked(p.attributes, attrs);
     bv.slot(3).SetUnchecked(p.num_records, bv.slot(0).Get(p.num_records));
     bv.slot(3).SetUnchecked(
@@ -679,14 +717,9 @@ TransRule SelectPushUnnest(const Ctx& c) {
   r.rhs = Op1(c.unnest, 4, Op1(c.select, 3, S(1, 0)));
   r.num_slots = 5;
   r.condition = [p](BindingView& bv) -> Result<bool> {
-    AttrList usable = GetAttrs(bv.slot(0).Get(p.attributes));
-    for (const Attr& a : GetAttrs(bv.slot(1).Get(p.unnest_attr))) {
-      usable.erase(std::remove(usable.begin(), usable.end(), a),
-                   usable.end());
-    }
-    return algebra::IsSubset(
-        GetPred(bv.slot(2).Get(p.selection_predicate))->ReferencedAttrs(),
-        usable);
+    return RefersOnly(GetPred(bv.slot(2).Get(p.selection_predicate)),
+                      GetAttrs(bv.slot(0).Get(p.attributes)),
+                      GetAttrs(bv.slot(1).Get(p.unnest_attr)));
   };
   r.apply = [p](BindingView& bv) -> Status {
     PRAIRIE_RETURN_NOT_OK(NeedCatalog(bv));
@@ -713,14 +746,9 @@ TransRule SelectPullUnnest(const Ctx& c) {
   r.rhs = Op1(c.select, 4, Op1(c.unnest, 3, S(1, 0)));
   r.num_slots = 5;
   r.condition = [p](BindingView& bv) -> Result<bool> {
-    AttrList usable = GetAttrs(bv.slot(0).Get(p.attributes));
-    for (const Attr& a : GetAttrs(bv.slot(2).Get(p.unnest_attr))) {
-      usable.erase(std::remove(usable.begin(), usable.end(), a),
-                   usable.end());
-    }
-    return algebra::IsSubset(
-        GetPred(bv.slot(1).Get(p.selection_predicate))->ReferencedAttrs(),
-        usable);
+    return RefersOnly(GetPred(bv.slot(1).Get(p.selection_predicate)),
+                      GetAttrs(bv.slot(0).Get(p.attributes)),
+                      GetAttrs(bv.slot(2).Get(p.unnest_attr)));
   };
   r.apply = [p](BindingView& bv) -> Status {
     bv.slot(3).SetUnchecked(p.unnest_attr, bv.slot(2).Get(p.unnest_attr));
@@ -749,8 +777,8 @@ TransRule MatPushJoinLeft(const Ctx& c) {
   r.rhs = Op2(c.join, 5, Op1(c.mat, 4, S(1, 0)), S(2, 1));
   r.num_slots = 6;
   r.condition = [p](BindingView& bv) -> Result<bool> {
-    return algebra::IsSubset(GetAttrs(bv.slot(3).Get(p.mat_attr)),
-                             GetAttrs(bv.slot(0).Get(p.attributes)));
+    return GetAttrs(bv.slot(3).Get(p.mat_attr))
+        ->set.SubsetOf(GetAttrs(bv.slot(0).Get(p.attributes))->set);
   };
   r.apply = [p](BindingView& bv) -> Status {
     PRAIRIE_RETURN_NOT_OK(NeedCatalog(bv));
@@ -761,7 +789,7 @@ TransRule MatPushJoinLeft(const Ctx& c) {
     bv.slot(4).SetUnchecked(
         p.attributes,
         algebra::UnionAttrs(bv.slot(0).Get(p.attributes),
-                            Value::Attrs(cls->QualifiedAttrs())));
+                            Value::FromPool(cls->PooledQualifiedAttrs())));
     bv.slot(4).SetUnchecked(p.num_records, bv.slot(0).Get(p.num_records));
     bv.slot(4).SetUnchecked(
         p.tuple_size,
@@ -783,11 +811,10 @@ TransRule MatPullJoinLeft(const Ctx& c) {
   r.rhs = Op1(c.mat, 5, Op2(c.join, 4, S(1, 0), S(2, 1)));
   r.num_slots = 6;
   r.condition = [p](BindingView& bv) -> Result<bool> {
-    return algebra::IsSubset(
-        GetPred(bv.slot(3).Get(p.join_predicate))->ReferencedAttrs(),
-        algebra::UnionAttrs(bv.slot(0).Get(p.attributes),
-                            bv.slot(1).Get(p.attributes))
-            .AsAttrs());
+    return RefersOnly(GetPred(bv.slot(3).Get(p.join_predicate)),
+                      algebra::UnionAttrs(bv.slot(0).Get(p.attributes),
+                                          bv.slot(1).Get(p.attributes))
+                          .AsPooledAttrs());
   };
   r.apply = [p](BindingView& bv) -> Status {
     PRAIRIE_RETURN_NOT_OK(NeedCatalog(bv));
@@ -809,7 +836,8 @@ TransRule MatPullJoinLeft(const Ctx& c) {
     bv.slot(5).SetUnchecked(p.mat_class, bv.slot(2).Get(p.mat_class));
     bv.slot(5).SetUnchecked(
         p.attributes,
-        algebra::UnionAttrs(attrs, Value::Attrs(cls->QualifiedAttrs())));
+        algebra::UnionAttrs(attrs,
+                            Value::FromPool(cls->PooledQualifiedAttrs())));
     bv.slot(5).SetUnchecked(p.num_records, Value::Real(card));
     bv.slot(5).SetUnchecked(
         p.tuple_size,
@@ -827,8 +855,8 @@ TransRule MatMatSwap(const Ctx& c) {
   r.rhs = Op1(c.mat, 4, Op1(c.mat, 3, S(1, 0)));
   r.num_slots = 5;
   r.condition = [p](BindingView& bv) -> Result<bool> {
-    return algebra::IsSubset(GetAttrs(bv.slot(2).Get(p.mat_attr)),
-                             GetAttrs(bv.slot(0).Get(p.attributes)));
+    return GetAttrs(bv.slot(2).Get(p.mat_attr))
+        ->set.SubsetOf(GetAttrs(bv.slot(0).Get(p.attributes))->set);
   };
   r.apply = [p](BindingView& bv) -> Status {
     PRAIRIE_RETURN_NOT_OK(NeedCatalog(bv));
@@ -838,8 +866,9 @@ TransRule MatMatSwap(const Ctx& c) {
     bv.slot(3).SetUnchecked(p.mat_class, bv.slot(2).Get(p.mat_class));
     bv.slot(3).SetUnchecked(
         p.attributes,
-        algebra::UnionAttrs(bv.slot(0).Get(p.attributes),
-                            Value::Attrs(outer_cls->QualifiedAttrs())));
+        algebra::UnionAttrs(
+            bv.slot(0).Get(p.attributes),
+            Value::FromPool(outer_cls->PooledQualifiedAttrs())));
     bv.slot(3).SetUnchecked(p.num_records, bv.slot(0).Get(p.num_records));
     bv.slot(3).SetUnchecked(
         p.tuple_size,

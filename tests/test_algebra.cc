@@ -33,6 +33,25 @@ Attr RandomAttr(common::Rng& rng) {
   return Attr{std::move(cls), std::move(name)};
 }
 
+/// Attribute-set tests as they were before lists carried id sets:
+/// pairwise attribute compares.
+bool ReferenceIsSubset(const AttrList& subset, const AttrList& superset) {
+  for (const Attr& attr : subset) {
+    if (!Contains(superset, attr)) return false;
+  }
+  return true;
+}
+
+bool ReferenceOverlaps(const AttrList& a, const AttrList& b) {
+  for (const Attr& attr : a) {
+    if (Contains(b, attr)) return true;
+  }
+  return false;
+}
+
+/// The id the attribute pool gives `attr`.
+AttrId IdOf(const Attr& attr) { return InternAttrs({attr})->ids[0]; }
+
 /// The union UnionAttrs computed before it gained its merge path: copy
 /// `a`, append what `b` adds, sort.
 AttrList ReferenceUnion(const AttrList& a, const AttrList& b) {
@@ -108,11 +127,13 @@ TEST(AttrList, UnionDedupsAndSorts) {
 }
 
 TEST(AttrList, SubsetAndContains) {
-  AttrList big{A("C", "a"), A("C", "b")};
-  EXPECT_TRUE(IsSubset({A("C", "a")}, big));
-  EXPECT_TRUE(IsSubset({}, big));
-  EXPECT_FALSE(IsSubset({A("C", "z")}, big));
-  EXPECT_TRUE(Contains(big, A("C", "b")));
+  const AttrSet& big = InternAttrs({A("C", "a"), A("C", "b")})->set;
+  EXPECT_TRUE(InternAttrs({A("C", "a")})->set.SubsetOf(big));
+  EXPECT_TRUE(EmptyAttrs()->set.SubsetOf(big));
+  EXPECT_FALSE(InternAttrs({A("C", "z")})->set.SubsetOf(big));
+  EXPECT_TRUE(big.Contains(IdOf(A("C", "b"))));
+  EXPECT_FALSE(big.Contains(IdOf(A("C", "z"))));
+  EXPECT_TRUE(Contains({A("C", "a"), A("C", "b")}, A("C", "b")));
 }
 
 TEST(AttrList, UnionMatchesCopyAndSortOnRandomLists) {
@@ -138,7 +159,49 @@ TEST(AttrList, UnionMatchesCopyAndSortOnRandomLists) {
     // The pooled, memoized union over the same operands.
     const Value u = UnionAttrs(Value::Attrs(a), Value::Attrs(b));
     ASSERT_EQ(u, Value::Attrs(ReferenceUnion(a, b))) << "case " << i;
+    // The pooled id sets answer as the pairwise compares do, with the
+    // pooled empty list (what a null Value reads as) on either side.
+    const AttrSet& x = InternAttrs(a)->set;
+    const AttrSet& y = InternAttrs(b)->set;
+    const AttrSet& none = EmptyAttrs()->set;
+    ASSERT_EQ(x.SubsetOf(y), ReferenceIsSubset(a, b)) << "case " << i;
+    ASSERT_EQ(y.SubsetOf(x), ReferenceIsSubset(b, a)) << "case " << i;
+    ASSERT_EQ(x.Overlaps(y), ReferenceOverlaps(a, b)) << "case " << i;
+    ASSERT_EQ(y.Overlaps(x), ReferenceOverlaps(a, b)) << "case " << i;
+    ASSERT_TRUE(none.SubsetOf(x)) << "case " << i;
+    ASSERT_EQ(x.SubsetOf(none), a.empty()) << "case " << i;
+    ASSERT_FALSE(x.Overlaps(none)) << "case " << i;
+    for (const Attr& attr : b) {
+      ASSERT_EQ(x.Contains(IdOf(attr)), Contains(a, attr)) << "case " << i;
+    }
   }
+}
+
+TEST(AttrList, IdsFollowTheListAndSetsTheListLength) {
+  // Ten thousand attributes no other test names take ids first.
+  AttrList many;
+  for (int i = 0; i < 10000; ++i) {
+    many.push_back(A("Many", "x" + std::to_string(i)));
+  }
+  const PooledAttrs before = InternAttrs(many);
+  ASSERT_EQ(before->ids.size(), 10000u);
+  const AttrList late{A("Late", "c"), A("Late", "a"), A("Late", "c")};
+  const PooledAttrs pooled = InternAttrs(late);
+  ASSERT_EQ(pooled->ids.size(), late.size());
+  for (size_t i = 0; i < late.size(); ++i) {
+    EXPECT_GE(pooled->ids[i], 10000u);
+    EXPECT_EQ(pooled->ids[i], IdOf(late[i]));
+    EXPECT_TRUE(pooled->set.Contains(pooled->ids[i]));
+  }
+  EXPECT_EQ(pooled->ids[0], pooled->ids[2]);  // A repeat keeps its id.
+  // The set holds a word per member at most, not one per 64 ids handed out.
+  EXPECT_LE(pooled->set.word_count(), late.size());
+  EXPECT_EQ(InternAttrs({A("Late", "a")})->set.word_count(), 1u);
+  EXPECT_EQ(EmptyAttrs()->set.word_count(), 0u);
+  EXPECT_FALSE(pooled->set.Contains(before->ids[0]));
+  EXPECT_FALSE(pooled->set.Overlaps(before->set));
+  EXPECT_TRUE(InternAttrs({A("Late", "a")})->set.SubsetOf(pooled->set));
+  EXPECT_FALSE(pooled->set.SubsetOf(before->set));
 }
 
 TEST(AttrList, EqualListsBuiltApartSharePooledPayload) {
@@ -257,7 +320,7 @@ TEST(Predicate, ReferencedAttrsAndClasses) {
   PredicateRef p = Predicate::And(
       {Predicate::EqAttrs(A("C1", "a"), A("C2", "b")),
        Predicate::EqConst(A("C1", "c"), Scalar::Int(5))});
-  AttrList attrs = p->ReferencedAttrs();
+  const AttrList& attrs = p->ReferencedAttrs()->attrs;
   EXPECT_EQ(attrs.size(), 3u);
   auto classes = p->ReferencedClasses();
   EXPECT_EQ(classes.size(), 2u);
@@ -368,16 +431,34 @@ PredicateRef RandomPredicate(common::Rng& rng, int depth) {
 TEST(Predicate, ReferencedAttrsKeepsContentsAndOrder) {
   // A comparison lists its sides in order, unsorted; composites sort.
   const PredicateRef cmp = Predicate::EqAttrs(A("C2", "b"), A("C1", "a"));
-  EXPECT_EQ(cmp->ReferencedAttrs(), (AttrList{A("C2", "b"), A("C1", "a")}));
-  EXPECT_EQ(Predicate::Not(cmp)->ReferencedAttrs(),
+  EXPECT_EQ(cmp->ReferencedAttrs()->attrs,
+            (AttrList{A("C2", "b"), A("C1", "a")}));
+  EXPECT_EQ(Predicate::Not(cmp)->ReferencedAttrs()->attrs,
             (AttrList{A("C1", "a"), A("C2", "b")}));
   common::Rng rng(2026);
   for (int i = 0; i < 500; ++i) {
     const PredicateRef p = RandomPredicate(rng, 3);
-    const AttrList& first = p->ReferencedAttrs();
-    EXPECT_EQ(first, ReferenceReferencedAttrs(*p)) << p->ToString();
-    EXPECT_EQ(&p->ReferencedAttrs(), &first);  // Computed once, cached.
+    const PooledAttrs first = p->ReferencedAttrs();
+    EXPECT_EQ(first->attrs, ReferenceReferencedAttrs(*p)) << p->ToString();
+    EXPECT_EQ(p->ReferencedAttrs(), first);  // Computed once, cached.
   }
+}
+
+TEST(Predicate, ConjunctionReferencesTheUnionOfItsConjunctsLists) {
+  common::Rng rng(2027);
+  int conjunctions = 0;
+  for (int i = 0; i < 500; ++i) {
+    const PredicateRef p = RandomPredicate(rng, 3);
+    // The union of the conjuncts' lists, each built apart from strings.
+    Value acc = Value::Null();
+    for (const PredicateRef& c : Conjuncts(p)) {
+      acc = UnionAttrs(acc, Value::Attrs(ReferenceReferencedAttrs(*c)));
+    }
+    if (p->kind() != Predicate::Kind::kAnd) continue;
+    ++conjunctions;
+    EXPECT_EQ(p->ReferencedAttrs(), acc.AsPooledAttrs()) << p->ToString();
+  }
+  EXPECT_GT(conjunctions, 50);
 }
 
 // ---------------------------------------------------------------------------

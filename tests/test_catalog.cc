@@ -51,6 +51,18 @@ TEST(StoredFile, QualifiedAttrs) {
   EXPECT_EQ(attrs[1].cls, "Emp");
 }
 
+TEST(StoredFile, PooledQualifiedAttrsIsInternedOnce) {
+  const StoredFile f = MakeEmp();
+  const algebra::PooledAttrs first = f.PooledQualifiedAttrs();
+  EXPECT_EQ(first->attrs, f.QualifiedAttrs());
+  EXPECT_EQ(f.PooledQualifiedAttrs(), first);  // Repeats: the same list.
+  EXPECT_EQ(algebra::InternAttrs(f.QualifiedAttrs()), first);
+  // A copy carries the published list; a file built apart finds it pooled.
+  const StoredFile copy = f;
+  EXPECT_EQ(copy.PooledQualifiedAttrs(), first);
+  EXPECT_EQ(MakeEmp().PooledQualifiedAttrs(), first);
+}
+
 TEST(Catalog, AddFindRequire) {
   Catalog cat;
   ASSERT_TRUE(cat.AddFile(MakeEmp()).ok());

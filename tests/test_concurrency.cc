@@ -242,7 +242,7 @@ struct PredicateView {
 
 PredicateView ViewOf(const algebra::PredicateRef& p) {
   PredicateView v;
-  v.attrs = p->ReferencedAttrs();
+  v.attrs = p->ReferencedAttrs()->attrs;
   for (const algebra::PredicateRef& c : algebra::Conjuncts(p)) {
     v.conjuncts.push_back(c->ToString());
   }
@@ -273,10 +273,10 @@ TEST(PredicateCacheConcurrencyTest, ParallelReadersMatchSingleThreadedViews) {
   const PropertyId pred = *schema.Find("pred");
   DescriptorStore store(&schema, StoreMode::kConcurrent);
 
-  // Per thread and tree: the address of the attribute list it was handed
-  // (every thread must get the one published list) and any mismatch.
-  std::vector<std::vector<const algebra::AttrList*>> lists(
-      kThreads, std::vector<const algebra::AttrList*>(kTrees, nullptr));
+  // Per thread and tree: the pooled attribute list it was handed (every
+  // thread must get the one published list) and any mismatch.
+  std::vector<std::vector<algebra::PooledAttrs>> lists(
+      kThreads, std::vector<algebra::PooledAttrs>(kTrees, nullptr));
   std::vector<int> mismatches(kThreads, 0);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -289,7 +289,7 @@ TEST(PredicateCacheConcurrencyTest, ParallelReadersMatchSingleThreadedViews) {
         const DescriptorId id = store.Intern(d);
         const algebra::PredicateRef& held = store.Get(id).Get(pred).AsPred();
         const algebra::PredicateRef& mine = shared[static_cast<size_t>(i)];
-        lists[t][i] = &mine->ReferencedAttrs();
+        lists[t][i] = mine->ReferencedAttrs();
         if (!(ViewOf(mine) == expected[i])) ++mismatches[t];
         if (!(ViewOf(held) == expected[i])) ++mismatches[t];
       }
@@ -385,6 +385,112 @@ TEST(AttrsPoolConcurrencyTest, ThreadsInternAndUnionToTheSamePointers) {
   }
   for (int i = 0; i < kLists; ++i) {
     EXPECT_EQ(seen[0][i], &Value::Attrs(reference[i]).AsAttrs()) << i;
+  }
+}
+
+TEST(AttrsPoolConcurrencyTest, ThreadsRacingOnAClassListGetOnePooledPointer) {
+  constexpr int kFiles = 32;
+  constexpr int kThreads = 8;
+  // Files whose attributes no earlier test pooled, each asked for its
+  // pooled list first by all threads at once.
+  std::vector<catalog::StoredFile> files;
+  for (int i = 0; i < kFiles; ++i) {
+    std::vector<catalog::AttributeDef> attrs(3);
+    for (int k = 0; k < 3; ++k) attrs[k].name = "q" + std::to_string(k);
+    files.emplace_back("RaceFile" + std::to_string(i), std::move(attrs), 10,
+                       8);
+  }
+  std::vector<std::vector<algebra::PooledAttrs>> seen(
+      kThreads, std::vector<algebra::PooledAttrs>(kFiles, nullptr));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      for (int k = 0; k < kFiles; ++k) {
+        const int i = (k + t * 3) % kFiles;
+        seen[t][i] = files[i].PooledQualifiedAttrs();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+  }
+  for (int i = 0; i < kFiles; ++i) {
+    EXPECT_EQ(seen[0][i], algebra::InternAttrs(files[i].QualifiedAttrs()));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Attribute ids: the pool numbers attributes as lists first name them.
+
+TEST(AttrIdConcurrencyTest, ThreadsInterningUnseenAttributesAgree) {
+  using algebra::Attr;
+  using algebra::AttrList;
+  constexpr int kLists = 64;
+  constexpr int kThreads = 8;
+  // Lists over attributes no earlier test named, with repeats and overlaps
+  // between lists, so threads race to number the same attributes.
+  common::Rng rng(41);
+  std::vector<AttrList> lists(kLists);
+  for (AttrList& l : lists) {
+    const int64_t n = rng.Uniform(1, 5);
+    for (int64_t i = 0; i < n; ++i) {
+      l.push_back(Attr{"Unseen" + std::to_string(rng.Uniform(0, 5)),
+                       "u" + std::to_string(rng.Uniform(0, 11))});
+    }
+  }
+
+  // Per thread: each list's pooled pointer and each attribute's id, the
+  // lists taken in an order of the thread's own.
+  std::vector<std::vector<algebra::PooledAttrs>> pointers(
+      kThreads, std::vector<algebra::PooledAttrs>(kLists, nullptr));
+  std::vector<std::map<std::string, algebra::AttrId>> ids(kThreads);
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      std::vector<int> order(kLists);
+      for (int k = 0; k < kLists; ++k) order[k] = k;
+      common::Rng mine(100 + static_cast<uint64_t>(t));
+      for (int k = kLists - 1; k > 0; --k) {
+        std::swap(order[k], order[mine.Uniform(0, k)]);
+      }
+      for (const int i : order) {
+        const algebra::PooledAttrs p = algebra::InternAttrs(lists[i]);
+        pointers[t][i] = p;
+        if (p->attrs != lists[i] || p->ids.size() != lists[i].size()) {
+          ++mismatches[t];
+          continue;
+        }
+        for (size_t k = 0; k < p->ids.size(); ++k) {
+          const auto [it, fresh] =
+              ids[t].try_emplace(lists[i][k].ToString(), p->ids[k]);
+          if (it->second != p->ids[k]) ++mismatches[t];
+          if (!p->set.Contains(p->ids[k])) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+    EXPECT_EQ(pointers[t], pointers[0]) << "thread " << t;
+    EXPECT_EQ(ids[t], ids[0]) << "thread " << t;
+  }
+  // Distinct attributes got distinct ids, and each set holds exactly the
+  // ids of its list's attributes.
+  std::vector<algebra::AttrId> all;
+  for (const auto& [name, id] : ids[0]) all.push_back(id);
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
+  for (int i = 0; i < kLists; ++i) {
+    for (const algebra::AttrId id : all) {
+      const bool member = std::find(pointers[0][i]->ids.begin(),
+                                    pointers[0][i]->ids.end(),
+                                    id) != pointers[0][i]->ids.end();
+      EXPECT_EQ(pointers[0][i]->set.Contains(id), member) << i;
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include "optimizers/oodb.h"
 #include "optimizers/props.h"
 #include "optimizers/relational.h"
+#include "optimizers/volcano_hand.h"
 #include "p2v/emit_cpp.h"
 
 namespace prairie {
@@ -181,6 +182,158 @@ TEST(NativeHelpers, TypeErrorsSurface) {
   EXPECT_FALSE(opt::native::selectivity(&cat, Value::Int(3)).ok());
   EXPECT_FALSE(opt::native::union_(&cat, Value::Int(1), Value::Int(2)).ok());
   EXPECT_FALSE(opt::native::class_card(&cat, Value::Str("nope")).ok());
+}
+
+/// The attribute-set helpers of the native deployments, their hand-coded
+/// forms and the attribute-by-attribute compares they replaced answer
+/// alike on TRUE, null, single- and multi-conjunct predicates over
+/// attributes in one list, both or neither.
+TEST(NativeHelpers, AttributeSetTestsAgreeWithHandCodedForms) {
+  using algebra::Attr;
+  using algebra::AttrList;
+  using algebra::PooledAttrs;
+  using algebra::Predicate;
+  using algebra::PredicateRef;
+  using algebra::Scalar;
+  using algebra::Value;
+  namespace native = opt::native;
+
+  const auto def = [](std::string name, std::string ref_class = "") {
+    catalog::AttributeDef d;
+    d.name = std::move(name);
+    d.ref_class = std::move(ref_class);
+    return d;
+  };
+  catalog::Catalog cat;
+  ASSERT_TRUE(cat.AddFile(catalog::StoredFile(
+                              "H1", {def("oid"), def("a"), def("r", "H2")},
+                              100, 24))
+                  .ok());
+  ASSERT_TRUE(
+      cat.AddFile(catalog::StoredFile("H2", {def("oid"), def("b")}, 50, 16))
+          .ok());
+  const auto at = [](const char* cls, const char* name) {
+    return Attr{cls, name};
+  };
+
+  const PredicateRef ref_join = Predicate::EqAttrs(at("H1", "r"), at("H2", "oid"));
+  const PredicateRef ref_join_flipped =
+      Predicate::EqAttrs(at("H2", "oid"), at("H1", "r"));
+  const PredicateRef eq = Predicate::EqAttrs(at("H1", "a"), at("H2", "b"));
+  const PredicateRef self = Predicate::EqAttrs(at("H1", "a"), at("H1", "a"));
+  const PredicateRef sel = Predicate::EqConst(at("H1", "a"), Scalar::Int(3));
+  const PredicateRef sel2 = Predicate::EqConst(at("H2", "b"), Scalar::Int(7));
+  const PredicateRef stray = Predicate::EqAttrs(at("H9", "z"), at("H2", "b"));
+  const PredicateRef either = Predicate::Or({sel, eq});
+  const std::vector<Value> preds = {
+      Value::Null(),
+      Value::Pred(Predicate::True()),
+      Value::Pred(ref_join),
+      Value::Pred(ref_join_flipped),
+      Value::Pred(eq),
+      Value::Pred(self),
+      Value::Pred(sel),
+      Value::Pred(stray),
+      Value::Pred(either),
+      Value::Pred(Predicate::And({sel, eq})),
+      Value::Pred(Predicate::And({ref_join, eq, self})),
+      Value::Pred(Predicate::And({sel, stray, either})),
+      // Each conjunct names one side only; together they name both.
+      Value::Pred(Predicate::And({sel, sel2})),
+      Value::Pred(Predicate::And({sel2, stray, sel})),
+  };
+  const std::vector<Value> lists = {
+      Value::Null(),
+      Value::Attrs({}),
+      Value::Attrs(cat.Find("H1")->QualifiedAttrs()),
+      Value::Attrs(cat.Find("H2")->QualifiedAttrs()),
+      Value::Attrs({at("H1", "a")}),
+      Value::Attrs({at("H2", "b"), at("H1", "a"), at("H2", "b")}),
+      Value::Attrs({at("H8", "q")}),  // In no predicate.
+  };
+
+  const auto pred_of = [](const Value& v) {
+    return v.is_null() ? Predicate::True() : v.AsPred();
+  };
+  const auto pooled = [](const Value& v) {
+    return v.is_null() ? algebra::EmptyAttrs() : v.AsPooledAttrs();
+  };
+  // The attribute-by-attribute forms the id sets replaced.
+  const auto subset = [](const AttrList& x, const AttrList& y) {
+    for (const Attr& a : x) {
+      if (!algebra::Contains(y, a)) return false;
+    }
+    return true;
+  };
+  const auto overlaps = [](const AttrList& x, const AttrList& y) {
+    for (const Attr& a : x) {
+      if (algebra::Contains(y, a)) return true;
+    }
+    return false;
+  };
+  const auto get = [](common::Result<Value> r) {
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? *r : Value::Null();
+  };
+
+  for (const Value& pv : preds) {
+    const PredicateRef p = pred_of(pv);
+    const AttrList& refs = p->ReferencedAttrs()->attrs;
+    for (const Value& xv : lists) {
+      const PooledAttrs x = pooled(xv);
+      const std::string where = p->ToString() + " / " + xv.ToString();
+      const bool only = get(native::refers_only(&cat, pv, xv)).AsBool();
+      EXPECT_EQ(only, opt::hand::RefersOnly(p, x)) << where;
+      EXPECT_EQ(only, subset(refs, x->attrs)) << where;
+      for (const bool over : {true, false}) {
+        const Value n = get(over ? native::conj_over(&cat, pv, xv)
+                                 : native::conj_not_over(&cat, pv, xv));
+        EXPECT_TRUE(algebra::PredEquals(n.AsPred(),
+                                        opt::hand::ConjOver(p, x, over)))
+            << where;
+      }
+      const Value side = get(native::side_join_attrs(&cat, pv, xv));
+      EXPECT_EQ(side.AsAttrs(), opt::hand::SideJoinAttrs(p, x)) << where;
+      for (const Value& yv : lists) {
+        const PooledAttrs y = pooled(yv);
+        const std::string pair = where + " / " + yv.ToString();
+        const bool both = get(native::refers_both(&cat, pv, xv, yv)).AsBool();
+        EXPECT_EQ(both, opt::hand::RefersBoth(p, x, y)) << pair;
+        EXPECT_EQ(both, overlaps(refs, x->attrs) && overlaps(refs, y->attrs))
+            << pair;
+        const bool ref = get(native::is_ref_join(&cat, pv, xv, yv)).AsBool();
+        EXPECT_EQ(ref, opt::hand::IsRefJoin(p, x, y, cat)) << pair;
+        // The unnest rules' form: refers_only over attrs_minus.
+        const Value minus = get(native::attrs_minus(&cat, xv, yv));
+        const bool outside =
+            get(native::refers_only(&cat, pv, minus)).AsBool();
+        EXPECT_EQ(outside, opt::hand::RefersOnly(p, x, y)) << pair;
+      }
+    }
+  }
+  // Every pair of lists: attrs_subset and attrs_minus as the hand-coded
+  // rules and the compares answer.
+  for (const Value& xv : lists) {
+    for (const Value& yv : lists) {
+      const std::string pair = xv.ToString() + " / " + yv.ToString();
+      const PooledAttrs x = pooled(xv);
+      const PooledAttrs y = pooled(yv);
+      const bool sub = get(native::attrs_subset(&cat, xv, yv)).AsBool();
+      EXPECT_EQ(sub, x->set.SubsetOf(y->set)) << pair;
+      EXPECT_EQ(sub, subset(x->attrs, y->attrs)) << pair;
+      AttrList kept;
+      for (const Attr& a : x->attrs) {
+        if (!algebra::Contains(y->attrs, a)) kept.push_back(a);
+      }
+      EXPECT_EQ(get(native::attrs_minus(&cat, xv, yv)), Value::Attrs(kept))
+          << pair;
+    }
+  }
+  // The reference join is found in either orientation, only left to right.
+  const Value h1 = lists[2], h2 = lists[3];
+  EXPECT_TRUE(get(native::is_ref_join(&cat, preds[2], h1, h2)).AsBool());
+  EXPECT_TRUE(get(native::is_ref_join(&cat, preds[3], h1, h2)).AsBool());
+  EXPECT_FALSE(get(native::is_ref_join(&cat, preds[2], h2, h1)).AsBool());
 }
 
 }  // namespace
