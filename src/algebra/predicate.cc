@@ -219,16 +219,6 @@ PooledAttrs Predicate::ReferencedAttrs() const {
   return pooled;
 }
 
-std::vector<std::string> Predicate::ReferencedClasses() const {
-  std::vector<std::string> out;
-  for (const Attr& a : ReferencedAttrs()->attrs) {
-    if (std::find(out.begin(), out.end(), a.cls) == out.end()) {
-      out.push_back(a.cls);
-    }
-  }
-  return out;
-}
-
 std::span<const PredicateRef> Conjuncts(const PredicateRef& p) {
   if (p == nullptr || p->is_true()) return {};
   if (p->kind() == Predicate::Kind::kAnd) return p->children();
@@ -238,15 +228,6 @@ std::span<const PredicateRef> Conjuncts(const PredicateRef& p) {
 bool Predicate::IsEquiJoin() const {
   return kind_ == Kind::kCmp && cmp_op_ == CmpOp::kEq && left_.is_attr() &&
          right_.is_attr();
-}
-
-bool Predicate::RefersOnlyTo(const std::vector<std::string>& classes) const {
-  for (const Attr& a : ReferencedAttrs()->attrs) {
-    if (std::find(classes.begin(), classes.end(), a.cls) == classes.end()) {
-      return false;
-    }
-  }
-  return true;
 }
 
 bool Predicate::Equals(const Predicate& o) const {

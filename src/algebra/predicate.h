@@ -130,14 +130,8 @@ class Predicate {
   /// children's lists; TRUE and FALSE list none.
   PooledAttrs ReferencedAttrs() const;
 
-  /// All class / range-variable names referenced.
-  std::vector<std::string> ReferencedClasses() const;
-
   /// True for a single attr-op-attr comparison with CmpOp::kEq.
   bool IsEquiJoin() const;
-
-  /// True if every referenced attribute belongs to one of `classes`.
-  bool RefersOnlyTo(const std::vector<std::string>& classes) const;
 
   bool Equals(const Predicate& o) const;
   uint64_t Hash() const;

@@ -310,7 +310,7 @@ Status Optimizer::ExpandGroup(GroupId gid) {
       gid = memo_->Find(gid);
       Group* grp = &memo_->group(gid);
       if (ei >= grp->exprs.size()) break;
-      if (grp->exprs[ei].is_file) continue;
+      if (grp->exprs[ei].is_file || grp->exprs[ei].dead) continue;
       // Only rules whose LHS root is this expression's operator can match;
       // the dispatch index skips the rest of the rule vector. (An
       // expression's operator never changes in place — merges that move
@@ -378,7 +378,7 @@ Status Optimizer::EnumerateBindings(const PatNode& pat, GroupId gid,
   const Group& grp = memo_->group(gid);
   if (expr_idx >= static_cast<int>(grp.exprs.size())) return Status::OK();
   const MExpr& m = grp.exprs[static_cast<size_t>(expr_idx)];
-  if (m.is_file || m.op != pat.op) return Status::OK();
+  if (m.is_file || m.dead || m.op != pat.op) return Status::OK();
   binding->op_nodes.emplace_back(pat.desc_slot, std::make_pair(gid, expr_idx));
   // A view of the expression's own child list: only Memo::Merge moves or
   // frees an MExpr, and it bumps the merge epoch, which MatchChildren
@@ -431,32 +431,6 @@ Status Optimizer::MatchChildren(const PatNode& pat,
 
 Status Optimizer::FireBinding(GroupId gid, const TransRule& rule,
                               size_t rule_idx, const MatchBinding& binding) {
-  // Fire each binding once. The key holds everything a firing reads: the
-  // rule, the target group, each stream variable's canonical group and
-  // each matched expression's full descriptor (DESIGN.md §6.1).
-  const size_t num_streams = binding.streams.size();
-  uint32_t* key = fired_.Stage(2 + num_streams + binding.op_nodes.size());
-  key[0] = static_cast<uint32_t>(rule_idx);
-  key[1] = static_cast<uint32_t>(memo_->Find(gid));
-  for (size_t v = 0; v < num_streams; ++v) {
-    const GroupId g = binding.streams[v].first;
-    key[2 + v] = static_cast<uint32_t>(g < 0 ? g : memo_->Find(g));
-  }
-  uint32_t* op_args = key + 2 + num_streams;
-  for (size_t i = 0; i < binding.op_nodes.size(); ++i) {
-    const auto [g, ei] = binding.op_nodes[i].second;
-    const Group& grp = memo_->group(g);
-    if (ei >= static_cast<int>(grp.exprs.size())) {
-      ++stats_.trans_attempts;
-      return Status::OK();  // Expression moved by a merge; binding is stale.
-    }
-    op_args[i] =
-        static_cast<uint32_t>(grp.exprs[static_cast<size_t>(ei)].args);
-  }
-  if (!fired_.InsertStaged()) {
-    ++stats_.trans_refires_skipped;
-    return Status::OK();
-  }
   ++stats_.trans_attempts;
   // Identity key of the source expression the pattern's root matched —
   // recorded as the new expression's provenance (indexes go stale under
@@ -468,6 +442,7 @@ Status Optimizer::FireBinding(GroupId gid, const TransRule& rule,
   }
   TraceSpan span(this, common::TraceEventKind::kTransAttempt, memo_->Find(gid),
                  static_cast<int>(rule_idx), src_key);
+  const size_t num_streams = binding.streams.size();
   BindingView& bv = TransBinding(rule_idx, num_streams);
   const algebra::DescriptorStore* store = memo_->store();
   for (size_t v = 0; v < num_streams; ++v) {
@@ -477,9 +452,12 @@ Status Optimizer::FireBinding(GroupId gid, const TransRule& rule,
     if (slot >= 0) bv.slots[static_cast<size_t>(slot)] =
         store->Get(memo_->group(g).stream_desc);
   }
-  for (size_t i = 0; i < binding.op_nodes.size(); ++i) {
-    bv.slots[static_cast<size_t>(binding.op_nodes[i].first)] =
-        store->Get(static_cast<algebra::DescriptorId>(op_args[i]));
+  // The enumeration aborts at the first merge, so the expressions it
+  // matched are still at the indexes it recorded.
+  for (const auto& [slot, expr] : binding.op_nodes) {
+    const auto [g, ei] = expr;
+    bv.slots[static_cast<size_t>(slot)] =
+        store->Get(memo_->group(g).exprs[static_cast<size_t>(ei)].args);
   }
   if (rule.condition != nullptr) {
     PRAIRIE_ASSIGN_OR_RETURN(bool ok, rule.condition(bv));
@@ -584,6 +562,7 @@ Result<Winner> Optimizer::OptimizeGroup(GroupId gid, const Descriptor& req,
     GroupId rep = memo_->Find(gid);
     Group& grp = memo_->group(rep);
     if (ei >= grp.exprs.size()) break;
+    if (grp.exprs[ei].dead) continue;
     if (grp.exprs[ei].is_file) {
       // A stored file is a zero-cost source; RET-class algorithms read it
       // directly, so any requirement is trivially satisfied here.
@@ -920,9 +899,6 @@ constexpr VolcanoMetrics::CounterRow kCounterRows[] = {
     {"prairie_trans_attempts_total",
      "Trans-rule binding condition evaluations",
      [](const Stats& s) -> uint64_t { return s.trans_attempts; }},
-    {"prairie_trans_refires_skipped_total",
-     "Trans-rule bindings skipped because the same binding already fired",
-     [](const Stats& s) -> uint64_t { return s.trans_refires_skipped; }},
     {"prairie_trans_fired_total",
      "New logical expressions generated by trans rules",
      [](const Stats& s) -> uint64_t { return s.trans_fired; }},
@@ -1068,7 +1044,7 @@ const MExpr* Optimizer::FindByArgKey(GroupId gid, algebra::DescriptorId key,
   if (key == algebra::kInvalidDescriptorId) return nullptr;
   const Group& grp = memo_->group(gid);
   for (const MExpr& m : grp.exprs) {
-    if (&m != exclude && m.arg_key == key) return &m;
+    if (!m.dead && &m != exclude && m.arg_key == key) return &m;
   }
   return nullptr;
 }
@@ -1079,7 +1055,9 @@ const MExpr* Optimizer::FindImplemented(
   if (key == algebra::kInvalidDescriptorId) return nullptr;
   const Group& grp = memo_->group(gid);
   for (const MExpr& m : grp.exprs) {
-    if (m.arg_key != key || m.children.size() != children.size()) continue;
+    if (m.dead || m.arg_key != key || m.children.size() != children.size()) {
+      continue;
+    }
     bool same = true;
     for (size_t i = 0; i < children.size(); ++i) {
       if (memo_->Find(m.children[i]) != memo_->Find(children[i])) {

@@ -25,7 +25,6 @@
 #include "common/hash.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "volcano/fired_set.h"
 #include "volcano/memo.h"
 #include "volcano/plan.h"
 #include "volcano/rules.h"
@@ -60,7 +59,7 @@ struct VolcanoMetrics {
     /// (AddStoreTraffic) instead of per query.
     bool store_traffic = false;
   };
-  static constexpr size_t kNumCounters = 22;
+  static constexpr size_t kNumCounters = 21;
   /// The table: search, memo, intern and plan-cache counters, in that order.
   static std::span<const CounterRow, kNumCounters> CounterRows();
 
@@ -144,9 +143,6 @@ struct OptimizerStats {
   size_t groups = 0;         ///< Equivalence classes after optimization.
   size_t mexprs = 0;         ///< Logical multi-expressions.
   size_t trans_attempts = 0;   ///< Trans-rule binding condition evaluations.
-  /// Trans-rule bindings not attempted because the same binding already
-  /// fired (trans_attempts + this = bindings enumerated).
-  size_t trans_refires_skipped = 0;
   size_t trans_fired = 0;      ///< New expressions generated by trans rules.
   size_t impl_attempts = 0;    ///< Impl-rule firings attempted.
   size_t plans_costed = 0;     ///< Physical alternatives fully costed.
@@ -379,9 +375,6 @@ class Optimizer {
   /// store shared across a batch does not inflate one query's interning
   /// stats with the traffic of queries before it.
   algebra::DescriptorStore::CounterSnapshot store0_;
-  /// Every trans-rule binding attempted so far, keyed on what a firing
-  /// reads; FireBinding skips a binding found here (DESIGN.md §6.1).
-  FiredBindingSet fired_;
   /// One binding buffer per trans rule (TransBinding), created on the
   /// first firing. A firing never re-enters FireBinding, so an attempt
   /// owns its rule's buffer until it returns; impl and enforcer bindings

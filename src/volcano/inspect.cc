@@ -113,13 +113,15 @@ std::string MemoToDot(const Memo& memo, const RuleSet& rules) {
     if (memo.Find(gid) != gid) continue;  // merged away
     const Group& g = memo.group(gid);
     std::string label = common::StringPrintf("g%d", gid);
-    for (size_t e = 0; e < g.exprs.size(); ++e) {
-      const MExpr& m = g.exprs[e];
+    size_t e = 0;  // The expression's field in the record label.
+    for (const MExpr& m : g.exprs) {
+      if (m.dead) continue;
       label += "|" + DotEscape(ExprText(memo, rules, m));
       for (GroupId c : m.children) {
         edges += common::StringPrintf("  g%d -> g%d [label=\"e%zu\"];\n", gid,
                                       memo.Find(c), e);
       }
+      ++e;
     }
     for (const Winner* w : SortedWinners(g)) {
       if (w->has_plan) {
@@ -169,6 +171,7 @@ std::string MemoToJson(const Memo& memo, const RuleSet& rules) {
     out += " \"exprs\": [";
     const char* esep = "";
     for (const MExpr& m : g.exprs) {
+      if (m.dead) continue;
       out += esep;
       esep = ", ";
       if (m.is_file) {

@@ -14,11 +14,12 @@
 //   - JSON: the same structure as data (one document), for scripted
 //     assertions and diffing across optimizer changes.
 //
-// Both renderers canonicalize through Memo::Find: merged-away groups are
-// skipped entirely and every child/provenance reference resolves to the
-// live representative, so a dump taken after merges never names a dead
-// group. Output is deterministic for a deterministic search (groups in
-// allocation order, winners sorted by interned requirement id).
+// Both renderers canonicalize through Memo::Find: merged-away groups and
+// dropped expressions are skipped entirely and every child/provenance
+// reference resolves to the live representative, so a dump taken after
+// merges never names a dead group. Output is deterministic for a
+// deterministic search (groups in allocation order, winners sorted by
+// interned requirement id).
 
 #pragma once
 

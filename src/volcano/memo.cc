@@ -68,18 +68,22 @@ bool Memo::SameExpr(const MExpr& a, const MExpr& b) const {
   return a.arg_key == b.arg_key;
 }
 
-GroupId Memo::FindDup(uint64_t key, const MExpr& m) const {
+ExprId Memo::FindDup(uint64_t key, const MExpr& m) const {
   auto [begin, end] = index_.equal_range(key);
   for (auto it = begin; it != end; ++it) {
-    const GroupId g = Find(it->second.first);
-    const Group& grp = groups_[static_cast<size_t>(g)];
-    const int idx = it->second.second;
-    if (idx < static_cast<int>(grp.exprs.size()) &&
-        SameExpr(grp.exprs[static_cast<size_t>(idx)], m)) {
-      return g;
-    }
+    if (SameExpr(ExprAt(it->second), m)) return it->second;
   }
   return -1;
+}
+
+void Memo::Unindex(uint64_t key, ExprId id) {
+  auto [begin, end] = index_.equal_range(key);
+  for (auto it = begin; it != end; ++it) {
+    if (it->second == id) {
+      index_.erase(it);
+      return;
+    }
+  }
 }
 
 Status Memo::CheckExprLimit() const {
@@ -87,6 +91,20 @@ Status Memo::CheckExprLimit() const {
   return Status::ResourceExhausted(
       "memo expression limit reached (" + std::to_string(limits_.max_exprs) +
       " expressions); the search space exploded");
+}
+
+void Memo::AddExpr(GroupId g, MExpr m, uint64_t key) {
+  Group& grp = groups_[static_cast<size_t>(g)];
+  m.id = static_cast<ExprId>(slots_.size());
+  m.dead = false;
+  slots_.push_back(ExprSlot{g, static_cast<int>(grp.exprs.size())});
+  index_.emplace(key, m.id);
+  for (GroupId c : m.children) {
+    groups_[static_cast<size_t>(Find(c))].parents.push_back(m.id);
+  }
+  grp.exprs.EmplaceBack(std::move(m));
+  ++num_exprs_;
+  ++tally_.exprs_inserted;
 }
 
 Result<GroupId> Memo::NewGroup(MExpr m, algebra::DescriptorId desc,
@@ -101,85 +119,103 @@ Result<GroupId> Memo::NewGroup(MExpr m, algebra::DescriptorId desc,
   Group& g = groups_.EmplaceBack(&arena_);
   parent_.EmplaceBack(id);
   g.stream_desc = desc;
-  g.exprs.EmplaceBack(std::move(m));
-  ++num_exprs_;
   ++tally_.groups_created;
-  ++tally_.exprs_inserted;
-  index_.emplace(key, std::make_pair(id, 0));
+  AddExpr(id, std::move(m), key);
   return id;
 }
 
 Result<GroupId> Memo::GetOrCreateGroup(MExpr m, algebra::DescriptorId desc) {
   EnsureKey(m);
   const uint64_t key = KeyOf(m);
-  const GroupId dup = FindDup(key, m);
+  const ExprId dup = FindDup(key, m);
   if (dup >= 0) {
     ++tally_.exprs_deduped;
-    return dup;
+    return slots_[static_cast<size_t>(dup)].group;
   }
   return NewGroup(std::move(m), desc, key);
-}
-
-Result<bool> Memo::AppendExpr(GroupId g, MExpr m, uint64_t key) {
-  PRAIRIE_RETURN_NOT_OK(CheckExprLimit());
-  Group& grp = groups_[static_cast<size_t>(g)];
-  const int idx = static_cast<int>(grp.exprs.size());
-  grp.exprs.EmplaceBack(std::move(m));
-  ++num_exprs_;
-  ++tally_.exprs_inserted;
-  index_.emplace(key, std::make_pair(g, idx));
-  return true;
 }
 
 Result<bool> Memo::InsertInto(GroupId g, MExpr m) {
   g = Find(g);
   EnsureKey(m);
   const uint64_t key = KeyOf(m);
-  const GroupId dup = FindDup(key, m);
+  const ExprId dup = FindDup(key, m);
   if (dup >= 0) {
     ++tally_.exprs_deduped;
-    if (dup != g) {
-      // The expression proves g and dup equivalent: merge.
-      PRAIRIE_RETURN_NOT_OK(Merge(g, dup));
+    const GroupId dup_group = slots_[static_cast<size_t>(dup)].group;
+    if (dup_group != g) {
+      // The expression proves g and dup_group equivalent: merge.
+      PRAIRIE_RETURN_NOT_OK(Merge(g, dup_group));
     }
     return false;
   }
-  return AppendExpr(g, std::move(m), key);
+  PRAIRIE_RETURN_NOT_OK(CheckExprLimit());
+  AddExpr(g, std::move(m), key);
+  return true;
 }
 
 Status Memo::Merge(GroupId keep, GroupId lose) {
-  keep = Find(keep);
-  lose = Find(lose);
-  if (keep == lose) return Status::OK();
-  // Keep the smaller id as representative for stable statistics.
-  if (lose < keep) std::swap(keep, lose);
-  Group& kg = groups_[static_cast<size_t>(keep)];
-  Group& lg = groups_[static_cast<size_t>(lose)];
-  parent_[static_cast<size_t>(lose)] = keep;
-  ++tally_.groups_merged;
-  // Move the loser's expressions into the keeper, re-deduplicating.
-  const size_t n = lg.exprs.size();
-  for (size_t i = 0; i < n; ++i) {
-    MExpr& m = lg.exprs[i];
-    const uint64_t key = KeyOf(m);
-    if (FindDup(key, m) == keep) {
+  // Group pairs proven equal and not merged yet.
+  std::vector<std::pair<GroupId, GroupId>> pending = {{keep, lose}};
+  while (!pending.empty()) {
+    keep = Find(pending.back().first);
+    lose = Find(pending.back().second);
+    pending.pop_back();
+    if (keep == lose) continue;
+    // Keep the smaller id as representative for stable statistics.
+    if (lose < keep) std::swap(keep, lose);
+    Group& kg = groups_[static_cast<size_t>(keep)];
+    Group& lg = groups_[static_cast<size_t>(lose)];
+    // The loser's parents are indexed under keys hashed on its id: take
+    // them out before the union changes their keys.
+    for (ExprId p : lg.parents) {
+      if (slots_[static_cast<size_t>(p)].group >= 0) {
+        Unindex(KeyOf(ExprAt(p)), p);
+      }
+    }
+    parent_[static_cast<size_t>(lose)] = keep;
+    ++tally_.groups_merged;
+    // Move the loser's live expressions into the keeper. Their keys hash
+    // only their children, so only those naming the loser change key.
+    for (size_t i = 0; i < lg.exprs.size(); ++i) {
+      MExpr& m = lg.exprs[i];
+      if (m.dead) continue;
+      slots_[static_cast<size_t>(m.id)] =
+          ExprSlot{keep, static_cast<int>(kg.exprs.size())};
+      kg.exprs.EmplaceBack(std::move(m));
+    }
+    lg.exprs.Clear();
+    lg.merged_away = true;
+    // Re-key the parents: each now names the keeper. One equal to a live
+    // expression is dropped; if that expression is in another group, the
+    // two groups are equal too.
+    for (ExprId p : std::exchange(lg.parents, {})) {
+      ExprSlot& slot = slots_[static_cast<size_t>(p)];
+      if (slot.group < 0) continue;
+      MExpr& m = ExprAt(p);
+      const uint64_t key = KeyOf(m);
+      const ExprId dup = FindDup(key, m);
+      if (dup == p) continue;  // Listed twice; already re-keyed.
+      if (dup < 0) {
+        index_.emplace(key, p);
+        kg.parents.push_back(p);
+        continue;
+      }
+      const GroupId dup_group = slots_[static_cast<size_t>(dup)].group;
+      if (dup_group != slot.group) pending.emplace_back(slot.group, dup_group);
+      m.dead = true;
+      slot.group = -1;
       --num_exprs_;
       ++tally_.exprs_deduped;
-      continue;
     }
-    const int idx = static_cast<int>(kg.exprs.size());
-    kg.exprs.EmplaceBack(std::move(m));
-    index_.emplace(key, std::make_pair(keep, idx));
+    // Winners may no longer be best (new expressions arrived): recompute.
+    kg.winners.clear();
+    kg.prov.clear();
+    lg.winners.clear();
+    lg.prov.clear();
+    kg.expanded = false;
+    ++merge_epoch_;
   }
-  lg.exprs.Clear();
-  lg.merged_away = true;
-  // Winners may no longer be best (new expressions arrived): recompute.
-  kg.winners.clear();
-  kg.prov.clear();
-  lg.winners.clear();
-  lg.prov.clear();
-  kg.expanded = false;
-  ++merge_epoch_;
   return Status::OK();
 }
 
@@ -252,6 +288,7 @@ std::string Memo::ToString(const algebra::Algebra& algebra) const {
     if (g.merged_away) continue;
     out += common::StringPrintf("group %d:\n", static_cast<int>(i));
     for (const MExpr& m : g.exprs) {
+      if (m.dead) continue;
       out += "  ";
       if (m.is_file) {
         out += m.file;

@@ -4,27 +4,21 @@
 // Groups are identified by GroupId with union-find indirection: when a
 // transformation produces, as the root of some group g, an expression that
 // already exists in another group h, the two groups are provably
-// equivalent and are merged. Expression identity is (operation,
-// argument-property slice of the descriptor, child groups); physical and
-// cost properties are excluded, as in Volcano.
+// equivalent and are merged. Expression identity is (operation or file,
+// argument-property slice of the descriptor, canonical child groups);
+// physical and cost properties are excluded, as in Volcano.
 //
-// Known limitation — duplicates made by merges: a merge re-deduplicates
-// only the losing group's own expressions. Two expressions of one group
-// that differ only in a child group become equal when those two child
-// groups merge, and the group keeps both. On Q7 at 3 joins (interpreted,
-// seed 1), group g10 holds join(g23,g2) from join_assoc_rl and
-// join(g20,g2) from join_commute, and g23 merges into g20. After that
-// optimization, 1,614 of 5,942 live expressions match another expression
-// of their group on op, arg_key and canonical children (Q1 at 3 joins: 4
-// of 32; Q1 on a 12-class chain: 220 of 816).
-// A merge also leaves the parents of the merged-away group indexed under
-// keys hashed on its old id, so FindDup can miss a later insert over the
-// canonical child; but re-keying those parents removes only 89 of Q7/3's
-// 1,614 duplicates. Each duplicate starts with an empty `applied` set and
-// re-applies every rule; the engine's fired-binding set skips each
-// binding that repeats one already fired. Re-keying those parents and
-// dropping the later copy at merge time would remove every duplicate, and
-// change the memo's counts.
+// Invariant — the memo is canonical: no two live expressions are equal
+// under that identity, and each is indexed under the key of its canonical
+// children. An insert keeps it by deduplicating, and by merging when the
+// duplicate lives in another group. A merge keeps it by re-keying exactly
+// the expressions that name the merged-away group as a child (each group
+// lists them in `parents`). A parent that now equals an expression of its
+// own group is dropped. A parent that equals an expression of another
+// group is dropped too, and the two groups merge in turn (a cascade, run
+// from a worklist inside Merge). A dropped expression stays in its
+// group's list, marked `dead`, so walks of a group by index stay valid;
+// every walk skips it. The surviving copy keeps its own `applied` bits.
 //
 // Descriptors are hash-consed: the memo owns a DescriptorStore and every
 // expression/stream/requirement descriptor is a dense DescriptorId with
@@ -62,9 +56,15 @@
 
 namespace prairie::volcano {
 
+/// Memo-wide handle of an expression (MExpr::id).
+using ExprId = int;
+
 /// \brief A logical multi-expression stored in a group.
 struct MExpr {
   bool is_file = false;
+  /// Dropped by a merge that made it equal to another live expression
+  /// (see the invariant above); skipped by every walk.
+  bool dead = false;
   algebra::OpId op = -1;
   std::string file;
   /// Full descriptor of this node (interned).
@@ -85,6 +85,9 @@ struct MExpr {
   /// arg_key — indexes go stale under merges, interned keys do not.
   int src_rule = -1;
   algebra::DescriptorId src_arg_key = algebra::kInvalidDescriptorId;
+  /// Assigned by the memo on insert. Parent lists and the duplicate index
+  /// name expressions by it, so moving one in a merge updates one entry.
+  ExprId id = -1;
 };
 
 /// \brief Memoized result of optimizing a group under one requirement.
@@ -139,6 +142,9 @@ struct Group {
   /// group matches over what is already there.
   bool expanding = false;
   bool merged_away = false;
+  /// Expressions naming this group as a child, kept by the memo. May list
+  /// one twice or name dropped ones; merges skip both.
+  std::vector<ExprId> parents;
   /// Key: interned id of the physical-slice requirement descriptor.
   std::unordered_map<algebra::DescriptorId, Winner> winners;
   /// Winner provenance, same key as `winners`; entries exist only for
@@ -221,7 +227,7 @@ class Memo {
   /// classes".
   size_t NumGroups() const;
 
-  /// Total logical multi-expressions across live groups.
+  /// Live logical multi-expressions across live groups.
   size_t NumExprs() const { return num_exprs_; }
 
   /// Bumps on every merge; long-running loops over a group's expressions
@@ -240,19 +246,41 @@ class Memo {
   std::string ToString(const algebra::Algebra& algebra) const;
 
  private:
+  /// Where a live expression sits: its group's list and its index there.
+  /// A dropped expression's group is -1.
+  struct ExprSlot {
+    GroupId group;
+    int index;
+  };
+
+  const MExpr& ExprAt(ExprId id) const {
+    const ExprSlot& s = slots_[static_cast<size_t>(id)];
+    return groups_[static_cast<size_t>(s.group)]
+        .exprs[static_cast<size_t>(s.index)];
+  }
+  MExpr& ExprAt(ExprId id) {
+    const ExprSlot& s = slots_[static_cast<size_t>(id)];
+    return groups_[static_cast<size_t>(s.group)]
+        .exprs[static_cast<size_t>(s.index)];
+  }
   /// Fills m.arg_key (the interned identity projection) if unset.
   void EnsureKey(MExpr& m);
   uint64_t KeyOf(const MExpr& m) const;
   bool SameExpr(const MExpr& a, const MExpr& b) const;
-  /// The canonical group holding an expression identical to `m`, or -1.
-  GroupId FindDup(uint64_t key, const MExpr& m) const;
+  /// The live expression identical to `m`, or -1.
+  ExprId FindDup(uint64_t key, const MExpr& m) const;
+  /// Removes the index entry of `id` under `key`, if there is one.
+  void Unindex(uint64_t key, ExprId id);
   /// ResourceExhausted once the memo holds MemoLimits::max_exprs.
   common::Status CheckExprLimit() const;
+  /// Merges the two groups, then every pair of groups the merge proves
+  /// equal, re-keying the merged-away groups' parents (see the invariant).
   common::Status Merge(GroupId keep, GroupId lose);
   common::Result<GroupId> NewGroup(MExpr m, algebra::DescriptorId desc,
                                    uint64_t key);
-  /// Appends `m` to canonical group `g` and indexes it.
-  common::Result<bool> AppendExpr(GroupId g, MExpr m, uint64_t key);
+  /// Appends `m` to canonical group `g`, gives it an id, indexes it under
+  /// `key` and lists it as a parent of each of its child groups.
+  void AddExpr(GroupId g, MExpr m, uint64_t key);
 
   const RuleSet* rules_;
   MemoLimits limits_;
@@ -267,8 +295,13 @@ class Memo {
   common::StableVector<Group> groups_;
   /// Union-find parent links (mutable: Find compresses paths).
   mutable common::StableVector<GroupId> parent_;
-  /// Expression key -> (group, expr index) for duplicate detection.
-  std::unordered_multimap<uint64_t, std::pair<GroupId, int>> index_;
+  /// ExprId -> where that expression lives. A plain vector, not a
+  /// StableVector: a memo is built per request, plan-cache hits included,
+  /// and a StableVector's 320-byte chunk table would push the Memo object
+  /// past the largest size glibc's per-thread cache serves (1,032 bytes).
+  std::vector<ExprSlot> slots_;
+  /// Expression key -> each live expression with that key.
+  std::unordered_multimap<uint64_t, ExprId> index_;
 
   size_t num_exprs_ = 0;
   uint64_t merge_epoch_ = 0;

@@ -316,14 +316,12 @@ TEST(Predicate, AndIsOrderCanonical) {
   EXPECT_EQ(ab->Hash(), ba->Hash());
 }
 
-TEST(Predicate, ReferencedAttrsAndClasses) {
+TEST(Predicate, ReferencedAttrsOfAnAnd) {
   PredicateRef p = Predicate::And(
       {Predicate::EqAttrs(A("C1", "a"), A("C2", "b")),
        Predicate::EqConst(A("C1", "c"), Scalar::Int(5))});
   const AttrList& attrs = p->ReferencedAttrs()->attrs;
   EXPECT_EQ(attrs.size(), 3u);
-  auto classes = p->ReferencedClasses();
-  EXPECT_EQ(classes.size(), 2u);
 }
 
 TEST(Predicate, IsEquiJoin) {
@@ -333,12 +331,6 @@ TEST(Predicate, IsEquiJoin) {
   EXPECT_FALSE(Predicate::Cmp(CmpOp::kLt, Term::MakeAttr(A("C", "a")),
                               Term::MakeAttr(A("D", "b")))
                    ->IsEquiJoin());
-}
-
-TEST(Predicate, RefersOnlyTo) {
-  PredicateRef p = Predicate::EqAttrs(A("C1", "a"), A("C2", "b"));
-  EXPECT_TRUE(p->RefersOnlyTo({"C1", "C2"}));
-  EXPECT_FALSE(p->RefersOnlyTo({"C1"}));
 }
 
 TEST(Predicate, NotAndOrStructure) {

@@ -56,7 +56,7 @@ namespace {
 
 /// Allocations per trans attempt allowed on Q7 at 2 joins in every
 /// deployment (ROADMAP item 2 tightens it further).
-constexpr double kMaxAllocsPerAttempt = 13.0;
+constexpr double kMaxAllocsPerAttempt = 12.0;
 
 struct Measurement {
   double allocs_per_attempt = 0;

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <tuple>
 
@@ -409,6 +410,95 @@ TEST_F(MicroOptimizer, MemoMergesProvablyEqualGroups) {
   EXPECT_EQ(memo.NumGroups(), before - 1);
   EXPECT_EQ(memo.Find(g1), memo.Find(g2));
   EXPECT_GT(memo.merge_epoch(), 0u);
+}
+
+// A JOIN over `kids` with a fixed descriptor, built directly in the memo.
+MExpr JoinOver(Memo* memo, OpId join, const Descriptor& d,
+               std::vector<GroupId> kids) {
+  MExpr m;
+  m.op = join;
+  m.args = memo->store()->Intern(d);
+  m.children = std::move(kids);
+  return m;
+}
+
+// Proves groups x and y equal by inserting x's expression into y.
+void MergeByInsert(Memo* memo, GroupId x, GroupId y) {
+  MExpr m = memo->group(x).exprs[0];
+  ASSERT_TRUE(memo->InsertInto(y, m).ok());
+  ASSERT_EQ(memo->Find(x), memo->Find(y));
+}
+
+// Live expressions of g's canonical group.
+size_t LiveExprs(const Memo& memo, GroupId g) {
+  size_t n = 0;
+  for (const MExpr& m : memo.group(g).exprs) n += !m.dead;
+  return n;
+}
+
+TEST_F(MicroOptimizer, MemoMergeDropsTheDuplicateItMakes) {
+  Memo memo(&rules_, MemoLimits{});
+  const GroupId x = *memo.CopyIn(*RetOf("A", 10));
+  const GroupId y = *memo.CopyIn(*RetOf("B", 20));
+  const GroupId w = *memo.CopyIn(*RetOf("C", 30));
+  const Descriptor d = Desc();
+  // One group holds JOIN(x, w) and JOIN(y, w).
+  const GroupId p = *memo.GetOrCreateGroup(JoinOver(&memo, join_, d, {x, w}),
+                                           memo.store()->Intern(d));
+  ASSERT_TRUE(*memo.InsertInto(p, JoinOver(&memo, join_, d, {y, w})));
+  ASSERT_EQ(LiveExprs(memo, p), 2u);
+  const size_t exprs = memo.NumExprs();
+  const size_t groups = memo.NumGroups();
+
+  MergeByInsert(&memo, x, y);
+  EXPECT_EQ(memo.NumGroups(), groups - 1);
+  EXPECT_EQ(memo.NumExprs(), exprs - 1);
+  EXPECT_EQ(LiveExprs(memo, p), 1u);
+  // The survivor is found over either child id: inserting adds nothing.
+  for (GroupId c : {x, y}) {
+    auto added = memo.InsertInto(p, JoinOver(&memo, join_, d, {c, w}));
+    ASSERT_TRUE(added.ok());
+    EXPECT_FALSE(*added) << "over g" << c;
+  }
+  EXPECT_EQ(memo.NumExprs(), exprs - 1);
+  EXPECT_EQ(memo.NumGroups(), groups - 1);
+  // The dump skips the dropped copy.
+  const std::string dump = memo.ToString(*rules_.algebra);
+  ASSERT_NE(dump.find("JOIN("), std::string::npos);
+  EXPECT_EQ(dump.find("JOIN("), dump.rfind("JOIN("));
+}
+
+TEST_F(MicroOptimizer, MemoMergeCascadesToParentsThatBecomeEqual) {
+  Memo memo(&rules_, MemoLimits{});
+  const GroupId x = *memo.CopyIn(*RetOf("A", 10));
+  const GroupId y = *memo.CopyIn(*RetOf("B", 20));
+  const GroupId w = *memo.CopyIn(*RetOf("C", 30));
+  const Descriptor d = Desc();
+  const algebra::DescriptorId did = memo.store()->Intern(d);
+  // a = JOIN(x, w) and b = JOIN(y, w) in two groups; one level up,
+  // JOIN(a, w) and JOIN(b, w) in two more.
+  const GroupId a = *memo.GetOrCreateGroup(JoinOver(&memo, join_, d, {x, w}),
+                                           did);
+  const GroupId b = *memo.GetOrCreateGroup(JoinOver(&memo, join_, d, {y, w}),
+                                           did);
+  const GroupId pa = *memo.GetOrCreateGroup(JoinOver(&memo, join_, d, {a, w}),
+                                            did);
+  const GroupId pb = *memo.GetOrCreateGroup(JoinOver(&memo, join_, d, {b, w}),
+                                            did);
+  ASSERT_NE(a, b);
+  ASSERT_NE(pa, pb);
+  const size_t exprs = memo.NumExprs();
+  const size_t groups = memo.NumGroups();
+  const uint64_t merges = memo.tallies().groups_merged;
+
+  MergeByInsert(&memo, x, y);
+  EXPECT_EQ(memo.Find(a), memo.Find(b));
+  EXPECT_EQ(memo.Find(pa), memo.Find(pb));
+  EXPECT_EQ(memo.tallies().groups_merged, merges + 3);
+  EXPECT_EQ(memo.NumGroups(), groups - 3);
+  EXPECT_EQ(memo.NumExprs(), exprs - 2);
+  EXPECT_EQ(LiveExprs(memo, a), 1u);
+  EXPECT_EQ(LiveExprs(memo, pa), 1u);
 }
 
 TEST_F(MicroOptimizer, SeventyTransRulesDoNotAliasAppliedBits) {
@@ -1012,17 +1102,9 @@ TEST_F(InspectorTest, WriteMemoDumpPicksFormatByExtension) {
   EXPECT_EQ(first_line, "digraph memo {");
 }
 
-// Search-count golden: the interpreted OODB rule set's search statistics
-// and plans (descriptors included) on Q1-Q8 at 3 joins and on Q1 over the
-// three join-graph shapes. An engine change that keeps the search the same
-// keeps this file byte-identical; `bindings` counts every trans-rule
-// binding the closure enumerated, attempted or skipped as a re-fire.
-TEST(SearchCountGolden, OodbPaperQueriesAndJoinShapes) {
-  auto prairie_rules = opt::BuildOodbPrairie();
-  ASSERT_TRUE(prairie_rules.ok());
-  auto rules = p2v::Translate(*prairie_rules, nullptr);
-  ASSERT_TRUE(rules.ok());
-  const Algebra& alg = *(*rules)->algebra;
+// The inputs of the search-count golden: Q1-Q8 at 3 joins and Q1 over
+// the three join-graph shapes.
+std::vector<std::pair<std::string, workload::QuerySpec>> SearchCountCases() {
   std::vector<std::pair<std::string, workload::QuerySpec>> cases;
   for (int q = 1; q <= 8; ++q) {
     cases.emplace_back("Q" + std::to_string(q) + " joins=3",
@@ -1038,110 +1120,79 @@ TEST(SearchCountGolden, OodbPaperQueriesAndJoinShapes) {
     cases.emplace_back(
         "Q1 joins=" + std::to_string(joins) + " shape=" + name, spec);
   }
+  return cases;
+}
+
+// Search-count golden: the interpreted OODB rule set's search statistics
+// and plans (descriptors included) on the SearchCountCases() inputs. An
+// engine change that keeps the search the same keeps this file
+// byte-identical.
+TEST(SearchCountGolden, OodbPaperQueriesAndJoinShapes) {
+  auto prairie_rules = opt::BuildOodbPrairie();
+  ASSERT_TRUE(prairie_rules.ok());
+  auto rules = p2v::Translate(*prairie_rules, nullptr);
+  ASSERT_TRUE(rules.ok());
+  const Algebra& alg = *(*rules)->algebra;
   std::string got;
-  for (const auto& [name, spec] : cases) {
+  for (const auto& [name, spec] : SearchCountCases()) {
     auto w = workload::MakeWorkload(alg, spec);
     ASSERT_TRUE(w.ok()) << name;
     Optimizer o(rules->get(), &w->catalog);
     auto plan = o.Optimize(*w->query);
     ASSERT_TRUE(plan.ok()) << name << ": " << plan.status().ToString();
     const OptimizerStats& s = o.stats();
-    // Repeats of a binding that already fired are skipped, not attempted.
+    // Every binding the closure enumerates is attempted; none is skipped.
+    // 48,030 is the attempt count of a memo that kept the duplicates
+    // merges make and skipped their repeated bindings: dropping the
+    // duplicates must not cost more attempts than that.
     if (name == "Q7 joins=3") {
       EXPECT_LE(s.trans_attempts, 48030u);
     }
     got += common::StringPrintf(
         "%s: groups=%zu mexprs=%zu trans_fired=%zu impl_attempts=%zu "
-        "plans_costed=%zu desc_interned=%zu bindings=%zu cost=%.4f\n",
+        "plans_costed=%zu desc_interned=%zu trans_attempts=%zu cost=%.4f\n",
         name.c_str(), s.groups, s.mexprs, s.trans_fired, s.impl_attempts,
-        s.plans_costed, s.desc_interned,
-        s.trans_attempts + s.trans_refires_skipped, plan->cost);
+        s.plans_costed, s.desc_interned, s.trans_attempts, plan->cost);
     got += plan->root->ToExpr(alg)->TreeString(alg);
   }
   CheckGolden(got, "search_counts.txt");
 }
 
-// The fired-binding set on synthetic keys: tag t has length 2 + t % 5.
-std::vector<uint32_t> SyntheticKey(uint32_t tag, uint32_t n) {
-  std::vector<uint32_t> key(2 + tag % 5, n);
-  key[0] = tag;
-  key.back() = n * 7919u + tag;
-  return key;
-}
-
-bool InsertKey(FiredBindingSet* set, const std::vector<uint32_t>& key) {
-  std::copy(key.begin(), key.end(), set->Stage(key.size()));
-  return set->InsertStaged();
-}
-
-TEST(FiredBindingSetTest, FindsEveryKeyAcrossGrowthAndChunks) {
-  // Nothing is allocated before the first key (an optimizer that never
-  // fires pays nothing). 20,000 keys of up to 6 words then outgrow the
-  // first table many times over and fill several storage chunks.
-  FiredBindingSet set;
-  EXPECT_EQ(set.bytes(), 0u);
-  constexpr uint32_t kKeys = 20000;
-  for (uint32_t n = 0; n < kKeys; ++n) {
-    ASSERT_TRUE(InsertKey(&set, SyntheticKey(n % 17, n))) << n;
-  }
-  EXPECT_EQ(set.size(), kKeys);
-  const size_t bytes = set.bytes();
-  EXPECT_GT(bytes, 0u);
-  for (uint32_t n = 0; n < kKeys; ++n) {
-    ASSERT_FALSE(InsertKey(&set, SyntheticKey(n % 17, n))) << n;
-  }
-  // Rejected keys leave nothing behind.
-  EXPECT_EQ(set.size(), kKeys);
-  EXPECT_EQ(set.bytes(), bytes);
-  // A key differing from a stored one in any single word is new.
-  std::vector<uint32_t> key = SyntheticKey(4, 4);
-  for (size_t i = 1; i < key.size(); ++i) {
-    std::vector<uint32_t> other = key;
-    other[i] ^= 1u << 20;
-    EXPECT_TRUE(InsertKey(&set, other)) << i;
-  }
-}
-
-TEST(FiredBindingSetTest, EveryEarlierKeyStaysARepeatAfterEachGrowth) {
-  // Growth re-places stored keys without comparing them; after each of
-  // several table doublings every key inserted so far must still be found.
-  FiredBindingSet set;
-  constexpr uint32_t kKeys = 6000;  // The table doubles from 256 to 8192.
-  int growths = 0;
-  size_t bytes = set.bytes();
-  for (uint32_t n = 0; n < kKeys; ++n) {
-    ASSERT_TRUE(InsertKey(&set, SyntheticKey(n % 11, n))) << n;
-    if (set.bytes() == bytes) continue;
-    bytes = set.bytes();
-    ++growths;
-    for (uint32_t m = 0; m <= n; ++m) {
-      ASSERT_FALSE(InsertKey(&set, SyntheticKey(m % 11, m)))
-          << "key " << m << " after growth " << growths;
+// The memo stays canonical through a full search: no two live expressions
+// are equal on op or file, arg_key and canonical children, and NumExprs()
+// counts exactly the live ones.
+TEST(CanonicalMemo, NoLiveDuplicatesAfterEachSearchCountInput) {
+  auto prairie_rules = opt::BuildOodbPrairie();
+  ASSERT_TRUE(prairie_rules.ok());
+  auto rules = p2v::Translate(*prairie_rules, nullptr);
+  ASSERT_TRUE(rules.ok());
+  for (const auto& [name, spec] : SearchCountCases()) {
+    auto w = workload::MakeWorkload(*(*rules)->algebra, spec);
+    ASSERT_TRUE(w.ok()) << name;
+    Optimizer o(rules->get(), &w->catalog);
+    ASSERT_TRUE(o.Optimize(*w->query).ok()) << name;
+    const Memo& memo = o.memo();
+    using Identity = std::tuple<bool, OpId, std::string, algebra::DescriptorId,
+                                std::vector<GroupId>>;
+    std::map<Identity, GroupId> seen;
+    size_t live = 0;
+    for (size_t i = 0; i < memo.allocated_groups(); ++i) {
+      const GroupId gid = static_cast<GroupId>(i);
+      if (memo.Find(gid) != gid) continue;
+      for (const MExpr& m : memo.group(gid).exprs) {
+        if (m.dead) continue;
+        ++live;
+        std::vector<GroupId> kids;
+        for (GroupId c : m.children) kids.push_back(memo.Find(c));
+        const auto [it, fresh] = seen.emplace(
+            Identity(m.is_file, m.op, m.file, m.arg_key, std::move(kids)),
+            gid);
+        EXPECT_TRUE(fresh) << name << ": g" << gid << " repeats an expression"
+                           << " of g" << it->second;
+      }
     }
-    ASSERT_EQ(set.size(), n + 1);
+    EXPECT_EQ(live, memo.NumExprs()) << name;
   }
-  // Five doublings and the first table, plus new key chunks.
-  EXPECT_GE(growths, 6);
-}
-
-TEST(FiredBindingSetTest, KeysLongerThanAChunkGetTheirOwn) {
-  FiredBindingSet set;
-  std::vector<uint32_t> long_key(10000, 3);
-  long_key[0] = 0;
-  EXPECT_TRUE(InsertKey(&set, long_key));
-  EXPECT_FALSE(InsertKey(&set, long_key));
-  long_key[9999] = 4;
-  EXPECT_TRUE(InsertKey(&set, long_key));
-  // Short keys after a rejected long one stay addressable.
-  EXPECT_FALSE(InsertKey(&set, long_key));
-  for (uint32_t n = 0; n < 5000; ++n) {
-    ASSERT_TRUE(InsertKey(&set, SyntheticKey(1 + n % 4, n))) << n;
-  }
-  for (uint32_t n = 0; n < 5000; ++n) {
-    ASSERT_FALSE(InsertKey(&set, SyntheticKey(1 + n % 4, n))) << n;
-  }
-  EXPECT_FALSE(InsertKey(&set, long_key));
-  EXPECT_EQ(set.size(), 5002u);
 }
 
 TEST_F(ObservabilityTest, MetricsCountersMatchStatsAcrossQueries) {

@@ -569,13 +569,11 @@ int RunSingle(const Settings& s, const volcano::RuleSet& rules) {
     const volcano::OptimizerStats& stats = optimizer.stats();
     std::printf(
         "stats: %zu equivalence classes, %zu logical expressions,\n"
-        "       %zu trans-rule attempts (%zu re-fires skipped), %zu "
-        "trans-rule firings,\n"
+        "       %zu trans-rule attempts, %zu trans-rule firings,\n"
         "       %zu impl-rule attempts, %zu plans costed, %zu enforcer "
         "attempts,\n"
         "       %zu interned descriptors (%.1f%% intern hit rate)\n",
-        stats.groups, stats.mexprs, stats.trans_attempts,
-        stats.trans_refires_skipped, stats.trans_fired,
+        stats.groups, stats.mexprs, stats.trans_attempts, stats.trans_fired,
         stats.impl_attempts, stats.plans_costed, stats.enforcer_attempts,
         stats.desc_interned, 100.0 * stats.InternHitRate());
     if (stats.plan_from_cache) {
